@@ -11,10 +11,8 @@ almost-sure deviation rate and the polynomial tail bound empirically.
 __version__ = "0.1.0"
 
 from .rng import RngStream, bytes_generator
-from .paths import (CyclePath, RegenerativePath, CountingPath,
-                    HorizonExceededError, invert_counting, evaluate_path,
-                    renewal_count, write_cycle_csv, read_cycle_csv,
-                    write_events_csv)
+from .paths import (RegenerativePath, CountingPath, HorizonExceededError,
+                    invert_counting, read_cycle_csv)
 from .greeks import (Greeks, DegenerateTauError, GreeksUnavailableError,
                      InsufficientDataError, estimate_greeks,
                      check_greek_identities, jacobi_eigh, matrix_sqrt_psd,
@@ -22,8 +20,8 @@ from .greeks import (Greeks, DegenerateTauError, GreeksUnavailableError,
 from .models import (FAMILIES, CycleBatch, Model, IidSumModel,
                      GammaGaussianModel, ParetoCycleModel, MM1BusyCycleModel,
                      CompoundJumpModel, InvalidParameterError,
-                     ModeUnsupportedHookError, sample_cycle, true_greeks,
-                     reference_greeks, eta_moment, single_event_path)
+                     ModeUnsupportedHookError, reference_greeks, eta_moment,
+                     single_event_path)
 from .coupling import (ModeUnsupportedError, GridMismatchError,
                        IdentityViolationError, UnitGridPath, ScaledPath,
                        GaussianDriver, drive_gaussians, PoissonQuantile,

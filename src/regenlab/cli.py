@@ -15,7 +15,9 @@ Subcommands fall into three groups:
   under ``--out``.
 
 Exit codes: 0 on success, 1 when a verdict-bearing subcommand (``certify``,
-``maxima``) reports FAIL, 2 on usage, parse, or validation errors.
+``maxima``) reports FAIL, 2 on usage, parse, or validation errors, 3 on an
+internal fault (a violated telescoping identity or an exhausted sampling
+budget), so that a crash never reads as a FAIL verdict.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from .config import (ConfigParseError, ConfigValidationError, build_config,
                      parse_config)
-from .coupling import build_bundle, phi_decomposition
+from .coupling import (IdentityViolationError, build_bundle,
+                       phi_decomposition)
 from .greeks import (DegenerateTauError, GreeksUnavailableError,
                      InsufficientDataError, check_greek_identities,
                      estimate_greeks)
@@ -37,8 +40,7 @@ from .harness import (certify_bound, fit_constant_a,
                       maxima_scaling_experiment, replication_stream,
                       run_phi_diagnostics, run_rate_experiment,
                       run_tail_experiment)
-from .models import InvalidParameterError, reference_greeks, true_greeks
-from .paths import write_cycle_csv, write_events_csv
+from .models import InvalidParameterError, reference_greeks
 from .reporting import (append_manifest, atomic_write_text, format_value,
                         write_csv, write_report)
 from .rng import RngStream
@@ -117,9 +119,20 @@ def _cmd_simulate(args) -> int:
     stream = RngStream(cfg.root_seed, _CLI_STREAM_BASE + _SIMULATE_OFFSET)
     path = model.sample_path(args.cycles, stream)
     out_dir = _prepare_out(args.out)
-    write_cycle_csv(str(out_dir / "cycles.csv"), path.tau, path.xi, path.eta())
+    xi_cols = [f"xi_{j + 1}" for j in range(path.d)]
+    write_csv(out_dir / "cycles.csv", ["cycle_index", "tau", *xi_cols, "eta"],
+              [[k, tau, *xi, eta] for k, (tau, xi, eta)
+               in enumerate(zip(path.tau, path.xi, path.eta()))])
     if args.events:
-        write_events_csv(str(out_dir / "events.csv"), path)
+        counts = np.diff(path.cycle_event_ptr)
+        cycle = np.repeat(np.arange(path.n_cycles), counts)
+        offsets = path.event_times - np.repeat(path.renewal_times[:-1], counts)
+        values = path.event_values - np.repeat(path.prefix_xi[:-1], counts,
+                                               axis=0)
+        write_csv(out_dir / "events.csv",
+                  ["cycle_index", "offset",
+                   *(f"value_{j + 1}" for j in range(path.d))],
+                  [[k, o, *v] for k, o, v in zip(cycle, offsets, values)])
     _write_snapshot(out_dir, cfg)
     _record_run(out_dir, "simulate", args.config, cfg.root_seed,
                 cycles=args.cycles)
@@ -157,7 +170,7 @@ def _cmd_greeks(args) -> int:
     estimated = estimate_greeks(batch, cfg.p)
     sections = {"estimated": _greeks_section(estimated)}
     try:
-        exact = true_greeks(model, cfg.p)
+        exact = model.true_greeks(cfg.p)
         sections["exact"] = _greeks_section(exact)
     except (GreeksUnavailableError, DegenerateTauError) as exc:
         sections["exact"] = {"available": False, "reason": str(exc)}
@@ -653,6 +666,9 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except (IdentityViolationError, RuntimeError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -310,7 +310,6 @@ def parse_config_text(text: str, kind: str) -> ExperimentConfig:
             f"line {lineno}: unknown model family {family!r}; "
             f"choose from {FAMILIES}")
     schema = _MODEL_PARAMS[family]
-    model_params: dict[str, str] = {}
     kwargs: dict[str, object] = {}
     for key in list(pairs):
         if not key.startswith("model."):
@@ -326,7 +325,6 @@ def parse_config_text(text: str, kind: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigParseError(f"line {lineno}: bad value for {key}: "
                                    f"{exc}") from exc
-        model_params[param] = value
 
     scalars: dict[str, object] = {}
     scalar_schema = {

@@ -231,8 +231,7 @@ class PoissonQuantile:
 
 
 def build_poisson_from_brownian(btilde: UnitGridPath, greeks: Greeks,
-                                horizon: float,
-                                rng: RngStream | None = None) -> CountingPath:
+                                horizon: float) -> CountingPath:
     """Counting process on [0, horizon] derived measurably from the driver.
 
     Per unit interval [k, k+1) the jump count is the Poisson(lambda) quantile
@@ -241,11 +240,7 @@ def build_poisson_from_brownian(btilde: UnitGridPath, greeks: Greeks,
     driver.  Jump positions inside each interval are uniform draws from a
     generator seeded by hashing the increment values, which keeps the whole
     construction measurable with respect to the driver path.
-
-    The ``rng`` argument is accepted for interface uniformity but unused:
-    injecting outside randomness would break measurability.
     """
-    del rng
     n_units = int(horizon)
     if n_units < 1:
         raise ValueError(f"horizon must be at least 1 unit, got {horizon}")

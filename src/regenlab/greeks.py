@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import CyclePath
 
 _SQRT_CLAMP_REL = 1e-12   # eigenvalues below this (relative) are treated as 0
 _PINV_ZERO_REL = 1e-10    # pseudo-inverse zeroing threshold (relative)
@@ -219,12 +218,7 @@ def _cycles_to_arrays(cycles) -> tuple[np.ndarray, np.ndarray]:
     elif hasattr(cycles, "tau") and hasattr(cycles, "xi"):
         tau, xi = cycles.tau, cycles.xi
     else:
-        seq = list(cycles)
-        if seq and isinstance(seq[0], CyclePath):
-            tau = np.array([c.tau for c in seq])
-            xi = np.stack([c.xi for c in seq])
-        else:
-            raise TypeError(f"cannot interpret cycle container {type(cycles)!r}")
+        raise TypeError(f"cannot interpret cycle container {type(cycles)!r}")
     tau = np.asarray(tau, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 1:
@@ -235,7 +229,8 @@ def _cycles_to_arrays(cycles) -> tuple[np.ndarray, np.ndarray]:
 def estimate_greeks(cycles, p: float) -> Greeks:
     """Plug-in (1/n) moment estimates from observed cycles.
 
-    Accepts a CycleBatch, a list of CyclePath, or a (tau, xi) array pair.
+    Accepts a CycleBatch (or any object with ``tau`` and ``xi``) or a
+    (tau, xi) array pair.
     Raises DegenerateTauError when the sample durations carry no variance
     and InsufficientDataError for fewer than 2 cycles.
     """

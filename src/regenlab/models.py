@@ -38,8 +38,7 @@ from scipy.special import gammainccinv, gammaincinv, ndtr
 
 from .greeks import (DegenerateTauError, Greeks, GreeksUnavailableError,
                      matrix_sqrt_psd)
-from .paths import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, CyclePath,
-                    RegenerativePath)
+from .paths import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath
 from .rng import RngStream
 
 SHARED_INNOVATIONS = "shared-innovations"
@@ -523,15 +522,18 @@ class MM1BusyCycleModel(Model):
         return CycleBatch(tau=tau, xi=xi, eta=xi)
 
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
-        """Full trajectories: one event per departure, cycle by cycle."""
+        """Full trajectories: one event per departure, cycle by cycle.
+
+        The scalar draw order (idle period, then one exponential and one
+        uniform per busy-period event) is part of the stream contract.
+        """
         gen = rng.generator()
         total_rate = self.arrival_rate + self.service_rate
         p_up = self.arrival_rate / total_rate
-        cycles = []
+        offsets, values, ptr = [], [], [0]
         for _ in range(n):
             t = gen.exponential(1.0 / self.arrival_rate)
             height = 1
-            offsets, values = [], []
             count = 0
             while height > 0:
                 t += gen.exponential(1.0 / total_rate)
@@ -542,11 +544,12 @@ class MM1BusyCycleModel(Model):
                     count += 1
                     offsets.append(t)
                     values.append(float(count))
-            cycles.append(CyclePath(
-                tau=offsets[-1], xi=np.array([values[-1]]),
-                offsets=np.array(offsets), values=np.array(values)[:, None],
-                interpolation=self.interpolation))
-        return RegenerativePath.from_cycles(cycles)
+            ptr.append(len(offsets))
+        last = np.array(ptr[1:], dtype=np.int64) - 1
+        offsets, values = np.array(offsets), np.array(values)
+        return RegenerativePath.from_cycle_events(
+            offsets[last], values[last], offsets, values, ptr,
+            self.interpolation)
 
     def laplace_tau(self, b: float) -> float:
         """Closed form: Exp idle transform times the busy-period transform."""
@@ -656,19 +659,33 @@ class CompoundJumpModel(Model):
         """Jump events plus a flat terminal event closing each cycle."""
         gen = rng.generator()
         tau, counts, jumps = self._draw(n, gen)
+        total = jumps.shape[0]
+        cycle = np.repeat(np.arange(n), counts)
+        u = gen.random(total)
+        jump_offsets = u[np.lexsort((u, cycle))] * tau[cycle]
+        # Within-cycle running sums, accumulated one position at a time so
+        # each cycle's sum has exactly the bits of its own sequential cumsum.
         starts = np.concatenate([[0], np.cumsum(counts)])
-        offsets = [np.sort(gen.random(int(c))) * t for c, t in zip(counts, tau)]
-        cycles = []
-        for k in range(n):
-            lo, hi = starts[k], starts[k + 1]
-            vals = np.cumsum(jumps[lo:hi], axis=0)
-            xi = vals[-1] if hi > lo else np.zeros(self.dim)
-            offs = np.concatenate([offsets[k], [tau[k]]])
-            vals = np.concatenate([vals, [xi]]) if hi > lo else xi[None, :]
-            cycles.append(CyclePath(tau=float(tau[k]), xi=xi, offsets=offs,
-                                    values=vals,
-                                    interpolation=self.interpolation))
-        return RegenerativePath.from_cycles(cycles)
+        position = np.arange(total) - starts[cycle]
+        running = jumps.copy()
+        for j in range(1, int(counts.max(initial=0))):
+            at = np.flatnonzero(position == j)
+            running[at] += running[at - 1]
+        xi = np.zeros((n, self.dim))
+        nonempty = counts > 0
+        xi[nonempty] = running[starts[1:][nonempty] - 1]
+        # Each cycle's events: its jumps, then the terminal event (tau, xi).
+        slot = np.arange(total) + cycle
+        end = starts[1:] + np.arange(n)
+        offsets = np.empty(total + n)
+        offsets[slot] = jump_offsets
+        offsets[end] = tau
+        values = np.empty((total + n, self.dim))
+        values[slot] = running
+        values[end] = xi
+        ptr = np.concatenate([[0], end + 1])
+        return RegenerativePath.from_cycle_events(
+            tau, xi, offsets, values, ptr, self.interpolation)
 
     def true_greeks(self, p: float) -> Greeks:
         self._check_p(p)
@@ -686,16 +703,6 @@ class CompoundJumpModel(Model):
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def sample_cycle(model: Model, rng: RngStream) -> CyclePath:
-    """Draw one cycle with its trajectory."""
-    return model.sample_path(1, rng).cycle(0)
-
-
-def true_greeks(model: Model, p: float) -> Greeks:
-    """Closed-form parameters; raises where the family has none."""
-    return model.true_greeks(p)
 
 
 def reference_greeks(model: Model, p: float) -> Greeks:

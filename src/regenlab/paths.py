@@ -12,6 +12,11 @@ Both schemes attain their within-cycle supremum at event points, so cycle
 maxima are exact.  The last event of every cycle sits at offset ``tau`` with
 value ``xi``, which makes path evaluation at renewal times reproduce the
 prefix sums of the ``xi`` exactly.
+
+There is no per-cycle object: all events live in one flat (CSR) pair of
+arrays sliced by ``cycle_event_ptr``, and samplers hand their cycle-relative
+events to :meth:`RegenerativePath.from_cycle_events`, which checks the cycle
+invariants for all cycles at once.
 """
 
 from __future__ import annotations
@@ -34,68 +39,6 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
     if values.ndim == 1:
         values = values[:, None]
     return values
-
-
-@dataclass(frozen=True)
-class CyclePath:
-    """One regeneration cycle.
-
-    Attributes:
-        tau: cycle duration, > 0.
-        xi: total increment over the cycle, shape (d,).
-        offsets: event times relative to the cycle start, strictly increasing
-            in (0, tau]; the final offset equals tau.
-        values: cumulative increment at each event relative to the cycle
-            start, shape (n_events, d); the final value equals xi.
-        interpolation: accrual scheme between events.
-    """
-
-    tau: float
-    xi: np.ndarray
-    offsets: np.ndarray
-    values: np.ndarray
-    interpolation: str = PIECEWISE_CONSTANT
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=float)))
-        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float))
-        object.__setattr__(self, "values", _as_matrix(self.values))
-        if not np.isfinite(self.tau) or self.tau <= 0:
-            raise ValueError(f"cycle duration must be positive and finite, got {self.tau}")
-        if self.interpolation not in _INTERPOLATIONS:
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
-        if self.offsets.ndim != 1 or self.offsets.size == 0:
-            raise ValueError("a cycle needs at least one event (its endpoint)")
-        if self.values.shape != (self.offsets.size, self.xi.size):
-            raise ValueError(
-                f"event values shape {self.values.shape} does not match "
-                f"{self.offsets.size} events in dimension {self.xi.size}")
-        if np.any(np.diff(self.offsets) <= 0) or self.offsets[0] <= 0:
-            raise ValueError("event offsets must be strictly increasing within (0, tau]")
-        scale = max(1.0, abs(self.tau))
-        if abs(self.offsets[-1] - self.tau) > 1e-9 * scale:
-            raise ValueError(
-                f"last event offset {self.offsets[-1]} must equal tau {self.tau}")
-        vscale = 1.0 + float(np.max(np.abs(self.xi), initial=0.0))
-        if np.max(np.abs(self.values[-1] - self.xi)) > 1e-9 * vscale:
-            raise ValueError("last event value must equal the cycle increment xi")
-
-    @property
-    def d(self) -> int:
-        return self.xi.size
-
-    @property
-    def n_events(self) -> int:
-        return self.offsets.size
-
-
-def cycle_max(cycle: CyclePath) -> float:
-    """Supremum of the max-norm of the trajectory over the cycle.
-
-    For both accrual schemes the supremum over a segment is attained at a
-    segment endpoint, so the maximum over event values is exact.
-    """
-    return float(np.max(np.abs(cycle.values)))
 
 
 @dataclass
@@ -152,38 +95,56 @@ class RegenerativePath:
         return self._prefix_xi
 
     @classmethod
-    def from_cycles(cls, cycles: "list[CyclePath]") -> "RegenerativePath":
-        if not cycles:
-            raise ValueError("need at least one cycle")
-        d = cycles[0].d
-        interp = cycles[0].interpolation
-        for c in cycles:
-            if c.d != d:
-                raise ValueError("all cycles must share one dimension")
-            if c.interpolation != interp:
-                raise ValueError("all cycles must share one interpolation scheme")
-        tau = np.array([c.tau for c in cycles])
-        xi = np.stack([c.xi for c in cycles])
+    def from_cycle_events(cls, tau: np.ndarray, xi: np.ndarray,
+                          offsets: np.ndarray, values: np.ndarray,
+                          cycle_event_ptr: np.ndarray,
+                          interpolation: str) -> "RegenerativePath":
+        """Path from cycle-relative events in flat (CSR) form.
+
+        ``offsets[ptr[k]:ptr[k+1]]`` are cycle ``k``'s event times relative to
+        its start, strictly increasing in (0, tau[k]] and ending at tau[k];
+        ``values`` (n_events, d) are the matching cumulative increments
+        relative to the cycle start, ending at xi[k].  Raises ValueError when
+        any cycle breaks these invariants.
+        """
+        tau = np.asarray(tau, dtype=float)
+        xi = _as_matrix(xi)
+        offsets = np.asarray(offsets, dtype=float)
+        values = _as_matrix(values)
+        ptr = np.asarray(cycle_event_ptr, dtype=np.int64)
+        n, d = xi.shape
+        if n == 0 or tau.shape != (n,):
+            raise ValueError(
+                f"need at least one cycle with one duration each, got "
+                f"{tau.shape} durations for {n} increments")
+        if not np.all(np.isfinite(tau) & (tau > 0)):
+            raise ValueError("cycle durations must be positive and finite")
+        if interpolation not in _INTERPOLATIONS:
+            raise ValueError(f"unknown interpolation {interpolation!r}")
+        counts = np.diff(ptr)
+        if ptr.shape != (n + 1,) or ptr[0] != 0 or np.any(counts < 1):
+            raise ValueError("every cycle needs at least one event (its endpoint)")
+        if offsets.shape != (ptr[-1],) or values.shape != (ptr[-1], d):
+            raise ValueError(
+                f"{offsets.shape} offsets and {values.shape} event values do "
+                f"not match {ptr[-1]} events in dimension {d}")
+        first, last = ptr[:-1], ptr[1:] - 1
+        steps = np.diff(offsets)
+        steps[last[:-1]] = 1.0  # cycle boundaries are not within-cycle steps
+        if not (np.all(steps > 0) and np.all(offsets[first] > 0)):
+            raise ValueError("event offsets must be strictly increasing within (0, tau]")
+        if np.any(np.abs(offsets[last] - tau) > 1e-9 * np.maximum(1.0, tau)):
+            raise ValueError("last event offset of each cycle must equal its tau")
+        vscale = 1.0 + np.max(np.abs(xi), axis=1)
+        if np.any(np.max(np.abs(values[last] - xi), axis=1) > 1e-9 * vscale):
+            raise ValueError("last event value must equal the cycle increment xi")
         renewal = np.concatenate([[0.0], np.cumsum(tau)])
         prefix = np.concatenate([np.zeros((1, d)), np.cumsum(xi, axis=0)])
-        counts = np.array([c.n_events for c in cycles], dtype=np.int64)
-        ptr = np.concatenate([[0], np.cumsum(counts)])
-        times = np.concatenate([renewal[k] + c.offsets for k, c in enumerate(cycles)])
-        values = np.concatenate([prefix[k] + c.values for k, c in enumerate(cycles)])
-        return cls(tau=tau, xi=xi, renewal_times=renewal, event_times=times,
-                   event_values=values, cycle_event_ptr=ptr, interpolation=interp,
+        return cls(tau=tau, xi=xi, renewal_times=renewal,
+                   event_times=np.repeat(renewal[:-1], counts) + offsets,
+                   event_values=np.repeat(prefix[:-1], counts, axis=0) + values,
+                   cycle_event_ptr=ptr, interpolation=interpolation,
                    _prefix_xi=prefix)
-
-    def cycle(self, k: int) -> CyclePath:
-        """Reconstruct cycle ``k`` with offsets relative to its start."""
-        lo, hi = self.cycle_event_ptr[k], self.cycle_event_ptr[k + 1]
-        return CyclePath(
-            tau=float(self.tau[k]),
-            xi=self.xi[k],
-            offsets=self.event_times[lo:hi] - self.renewal_times[k],
-            values=self.event_values[lo:hi] - self._prefix_xi[k],
-            interpolation=self.interpolation,
-        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -219,21 +180,6 @@ class RegenerativePath:
             self._prefix_xi[:-1], np.diff(self.cycle_event_ptr), axis=0))
         per_event = rel.max(axis=1)
         return np.maximum.reduceat(per_event, self.cycle_event_ptr[:-1])
-
-
-def evaluate_path(path: RegenerativePath, u: float) -> np.ndarray:
-    """S(u) as a length-d vector; see RegenerativePath.evaluate."""
-    return path.evaluate(np.array([float(u)]))[0]
-
-
-def renewal_count(path: RegenerativePath, t: float) -> int:
-    """m(t) = max{k : T_k <= t}, the number of renewals by time t."""
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t > path.horizon:
-        raise HorizonExceededError(f"t={t} exceeds simulated horizon {path.horizon}")
-    return int(path.renewal_counts(np.array([t]))[0])
 
 
 @dataclass(frozen=True)
@@ -283,26 +229,6 @@ def invert_counting(counting: CountingPath, level: float) -> float:
 # -- CSV interchange -------------------------------------------------------
 
 
-def write_cycle_csv(path_or_file, tau: np.ndarray, xi: np.ndarray,
-                    eta: np.ndarray) -> None:
-    """Write one row per cycle: cycle_index,tau,xi_1..xi_d,eta."""
-    xi = _as_matrix(xi)
-    d = xi.shape[1]
-    header = "cycle_index,tau," + ",".join(f"xi_{j + 1}" for j in range(d)) + ",eta"
-    lines = [header]
-    for k in range(len(tau)):
-        cells = [str(k), repr(float(tau[k]))]
-        cells += [repr(float(x)) for x in xi[k]]
-        cells.append(repr(float(eta[k])))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-
-
 def read_cycle_csv(path_or_file) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a cycle CSV; returns (tau, xi, eta) with xi of shape (n, d)."""
     if hasattr(path_or_file, "read"):
@@ -323,23 +249,3 @@ def read_cycle_csv(path_or_file) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if body.ndim != 2 or body.shape[1] != len(header):
         raise ValueError("ragged cycle CSV body")
     return body[:, 1], body[:, 2:2 + d], body[:, -1]
-
-
-def write_events_csv(path_or_file, path: RegenerativePath) -> None:
-    """Write one row per intra-cycle event: cycle_index,offset,value_1..value_d."""
-    d = path.d
-    header = "cycle_index,offset," + ",".join(f"value_{j + 1}" for j in range(d))
-    lines = [header]
-    for k in range(path.n_cycles):
-        lo, hi = path.cycle_event_ptr[k], path.cycle_event_ptr[k + 1]
-        offs = path.event_times[lo:hi] - path.renewal_times[k]
-        vals = path.event_values[lo:hi] - path.prefix_xi[k]
-        for o, v in zip(offs, vals):
-            cells = [str(k), repr(float(o))] + [repr(float(x)) for x in v]
-            lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)

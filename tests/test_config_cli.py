@@ -1,10 +1,13 @@
 """Config parsing/validation and the command-line surface."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from regenlab import cli
 from regenlab.cli import main
+from regenlab.coupling import IdentityViolationError
 from regenlab.config import (ConfigParseError, ConfigValidationError,
                              EXPERIMENT_KINDS, build_config, parse_config,
                              parse_config_text)
@@ -120,7 +123,25 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
 
 
+    @pytest.mark.parametrize("fault", [IdentityViolationError, RuntimeError])
+    def test_internal_fault_is_exit_3(self, tmp_path, monkeypatch, capsys,
+                                      fault):
+        def broken(*args, **kwargs):
+            raise fault("telescoping residual out of tolerance")
+
+        monkeypatch.setattr(cli, "phi_decomposition", broken)
+        assert main(["couple", "--t", "16", "--out", str(tmp_path)]) == 3
+        assert "internal error" in capsys.readouterr().err
+
+
 class TestCliArtifacts:
+    def test_simulate_reproduces_committed_demo(self, tmp_path, capsys):
+        committed = (Path(__file__).resolve().parents[1] / "runs"
+                     / "simulate-demo" / "cycles.csv")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--cycles", "1000", "--out", str(out)]) == 0
+        assert (out / "cycles.csv").read_bytes() == committed.read_bytes()
+
     def test_simulate_writes_readable_cycles(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert main(["simulate", "--cycles", "40", "--out", str(out)]) == 0

@@ -7,8 +7,7 @@ from regenlab.greeks import DegenerateTauError, GreeksUnavailableError
 from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
                              IidSumModel, InvalidParameterError,
                              MM1BusyCycleModel, ModeUnsupportedHookError,
-                             ParetoCycleModel, eta_moment, reference_greeks,
-                             true_greeks)
+                             ParetoCycleModel, eta_moment, reference_greeks)
 from regenlab.rng import RngStream
 
 
@@ -26,7 +25,7 @@ class TestIidSums:
     def test_true_greeks_degenerate(self):
         model = IidSumModel(xi_mean=np.array([0.0]), xi_cov=np.array([[1.0]]))
         with pytest.raises(DegenerateTauError):
-            true_greeks(model, 3.0)
+            model.true_greeks(3.0)
 
     def test_no_coupling_modes(self):
         model = IidSumModel(xi_mean=np.array([0.0]), xi_cov=np.array([[1.0]]))
@@ -47,7 +46,7 @@ class TestIidSums:
 class TestGammaGaussian:
     def test_true_vs_estimated(self, gg2_model):
         from regenlab.greeks import estimate_greeks
-        exact = true_greeks(gg2_model, 3.0)
+        exact = gg2_model.true_greeks(3.0)
         batch = _batch(gg2_model, 200_000)
         est = estimate_greeks(batch, 3.0)
         np.testing.assert_allclose(est.mu, exact.mu, rtol=0.02)
@@ -132,7 +131,7 @@ class TestMM1BusyCycle:
     def test_true_greeks_unavailable(self):
         model = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0)
         with pytest.raises(GreeksUnavailableError):
-            true_greeks(model, 3.0)
+            model.true_greeks(3.0)
 
     def test_reference_greeks_oracle(self):
         model = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0)
@@ -156,7 +155,7 @@ class TestCompoundJump:
                                   jump_mean=np.array([0.5]),
                                   jump_cov=np.array([[1.5]]), dim=1)
         from regenlab.greeks import estimate_greeks
-        exact = true_greeks(model, 3.0)
+        exact = model.true_greeks(3.0)
         est = estimate_greeks(_batch(model, 200_000), 3.0)
         np.testing.assert_allclose(est.mu, exact.mu, rtol=0.02)
         np.testing.assert_allclose(est.kappa, exact.kappa, rtol=0.05)
@@ -166,7 +165,7 @@ class TestCompoundJump:
         model = CompoundJumpModel(cycle_rate=1.0, jump_rate=2.0,
                                   jump_mean=np.array([0.5]),
                                   jump_cov=np.array([[1.0]]), dim=1)
-        g = true_greeks(model, 3.0)
+        g = model.true_greeks(3.0)
         np.testing.assert_allclose(g.kappa, [1.0])
 
     def test_dim_guard(self):

@@ -1,43 +1,53 @@
-"""Cycle containers, path evaluation, counting inversion, CSV round trips."""
-import io
-
+"""Flat path construction, path evaluation, counting inversion, CSV round
+trips."""
 import numpy as np
 import pytest
 
-from regenlab.paths import (CountingPath, CyclePath, HorizonExceededError,
-                            RegenerativePath, evaluate_path, invert_counting,
-                            read_cycle_csv, renewal_count, write_cycle_csv,
-                            write_events_csv)
+from regenlab.cli import main
+from regenlab.paths import (CountingPath, HorizonExceededError,
+                            RegenerativePath, invert_counting, read_cycle_csv)
 from regenlab.models import single_event_path
+from regenlab.reporting import write_csv
+
+
+def _one_cycle(tau, xi, offsets, values) -> RegenerativePath:
+    return RegenerativePath.from_cycle_events(
+        np.array([tau]), np.array([xi]), np.array(offsets), np.array(values),
+        np.array([0, len(offsets)]), "piecewise-constant")
 
 
 def _two_cycle_path() -> RegenerativePath:
-    first = CyclePath(tau=2.0, xi=np.array([1.0]),
-                      offsets=np.array([0.5, 2.0]),
-                      values=np.array([[3.0], [1.0]]),
-                      interpolation="piecewise-constant")
-    second = CyclePath(tau=1.0, xi=np.array([-2.0]),
-                       offsets=np.array([0.25, 1.0]),
-                       values=np.array([[-0.5], [-2.0]]),
-                       interpolation="piecewise-constant")
-    return RegenerativePath.from_cycles([first, second])
+    return RegenerativePath.from_cycle_events(
+        tau=np.array([2.0, 1.0]), xi=np.array([[1.0], [-2.0]]),
+        offsets=np.array([0.5, 2.0, 0.25, 1.0]),
+        values=np.array([[3.0], [1.0], [-0.5], [-2.0]]),
+        cycle_event_ptr=np.array([0, 2, 4]),
+        interpolation="piecewise-constant")
 
 
-class TestCyclePath:
+class TestFromCycleEvents:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
-            CyclePath(tau=0.0, xi=np.array([1.0]), offsets=np.array([0.0]),
-                      values=np.array([[1.0]]))
+            _one_cycle(0.0, [1.0], [0.0], [[1.0]])
 
     def test_rejects_mismatched_terminal_value(self):
         with pytest.raises(ValueError):
-            CyclePath(tau=1.0, xi=np.array([1.0]), offsets=np.array([1.0]),
-                      values=np.array([[0.5]]))
+            _one_cycle(1.0, [1.0], [1.0], [[0.5]])
 
     def test_rejects_last_offset_not_tau(self):
         with pytest.raises(ValueError):
-            CyclePath(tau=1.0, xi=np.array([1.0]), offsets=np.array([0.5]),
-                      values=np.array([[1.0]]))
+            _one_cycle(1.0, [1.0], [0.5], [[1.0]])
+
+    def test_rejects_non_increasing_offsets(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _one_cycle(1.0, [1.0], [0.5, 0.5, 1.0], [[2.0], [3.0], [1.0]])
+
+    def test_rejects_cycle_without_events(self):
+        with pytest.raises(ValueError, match="at least one event"):
+            RegenerativePath.from_cycle_events(
+                np.array([1.0, 1.0]), np.array([[1.0], [1.0]]),
+                np.array([1.0]), np.array([[1.0]]), np.array([0, 1, 1]),
+                "piecewise-constant")
 
 
 class TestRegenerativePath:
@@ -75,17 +85,14 @@ class TestRegenerativePath:
         path = _two_cycle_path()
         np.testing.assert_array_equal(path.eta(), [3.0, 2.0])
 
-    def test_cycle_round_trip(self):
+    def test_cycle_events_round_trip(self):
         path = _two_cycle_path()
-        cycle = path.cycle(1)
-        assert cycle.tau == 1.0
-        np.testing.assert_array_equal(cycle.values[:, 0], [-0.5, -2.0])
-
-    def test_module_level_helpers_agree(self):
-        path = _two_cycle_path()
-        np.testing.assert_array_equal(
-            evaluate_path(path, 2.5), path.evaluate(np.array([2.5]))[0])
-        assert renewal_count(path, 2.5) == 1
+        counts = np.diff(path.cycle_event_ptr)
+        offsets = path.event_times - np.repeat(path.renewal_times[:-1], counts)
+        values = path.event_values - np.repeat(path.prefix_xi[:-1], counts,
+                                               axis=0)
+        np.testing.assert_array_equal(offsets, [0.5, 2.0, 0.25, 1.0])
+        np.testing.assert_array_equal(values[:, 0], [3.0, 1.0, -0.5, -2.0])
 
 
 class TestSingleEventPath:
@@ -128,25 +135,33 @@ class TestCountingInversion:
 
 
 class TestCsv:
-    def test_cycle_csv_round_trip_bitwise(self):
+    def test_cycle_csv_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         tau = rng.gamma(2.0, 1.0, size=13)
         xi = rng.standard_normal((13, 2))
         eta = np.abs(xi).max(axis=1)
-        buffer = io.StringIO()
-        write_cycle_csv(buffer, tau, xi, eta)
-        buffer.seek(0)
-        tau2, xi2, eta2 = read_cycle_csv(buffer)
+        target = tmp_path / "cycles.csv"
+        write_csv(target, ["cycle_index", "tau", "xi_1", "xi_2", "eta"],
+                  [[k, tau[k], *xi[k], eta[k]] for k in range(13)])
+        tau2, xi2, eta2 = read_cycle_csv(target)
         np.testing.assert_array_equal(tau, tau2)
         np.testing.assert_array_equal(xi, xi2)
         np.testing.assert_array_equal(eta, eta2)
 
-    def test_events_csv_header_and_offsets(self):
-        path = _two_cycle_path()
-        buffer = io.StringIO()
-        write_events_csv(buffer, path)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "cycle_index,offset,value_1"
-        assert len(lines) == 1 + path.event_times.size
-        first = lines[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 0.5
+    def test_events_csv_header_and_offsets(self, tmp_path, capsys):
+        config = tmp_path / "jump.cfg"
+        config.write_text("model.family = compound-jump\nmodel.dim = 2\n"
+                          "coupling.mode = independent\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--cycles", "30",
+                     "--events", "--out", str(out)]) == 0
+        lines = (out / "events.csv").read_text().splitlines()
+        assert lines[0] == "cycle_index,offset,value_1,value_2"
+        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        tau, xi, _ = read_cycle_csv(out / "cycles.csv")
+        # one terminal row per cycle closes it at (tau, xi); the offsets are
+        # recovered from absolute times, so they match to rounding only
+        last = np.flatnonzero(np.diff(rows[:, 0], append=30.0))
+        np.testing.assert_array_equal(rows[last, 0], np.arange(30))
+        np.testing.assert_allclose(rows[last, 1], tau, rtol=1e-12)
+        np.testing.assert_allclose(rows[last, 2:], xi, rtol=1e-12, atol=1e-12)
