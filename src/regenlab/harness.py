@@ -4,12 +4,19 @@ Four experiments (deviation rate, deviation tail, per-term diagnostics,
 maxima scaling), a registry of bound certifications against independent
 oracles, and an embedding sanity check.
 
+All replication goes through two primitives.  ``_replicate`` runs a
+per-replication function over every (horizon, replication) pair of an
+experiment; ``_monte_carlo`` runs a certifier's vectorised kernel over its
+fixed-size draw chunks.  Each maps its chunks through one ``_map_chunks``
+call, so a run opens at most one process pool.
+
 Reproducibility contract: every random draw descends from the config's
 ``root_seed`` through an arithmetic stream index — replication ``r`` of
-horizon ``i`` always gets the same stream, so results are bit-identical for
-any ``workers`` count and any chunking of the replication range.  Workers
-receive (config, greeks, replication range) tuples, compute independently,
-and the parent concatenates chunk results in submission order.
+horizon ``i`` always gets the same stream, and chunk ``i`` of a certifier
+always gets ``stream_base + i`` — so results are bit-identical for any
+``workers`` count.  Chunk boundaries are fixed (``_CHUNK`` replications, or
+the certifier's own chunk size) and never depend on scheduling; the parent
+concatenates chunk results in submission order.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
 from scipy.stats import binom
 
-from .bounds import (BoundResult, TailMoments, block_maximal_tail,
+from .bounds import (TailMoments, block_maximal_tail,
                      brownian_grid_increment_tail, brownian_sup_tail,
                      nagaev_tail, poisson_inverse_tail, random_sum_M0,
                      random_sum_nagaev_tail, renewal_count_tail,
@@ -79,30 +86,38 @@ def _map_chunks(fn: Callable, args: list, workers: int) -> list:
         return list(pool.map(fn, args))
 
 
-# -- deviation collection (rate and tail share it) --------------------------
+# -- the replication primitive ---------------------------------------------
 
 
-def _deviation_chunk(args) -> list[float]:
-    cfg, greeks, t_index, t, lo, hi = args
+def _replicate_chunk(args) -> list:
+    rep_fn, cfg, greeks, kind, t_index, t, lo, hi = args
     model = cfg.build_model()
-    out = []
-    for rep in range(lo, hi):
-        rng = replication_stream(cfg.root_seed, cfg.kind, t_index,
-                                 cfg.replications, rep)
-        path, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
-        out.append(sup_deviation(path, bundle.w, greeks, t, cfg.grid_step))
-    return out
+    return [rep_fn(model, greeks, cfg, t,
+                   replication_stream(cfg.root_seed, kind, t_index,
+                                      cfg.replications, rep))
+            for rep in range(lo, hi)]
 
 
-def _collect_deviations(cfg: ExperimentConfig, greeks: Greeks,
-                        workers: int) -> list[np.ndarray]:
-    per_t = []
-    for t_index, t in enumerate(cfg.t_grid):
-        args = [(cfg, greeks, t_index, float(t), lo, hi)
-                for lo, hi in _chunk_ranges(cfg.replications)]
-        chunks = _map_chunks(_deviation_chunk, args, workers)
-        per_t.append(np.concatenate([np.asarray(c) for c in chunks]))
-    return per_t
+def _replicate(rep_fn: Callable, cfg: ExperimentConfig, greeks: Greeks | None,
+               horizons: Sequence[float], kind: str,
+               workers: int) -> list[list]:
+    """``rep_fn(model, greeks, cfg, t, stream)`` for every replication of
+    every horizon, grouped per horizon in replication order.  The chunks of
+    all horizons go through one ``_map_chunks`` call."""
+    ranges = _chunk_ranges(cfg.replications)
+    args = [(rep_fn, cfg, greeks, kind, t_index, float(t), lo, hi)
+            for t_index, t in enumerate(horizons) for lo, hi in ranges]
+    chunks = _map_chunks(_replicate_chunk, args, workers)
+    return [[r for c in chunks[i:i + len(ranges)] for r in c]
+            for i in range(0, len(chunks), len(ranges))]
+
+
+# -- sup-deviation per replication (rate and tail share it) -----------------
+
+
+def _deviation(model, greeks, cfg, t, rng) -> float:
+    path, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
+    return sup_deviation(path, bundle.w, greeks, t, cfg.grid_step)
 
 
 # -- rate experiment --------------------------------------------------------
@@ -143,7 +158,8 @@ def run_rate_experiment(cfg: ExperimentConfig,
     """
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
-    per_t = _collect_deviations(cfg, greeks, workers)
+    per_t = [np.asarray(devs) for devs in _replicate(
+        _deviation, cfg, greeks, cfg.t_grid, cfg.kind, workers)]
     summaries = []
     for t, devs in zip(cfg.t_grid, per_t):
         est = median_ci(devs)
@@ -208,7 +224,8 @@ def run_tail_experiment(cfg: ExperimentConfig,
     """Exceedance probabilities of the sup-deviation over the (t, x) grid."""
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
-    per_t = _collect_deviations(cfg, greeks, workers)
+    per_t = [np.asarray(devs) for devs in _replicate(
+        _deviation, cfg, greeks, cfg.t_grid, cfg.kind, workers)]
     estimates: list[TailEstimate] = []
     for t, devs in zip(cfg.t_grid, per_t):
         estimates.extend(
@@ -246,24 +263,17 @@ class PhiDiagnostics:
     max_residual: float
 
 
-def _phi_chunk(args):
-    cfg, greeks, t_index, t, lo, hi = args
-    model = cfg.build_model()
-    sups, devs, fp_flags, count_flags, triangles, residuals = \
-        [], [], [], [], [], []
-    for rep in range(lo, hi):
-        rng = replication_stream(cfg.root_seed, cfg.kind, t_index,
-                                 cfg.replications, rep)
-        path, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
-        dec = phi_decomposition(path, bundle, t, cfg.grid_step)
-        sups.append(dec.sup_per_term())
-        devs.append(dec.sup_deviation())
-        fp_flags.append(bundle.first_passage(t) > 2.0 * t / greeks.mu)
-        count_flags.append(
-            int(path.renewal_counts(np.array([t]))[0]) > 2.0 * t / greeks.mu)
-        triangles.append(dec.sup_deviation() - float(dec.sup_per_term().sum()))
-        residuals.append(dec.residual)
-    return sups, devs, fp_flags, count_flags, triangles, residuals
+def _phi_row(model, greeks, cfg, t, rng) -> tuple:
+    """(per-term sups, deviation sup, passage flag, count flag, triangle
+    excess, identity residual) of one replication."""
+    path, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
+    dec = phi_decomposition(path, bundle, t, cfg.grid_step)
+    sups = dec.sup_per_term()
+    dev = dec.sup_deviation()
+    return (sups, dev,
+            bundle.first_passage(t) > 2.0 * t / greeks.mu,
+            int(path.renewal_counts(np.array([t]))[0]) > 2.0 * t / greeks.mu,
+            dev - float(sups.sum()), dec.residual)
 
 
 def run_phi_diagnostics(cfg: ExperimentConfig,
@@ -275,15 +285,10 @@ def run_phi_diagnostics(cfg: ExperimentConfig,
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
     t = float(cfg.t_grid[0])
-    args = [(cfg, greeks, 0, t, lo, hi)
-            for lo, hi in _chunk_ranges(cfg.replications)]
-    chunks = _map_chunks(_phi_chunk, args, workers)
-    sup_rows = np.vstack([np.asarray(s) for c in chunks for s in [c[0]]])
-    devs = np.concatenate([np.asarray(c[1]) for c in chunks])
-    fp_flags = np.concatenate([np.asarray(c[2]) for c in chunks])
-    count_flags = np.concatenate([np.asarray(c[3]) for c in chunks])
-    triangle = float(max(max(c[4]) for c in chunks))
-    residual = float(max(max(c[5]) for c in chunks))
+    rows = _replicate(_phi_row, cfg, greeks, (t,), cfg.kind, workers)[0]
+    sups, devs, fp_flags, count_flags, triangles, residuals = zip(*rows)
+    sup_rows = np.vstack(sups)
+    devs = np.asarray(devs)
 
     x_values = cfg.x_grid_for(t)
     per_term = tuple(
@@ -291,9 +296,9 @@ def run_phi_diagnostics(cfg: ExperimentConfig,
         for q in range(8))
     deviation_table = tuple(_estimates_from_sups(devs, t, x_values, cfg.p))
 
-    fp_freq = float(fp_flags.mean())
+    fp_freq = float(np.mean(fp_flags))
     fp_bound = poisson_inverse_tail(t, t / math.log(t), greeks.gamma).value
-    count_freq = float(count_flags.mean())
+    count_freq = float(np.mean(count_flags))
 
     eta_p = eta_moment(model, cfg.p)
     structure = []
@@ -307,8 +312,9 @@ def run_phi_diagnostics(cfg: ExperimentConfig,
                                for q in range(8)),
         passage_exceed_freq=fp_freq, passage_exceed_bound=fp_bound,
         count_exceed_freq=count_freq, structure_rows=tuple(structure),
-        eta_pth_moment=float(eta_p), triangle_max_violation=triangle,
-        max_residual=residual)
+        eta_pth_moment=float(eta_p),
+        triangle_max_violation=float(max(triangles)),
+        max_residual=float(max(residuals)))
 
 
 # -- maxima scaling ---------------------------------------------------------
@@ -324,17 +330,10 @@ class MaximaTrend:
     passed: bool
 
 
-def _maxima_chunk(args):
-    cfg, t_index, n, lo, hi = args
-    model = cfg.build_model()
-    scale = float(n) ** (1.0 / cfg.p)
-    out = []
-    for rep in range(lo, hi):
-        rng = replication_stream(cfg.root_seed, cfg.kind, t_index,
-                                 cfg.replications, rep)
-        batch = model.sample_cycles(n, rng)
-        out.append(float(batch.eta.max()) / scale)
-    return out
+def _maxima_ratio(model, greeks, cfg, t, rng) -> float:
+    n = int(t)
+    return float(model.sample_cycles(n, rng).eta.max()) \
+        / float(n) ** (1.0 / cfg.p)
 
 
 def maxima_scaling_experiment(cfg: ExperimentConfig,
@@ -343,13 +342,8 @@ def maxima_scaling_experiment(cfg: ExperimentConfig,
     must trend down: each step stays within the previous interval's upper
     end, and the last interval sits strictly below the first."""
     n_values = [int(t) for t in cfg.t_grid]
-    rows = []
-    for t_index, n in enumerate(n_values):
-        args = [(cfg, t_index, n, lo, hi)
-                for lo, hi in _chunk_ranges(cfg.replications)]
-        chunks = _map_chunks(_maxima_chunk, args, workers)
-        ratios = np.concatenate([np.asarray(c) for c in chunks])
-        rows.append(median_ci(ratios))
+    rows = [median_ci(np.asarray(ratios)) for ratios in _replicate(
+        _maxima_ratio, cfg, None, n_values, cfg.kind, workers)]
     steps_ok = all(rows[i + 1].median <= rows[i].ci_high
                    for i in range(len(rows) - 1))
     ends_ok = rows[-1].ci_high < rows[0].ci_low
@@ -382,6 +376,29 @@ def _row(label: str, lhs: float, se: float, bound: float) -> CertRow:
                    bound=float(bound), passed=lhs <= bound + 3.0 * se)
 
 
+def _mc_row(label: str, hits: int, reps: int, bound: float) -> CertRow:
+    """Row of a Monte Carlo frequency; the standard error floors p_hat at
+    1/reps so a zero-hit estimate still gets slack."""
+    p_hat = hits / reps
+    se = math.sqrt(max(p_hat, 1.0 / reps) * (1 - p_hat) / reps)
+    return _row(label, p_hat, se, bound)
+
+
+def _mc_chunk(args):
+    kernel, root_seed, stream_index, size, params = args
+    return kernel(RngStream(root_seed, stream_index).generator(), size,
+                  *params)
+
+
+def _monte_carlo(kernel: Callable, stream_base: int, reps: int, chunk: int,
+                 root_seed: int, workers: int, *params) -> list:
+    """``kernel(gen, size, *params)`` over ``reps`` draws in fixed chunks of
+    ``chunk``; chunk ``i`` draws from stream ``stream_base + i``."""
+    args = [(kernel, root_seed, stream_base + i, min(chunk, reps - lo), params)
+            for i, lo in enumerate(range(0, reps, chunk))]
+    return _map_chunks(_mc_chunk, args, workers)
+
+
 def _certify_poisson_inverse(params, root_seed, workers) -> CertificationRecord:
     """Exact Gamma-CDF oracle: P(unit-rate level-t passage time >= 2t)."""
     del root_seed, workers
@@ -398,9 +415,7 @@ def _certify_poisson_inverse(params, root_seed, workers) -> CertificationRecord:
                                all(r.passed for r in rows), {})
 
 
-def _renewal_chunk(args):
-    root_seed, chunk_index, size, count, horizon = args
-    gen = RngStream(root_seed, _CERT_RENEWAL + chunk_index).generator()
+def _renewal_kernel(gen, size: int, count: int, horizon: float) -> int:
     sums = gen.standard_exponential((size, count)).sum(axis=1)
     return int(np.count_nonzero(sums <= horizon))
 
@@ -413,13 +428,9 @@ def _certify_renewal_count(params, root_seed, workers) -> CertificationRecord:
     count = int(math.floor(2.0 * t)) + 1
     bound = renewal_count_tail(t, t / math.log(t), 1.0,
                                lambda b: 1.0 / (1.0 + b))
-    chunk = 100_000
-    args = [(root_seed, i, min(chunk, reps - lo), count, t)
-            for i, lo in enumerate(range(0, reps, chunk))]
-    hits = sum(_map_chunks(_renewal_chunk, args, workers))
-    p_hat = hits / reps
-    se = math.sqrt(max(p_hat, 1.0 / reps) * (1 - p_hat) / reps)
-    rows = (_row(f"mc-{reps}-reps", p_hat, se, bound.value),
+    hits = sum(_monte_carlo(_renewal_kernel, _CERT_RENEWAL, reps, 100_000,
+                            root_seed, workers, count, t))
+    rows = (_mc_row(f"mc-{reps}-reps", hits, reps, bound.value),
             _row("exact-gamma-cdf", float(gammainc(count, t)), 0.0,
                  bound.value))
     return CertificationRecord(
@@ -455,9 +466,8 @@ def _certify_block_maximal(params, root_seed, workers) -> CertificationRecord:
          "paths": float(codes.size)})
 
 
-def _random_sum_chunk(args):
-    root_seed, chunk_index, size, t, x, n_draw = args
-    gen = RngStream(root_seed, _CERT_RANDOM_SUM + chunk_index).generator()
+def _random_sum_kernel(gen, size: int, t: float, x: float,
+                       n_draw: int) -> int:
     arrivals = gen.standard_exponential((size, n_draw)).cumsum(axis=1)
     counts = (arrivals <= t).sum(axis=1)
     if counts.max() >= n_draw:
@@ -481,13 +491,9 @@ def _certify_random_sum(params, root_seed, workers) -> CertificationRecord:
     bound = random_sum_nagaev_tail(t, x, moments)
     m0 = random_sum_M0(lambda b: 1.0 / (1.0 + b))
     n_draw = int(4 * t) + 40
-    chunk = 20_000
-    args = [(root_seed, i, min(chunk, reps - lo), t, x, n_draw)
-            for i, lo in enumerate(range(0, reps, chunk))]
-    hits = sum(_map_chunks(_random_sum_chunk, args, workers))
-    p_hat = hits / reps
-    se = math.sqrt(max(p_hat, 1.0 / reps) * (1 - p_hat) / reps)
-    rows = (_row(f"mc-{reps}-reps", p_hat, se, bound.value),
+    hits = sum(_monte_carlo(_random_sum_kernel, _CERT_RANDOM_SUM, reps,
+                            20_000, root_seed, workers, t, x, n_draw))
+    rows = (_mc_row(f"mc-{reps}-reps", hits, reps, bound.value),
             CertRow(label="pivot-M0", lhs=float(m0), se=0.0, bound=3.0,
                     passed=m0 == 3))
     return CertificationRecord(
@@ -496,9 +502,8 @@ def _certify_random_sum(params, root_seed, workers) -> CertificationRecord:
          "series_sum": bound.constants_used["series_sum"]})
 
 
-def _grid_increment_chunk(args):
-    root_seed, chunk_index, size, t_values, n_steps = args
-    gen = RngStream(root_seed, _CERT_GRID + chunk_index).generator()
+def _grid_increment_kernel(gen, size: int, t_values: tuple[float, ...],
+                           n_steps: int) -> np.ndarray:
     t_max = int(max(t_values))
     dt = 1.0 / n_steps
     sups = np.zeros((size, len(t_values)))
@@ -523,18 +528,15 @@ def _certify_grid_increment(params, root_seed, workers) -> CertificationRecord:
                                                   (2.6, 2.9, 3.2, 3.6, 4.0)))
     reps = int(params.get("reps", 20_000))
     n_steps = int(params.get("steps_per_unit", 1000))
-    chunk = 500
-    args = [(root_seed, i, min(chunk, reps - lo), t_values, n_steps)
-            for i, lo in enumerate(range(0, reps, chunk))]
-    sups = np.vstack(_map_chunks(_grid_increment_chunk, args, workers))
+    sups = np.vstack(_monte_carlo(_grid_increment_kernel, _CERT_GRID, reps,
+                                  500, root_seed, workers, t_values, n_steps))
     rows = []
     for j, t in enumerate(t_values):
         for x in x_values:
             hits = int(np.count_nonzero(sups[:, j] >= x))
-            p_hat = hits / reps
-            se = math.sqrt(max(p_hat, 1.0 / reps) * (1 - p_hat) / reps)
             bound = brownian_grid_increment_tail(t, x)
-            rows.append(_row(f"mc t={t:g} x={x:g}", p_hat, se, bound.value))
+            rows.append(_mc_row(f"mc t={t:g} x={x:g}", hits, reps,
+                                bound.value))
     return CertificationRecord("grid-increment", tuple(rows),
                                all(r.passed for r in rows),
                                {"reps": float(reps),
@@ -609,16 +611,8 @@ def certify_bound(name: str, params: dict | None = None, root_seed: int = 0,
 # -- embedding sanity check -------------------------------------------------
 
 
-def _embedding_chunk(args):
-    cfg, greeks, t, lo, hi = args
-    model = cfg.build_model()
-    out = []
-    for rep in range(lo, hi):
-        rng = replication_stream(cfg.root_seed, "embedding", 0,
-                                 cfg.replications, rep)
-        _, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
-        out.append(bundle.w.at(t))
-    return out
+def _w_at_horizon(model, greeks, cfg, t, rng) -> np.ndarray:
+    return build_bundle(model, greeks, t, cfg.mode, rng)[1].w.at(t)
 
 
 def run_embedding_check(root_seed: int = 0, n_units: int = 100_000,
@@ -638,7 +632,8 @@ def run_embedding_check(root_seed: int = 0, n_units: int = 100_000,
         model_params={"tau_shape": 2.0, "tau_scale": 1.0,
                       "beta": "0.3,-0.2", "kappa": "0.1,0.2",
                       "noise_cov": "1.0,0.3;0.3,0.8", "dim": 2},
-        mode="shared-innovations", replications=bundles, t_grid=(t,))
+        mode="shared-innovations", replications=bundles, t_grid=(t,),
+        root_seed=root_seed)
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
 
@@ -647,9 +642,8 @@ def run_embedding_check(root_seed: int = 0, n_units: int = 100_000,
     counts = PoissonQuantile(greeks.lam).ppf(ndtr(increments))
     pvalue = poisson_gof_pvalue(counts, greeks.lam)
 
-    args = [(cfg, greeks, t, lo, hi) for lo, hi in _chunk_ranges(bundles)]
-    w_rows = np.vstack([w for c in _map_chunks(_embedding_chunk, args, workers)
-                        for w in c]) / math.sqrt(t)
+    w_rows = np.vstack(_replicate(_w_at_horizon, cfg, greeks, (t,),
+                                  "embedding", workers)[0]) / math.sqrt(t)
     cov = np.cov(w_rows, rowvar=False, ddof=1)
     d = cov.shape[0]
     se = np.full((d, d), 1.0 / math.sqrt(bundles))

@@ -122,7 +122,10 @@ class Model:
         raise NotImplementedError
 
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
-        raise NotImplementedError
+        """One event per cycle at its end; families with an intra-cycle
+        trajectory override this."""
+        batch = self.sample_cycles(n, rng)
+        return single_event_path(batch.tau, batch.xi, self.interpolation)
 
     def true_greeks(self, p: float) -> Greeks:
         """Exact parameters from closed-form cycle moments.
@@ -209,10 +212,6 @@ class IidSumModel(Model):
         xi = self.xi_mean + g @ self._xi_root
         tau = np.full(n, float(self.tau_const))
         return CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
-
-    def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
-        batch = self.sample_cycles(n, rng)
-        return single_event_path(batch.tau, batch.xi, self.interpolation)
 
     def true_greeks(self, p: float) -> Greeks:
         self._check_p(p)
@@ -356,10 +355,6 @@ class GammaGaussianModel(Model):
         batch = CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
         return batch, g, g_dur
 
-    def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
-        batch = self.sample_cycles(n, rng)
-        return single_event_path(batch.tau, batch.xi, self.interpolation)
-
     def true_greeks(self, p: float) -> Greeks:
         self._check_p(p)
         var_tau = self.var_tau
@@ -415,10 +410,6 @@ class ParetoCycleModel(Model):
     def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
         tau = 2.0 + rng.generator().pareto(self.tail_index, size=n)
         return CycleBatch(tau=tau, xi=tau, eta=tau)
-
-    def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
-        batch = self.sample_cycles(n, rng)
-        return single_event_path(batch.tau, batch.xi, self.interpolation)
 
     def true_greeks(self, p: float) -> Greeks:
         self._check_p(p)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from regenlab.config import build_config
+from regenlab.coupling import build_bundle, sup_deviation
 from regenlab.harness import (TailEstimate, certify_bound, fit_constant_a,
                               maxima_scaling_experiment, replication_stream,
                               run_embedding_check, run_phi_diagnostics,
                               run_rate_experiment, run_tail_experiment)
+from regenlab.models import reference_greeks
 
 
 def _estimate(normalized_high: float) -> TailEstimate:
@@ -90,6 +92,40 @@ class TestRateExperiment:
         one = run_rate_experiment(rate_cfg, workers=1)
         two = run_rate_experiment(rate_cfg, workers=2)
         assert one == two
+
+
+@pytest.fixture(scope="module")
+def addressed_cfg():
+    # 120 replications: chunks of 50, 50 and 20 per horizon
+    return build_config("rate", mode="shared-innovations",
+                        t_grid=(16.0, 32.0, 64.0, 128.0),
+                        replications=120, root_seed=17)
+
+
+@pytest.fixture(scope="module")
+def addressed_deviations(addressed_cfg):
+    """Each replication computed on its own, straight from its address."""
+    cfg = addressed_cfg
+    model = cfg.build_model()
+    greeks = reference_greeks(model, cfg.p)
+    out = []
+    for i, t in enumerate(cfg.t_grid):
+        row = []
+        for rep in range(cfg.replications):
+            rng = replication_stream(cfg.root_seed, "rate", i,
+                                     cfg.replications, rep)
+            path, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
+            row.append(sup_deviation(path, bundle.w, greeks, t,
+                                     cfg.grid_step))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_deviations_sit_at_their_stream_addresses(
+        addressed_cfg, addressed_deviations, n_workers):
+    fit = run_rate_experiment(addressed_cfg, workers=n_workers)
+    assert fit.deviations == addressed_deviations
 
 
 class TestTailExperiment:
@@ -188,3 +224,11 @@ class TestEmbeddingCheck:
         assert result["covariance"].shape == (2, 2)
         assert result["cov_ok"]
         assert result["gof_ok"]
+
+    def test_root_seed_reaches_the_covariance_bundles(self):
+        runs = [run_embedding_check(root_seed=seed, n_units=1_000,
+                                    bundles=50, t=50.0)
+                for seed in (0, 1)]
+        assert runs[0]["gof_pvalue"] != runs[1]["gof_pvalue"]
+        assert not np.array_equal(runs[0]["covariance"],
+                                  runs[1]["covariance"])
