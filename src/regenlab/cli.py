@@ -5,7 +5,7 @@ Subcommands fall into three groups:
 * object inspection -- ``simulate`` (write sampled cycles to CSV), ``greeks``
   (print estimated and, where available, exact cycle parameters), ``couple``
   (write one coupled path, its Gaussian approximant, and the eight error
-  terms on an evaluation grid);
+  terms at the evaluation points, with left-limit rows at the jumps);
 * closed-form calculators -- ``bounds`` evaluates a single named tail bound
   and prints one CSV row, ``certify`` runs the Monte-Carlo / exact cross-check
   for a named bound and reports PASS or FAIL;
@@ -193,14 +193,14 @@ def _cmd_couple(args) -> int:
     path, bundle = build_bundle(model, greeks, t, cfg.mode, stream)
     dec = phi_decomposition(path, bundle, t, grid_step=cfg.grid_step)
     d = path.d
-    header = (["u"]
+    header = (["u", "left"]
               + [f"S_{j + 1}" for j in range(d)]
               + [f"W_{j + 1}" for j in range(d)]
               + [f"phi{q}_{j + 1}" for q in range(1, 9) for j in range(d)]
               + ["deviation"])
     rows = []
     for i in range(dec.grid.size):
-        row = [dec.grid[i]]
+        row = [dec.grid[i], int(dec.left[i])]
         row.extend(dec.s_values[i])
         row.extend(dec.w_values[i])
         for q in range(8):
@@ -213,7 +213,8 @@ def _cmd_couple(args) -> int:
     _record_run(out_dir, "couple", args.config, cfg.root_seed, t=t,
                 mode=cfg.mode)
     sup_dev = float(dec.deviation.max())
-    print(f"couple: mode={cfg.mode} t={t:g} grid={dec.grid.size} points "
+    print(f"couple: mode={cfg.mode} t={t:g} rows={dec.grid.size} "
+          f"({int(dec.left.sum())} left limits) "
           f"sup-deviation={sup_dev:.6g} identity-residual={dec.residual:.3g} "
           f"(tolerance {dec.tolerance:.3g}) -> {out_dir / 'couple.csv'}")
     return 0

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .coupling import grid_points_per_unit
 from .models import (COUPLING_MODES, FAMILIES, INDEPENDENT,
                      CompoundJumpModel, GammaGaussianModel, IidSumModel,
                      InvalidParameterError, MM1BusyCycleModel, Model,
@@ -182,7 +183,7 @@ def build_config(kind: str, family: str = "gamma-gaussian",
                  model_params: dict[str, object] | None = None,
                  p: float = 3.0, mode: str | None = None,
                  t_grid=None, x_factors=None, replications: int | None = None,
-                 root_seed: int = 0, grid_step: float = 0.25,
+                 root_seed: int = 0, grid_step: float = 1.0,
                  c_factor: float = 1.5) -> ExperimentConfig:
     """Programmatic constructor: fill defaults, canonicalize, validate."""
     if kind not in EXPERIMENT_KINDS:
@@ -249,9 +250,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind == "rate" and len(cfg.t_grid) < 4:
         raise ConfigValidationError(
             f"rate fits need at least 4 horizons, got {len(cfg.t_grid)}")
-    if cfg.grid_step <= 0 or cfg.c_factor <= 0:
+    if cfg.c_factor <= 0:
         raise ConfigValidationError(
-            "grid_step and c_factor must be positive")
+            f"c_factor must be positive, got {cfg.c_factor}")
+    try:
+        grid_points_per_unit(cfg.grid_step)
+    except ValueError as exc:
+        raise ConfigValidationError(str(exc)) from exc
     if not cfg.x_factors or any(f <= 0 for f in cfg.x_factors):
         raise ConfigValidationError(
             f"x_factors must be positive, got {cfg.x_factors}")

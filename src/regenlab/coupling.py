@@ -36,7 +36,8 @@ from scipy.special import ndtr
 from .greeks import Greeks
 from .models import (INDEPENDENT, QUANTILE_1D, SHARED_INNOVATIONS,
                      GammaGaussianModel, Model, single_event_path)
-from .paths import CountingPath, HorizonExceededError, RegenerativePath
+from .paths import (PIECEWISE_CONSTANT, CountingPath, HorizonExceededError,
+                    RegenerativePath)
 from .rng import RngStream, bytes_generator
 
 _MAX_TABLE_RATE = 500.0
@@ -417,36 +418,65 @@ def build_bundle(model: Model, greeks: Greeks, t: float, mode: str,
 # -- evaluation grids and the decomposition ---------------------------------
 
 
+def grid_points_per_unit(grid_step: float) -> int:
+    """The integer n = 1/grid_step; ValueError unless it is a positive integer.
+
+    The rule keeps every integer, a kink of the unit-grid Wiener surrogates,
+    on the uniform part of the evaluation grid.
+    """
+    per_unit = 1.0 / grid_step if grid_step > 0 else 0.0
+    n = round(per_unit) if math.isfinite(per_unit) else 0
+    if n < 1 or abs(per_unit - n) > 1e-9 * n:
+        raise ValueError(f"1/grid_step must be a positive integer, "
+                         f"got grid_step={grid_step!r}")
+    return n
+
+
 def evaluation_grid(path: RegenerativePath, t: float, grid_step: float,
                     lattices: Sequence[float] = ()) -> np.ndarray:
-    """Sorted grid: path events, a uniform grid, lattice multiples, 0 and t.
+    """Sorted unique points of [0, t]: 0, t, the path events, the multiples
+    of grid_step and of each lattice spacing.
 
-    Extra lattice spacings (the mean duration for the assembled-W kinks, the
-    duration-variance ratio for the first-passage steps) make the grid hit
-    every point where some pipeline component changes slope or value.
+    With the mean duration among the lattices (and the duration-variance
+    ratio gamma for the first-passage steps), every pipeline component is
+    linear between consecutive grid points: the path between its events, the
+    unit-grid Wiener surrogates between the integers and the multiples of
+    the mean duration, the first-passage level between multiples of gamma.
+    A finer grid_step therefore adds points but cannot raise a sup; the
+    default 1.0 is the coarsest step that keeps the integers.  Only the jumps
+    at events and lattice points are missing, and :func:`sup_deviation` and
+    :func:`phi_decomposition` add their left limits.
     """
-    if grid_step <= 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    n = grid_points_per_unit(grid_step)
     pieces = [np.array([0.0, t]),
-              np.arange(0.0, t, grid_step),
+              np.arange(math.ceil(t * n)) / n,
               path.event_times[path.event_times <= t]]
-    for spacing in lattices:
-        if spacing > 0:
-            pieces.append(spacing * np.arange(0.0, math.floor(t / spacing) + 1.0))
+    pieces += [_multiples(spacing, t) for spacing in lattices if spacing > 0]
     grid = np.unique(np.concatenate(pieces))
     return grid[(grid >= 0.0) & (grid <= t)]
 
 
+def _multiples(spacing: float, t: float) -> np.ndarray:
+    """``spacing * k`` for k = 0 .. floor(t/spacing) + 1: every multiple in
+    [0, t] even when the quotient rounds down, and then one past t."""
+    return spacing * np.arange(0.0, math.floor(t / spacing) + 2.0)
+
+
 @dataclass(frozen=True)
 class PhiDecomposition:
-    """The eight error terms on an evaluation grid, plus the identity audit.
+    """The eight error terms at the evaluation points, plus the identity audit.
 
-    ``phi[q-1][i]`` is the d-vector value of term q at grid point i.  The sum
-    of the eight terms minus ``S(u) - kappa*u - sigma*W(u)`` is the residual;
-    its max-norm over the grid must vanish to floating precision.
+    Rows are in ``u = grid[i]`` order.  ``left[i]`` marks a left-limit row:
+    at each event and each multiple of gamma in (0, t], where the path, the
+    renewal count or the first-passage level jumps, a left row holding the
+    limit from below comes just before the right row at the same ``u``.
+    ``phi[q-1][i]`` is the d-vector value of term q at row i.  The sum of the
+    eight terms minus ``S(u) - kappa*u - sigma*W(u)`` is the residual; its
+    max-norm over all rows must vanish to floating precision.
     """
 
     grid: np.ndarray
+    left: np.ndarray
     s_values: np.ndarray
     w_values: np.ndarray
     phi: tuple[np.ndarray, ...]
@@ -455,7 +485,7 @@ class PhiDecomposition:
     tolerance: float
 
     def sup_per_term(self) -> np.ndarray:
-        """Max-norm supremum of each term over the grid, shape (8,)."""
+        """Max-norm supremum of each term over [0, t], shape (8,)."""
         return np.array([float(np.max(np.abs(p))) for p in self.phi])
 
     def sup_deviation(self) -> float:
@@ -463,17 +493,22 @@ class PhiDecomposition:
 
 
 def phi_decomposition(path: RegenerativePath, bundle: CouplingBundle,
-                      t: float, grid_step: float = 0.25) -> PhiDecomposition:
+                      t: float, grid_step: float = 1.0) -> PhiDecomposition:
     """Compute the eight-term decomposition and verify it telescopes.
 
-    Raises IdentityViolationError when the residual exceeds
+    Every term is linear between consecutive points of the evaluation grid
+    (with the mean-duration and gamma lattices), so the right rows there and
+    the left rows at the jumps give each term's exact sup over [0, t].
+
+    Raises IdentityViolationError when the residual of any row exceeds
     ``1e-8 * (1 + max |S|)`` — that can only mean an implementation bug.
 
-    The first-passage level used throughout is ``floor(u/gamma) + 1`` — the
-    right-continuous inverse.  It agrees with ceiling semantics except when
-    ``u`` is an exact lattice multiple, where right continuity is the choice
-    that keeps the telescoping identity exact (the count at the passage time
-    then always equals the level).
+    The first-passage level of a right row is one plus the number of
+    multiples of gamma in (0, u], the right-continuous inverse: the count at
+    the passage time then always equals the level, which keeps the
+    telescoping identity exact.  A left row counts the multiples in (0, u).
+    Both count the same products ``gamma * k`` the grid holds, so a lattice
+    point never falls on the wrong side of its own step.
     """
     g = bundle.greeks
     if path.d != g.d:
@@ -481,49 +516,36 @@ def phi_decomposition(path: RegenerativePath, bundle: CouplingBundle,
     if t > path.horizon:
         raise HorizonExceededError(
             f"t={t:g} beyond simulated horizon {path.horizon:g}")
-    grid = evaluation_grid(path, t, grid_step, lattices=(g.mu, g.gamma))
+    right = evaluation_grid(path, t, grid_step, lattices=(g.mu, g.gamma))
+    steps = _multiples(g.gamma, t)
+    count = np.floor(right / g.gamma).astype(np.int64)  # off by one at most
+    count += steps[count + 1] <= right
+    count -= steps[count] > right        # now the multiples of gamma in (0, u]
+    on_step = np.flatnonzero((count > 0) & (steps[count] == right))
+    events = path.event_times[path.event_times <= t]
+    on_event = np.searchsorted(right, events)
+    rows_at = np.ones(right.size, dtype=np.int64)
+    rows_at[on_step] = rows_at[on_event] = 2
+    point = np.repeat(np.arange(right.size), rows_at)   # grid point of a row
+    is_left = np.append(point[:-1] == point[1:], False)
+    after = np.cumsum(rows_at)               # one past each point's right row
+    grid = right[point]
+    s_u = path.evaluate(right)[point]
+    m_u = path.renewal_counts(right)[point]
+    levels = count[point] + 1
+    # left limits: S and m jump at events, the level at multiples of gamma
+    s_u[after[on_event] - 2] = path.evaluate(events, side="left")
+    m_u[after[on_event] - 2] = path.renewal_counts(events, side="left")
+    levels[after[on_step] - 2] -= 1
 
-    jump_times = bundle.n_path.jump_times
-    floor_levels = np.floor(grid / g.gamma).astype(np.int64)
-    levels = floor_levels + 1
-    if levels[-1] > jump_times.size:
-        raise HorizonExceededError(
-            f"grid needs counting level {levels[-1]}, "
-            f"only {jump_times.size} jumps recorded")
-    y = jump_times[levels - 1]
-    iy = np.floor(y).astype(np.int64)
-    if iy[-1] > path.n_cycles:
-        raise HorizonExceededError(
-            f"first passage reaches cycle {iy[-1]}, "
-            f"only {path.n_cycles} simulated")
-
-    s_u = path.evaluate(grid)
-    m_u = path.renewal_counts(grid)
-    s_at_m = path.prefix_xi[m_u]
-    s_at_iy = path.prefix_xi[iy]
-    t_iy = path.renewal_times[iy]
-    b_y = np.atleast_2d(bundle.b.at(y))
-    wtilde_u = np.atleast_1d(bundle.wtilde.at(grid))
-    wstar_level = np.atleast_2d(bundle.wstar.at(levels.astype(float)))
-    wstar_scaled = np.atleast_2d(bundle.wstar.at(grid / g.gamma))
-
-    sqrt_lam = math.sqrt(g.lam)
-    level_times = g.gamma * levels          # shared by phi4/phi8: exact cancel
-    phi1 = s_u - s_at_m
-    phi2 = s_at_m - s_at_iy
-    phi3 = s_at_iy - np.outer(t_iy, g.beta) + g.mu * np.outer(y, g.alpha) \
-        - b_y @ g.v
-    phi4 = np.outer(t_iy - level_times, g.beta)
-    phi5 = -g.mu * np.outer(
-        y - grid / (g.lam * g.gamma)
-        - wtilde_u / (g.lam * math.sqrt(g.gamma)), g.alpha)
-    phi6 = (b_y - wstar_level / sqrt_lam) @ g.v
-    phi7 = ((wstar_level - wstar_scaled) @ g.v) / sqrt_lam
-    phi8 = np.outer(level_times - grid, g.beta)
-
-    w_u = np.atleast_2d(bundle.w.at(grid))
+    # the terms read the surrogates, the target reads the assembled W: the
+    # identity check compares the two
+    phi = _phi_terms(path, bundle, grid, s_u, m_u, levels,
+                     np.atleast_1d(bundle.wtilde.at(right))[point],
+                     np.atleast_2d(bundle.wstar.at(right / g.gamma))[point])
+    w_u = np.atleast_2d(bundle.w.at(right))[point]
     target = s_u - np.outer(grid, g.kappa) - w_u @ g.sigma
-    total = phi1 + phi2 + phi3 + phi4 + phi5 + phi6 + phi7 + phi8
+    total = sum(phi)
     residual = float(np.max(np.abs(total - target)))
     tolerance = 1e-8 * (1.0 + float(np.max(np.abs(s_u))))
     if residual > tolerance:
@@ -531,19 +553,68 @@ def phi_decomposition(path: RegenerativePath, bundle: CouplingBundle,
             f"decomposition residual {residual:.3e} exceeds tolerance "
             f"{tolerance:.3e} — the eight terms failed to telescope")
     deviation = np.max(np.abs(target), axis=1)
-    return PhiDecomposition(grid=grid, s_values=s_u, w_values=w_u,
-                            phi=(phi1, phi2, phi3, phi4, phi5, phi6, phi7,
-                                 phi8),
-                            deviation=deviation, residual=residual,
-                            tolerance=tolerance)
+    return PhiDecomposition(grid=grid, left=is_left, s_values=s_u,
+                            w_values=w_u, phi=phi, deviation=deviation,
+                            residual=residual, tolerance=tolerance)
+
+
+def _phi_terms(path: RegenerativePath, bundle: CouplingBundle,
+               u: np.ndarray, s_u: np.ndarray, m_u: np.ndarray,
+               levels: np.ndarray, wtilde_u: np.ndarray,
+               wstar_scaled: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The eight terms on rows at times ``u``, given each row's path value
+    ``s_u``, renewal count ``m_u``, first-passage level (right values or
+    left limits alike) and the surrogates ``Wt(u)`` and ``W*(u/gamma)``;
+    each term has shape (len(u), d).  What depends on the level alone is
+    evaluated once per level.
+    """
+    g = bundle.greeks
+    jump_times = bundle.n_path.jump_times
+    top = int(levels.max())
+    if top > jump_times.size:
+        raise HorizonExceededError(
+            f"rows need counting level {top}, "
+            f"only {jump_times.size} jumps recorded")
+    passage = jump_times[:top]              # first passage to levels 1..top
+    if math.floor(passage[-1]) > path.n_cycles:
+        raise HorizonExceededError(
+            f"first passage reaches cycle {math.floor(passage[-1])}, "
+            f"only {path.n_cycles} simulated")
+    k = levels - 1
+    iy = np.floor(passage).astype(np.int64)
+    s_at_iy = path.prefix_xi[iy]
+    t_iy = path.renewal_times[iy]
+    b_y = np.atleast_2d(bundle.b.at(passage))
+    wstar_level = np.atleast_2d(bundle.wstar.at(np.arange(1.0, top + 1.0)))
+    level_times = g.gamma * np.arange(1, top + 1)  # phi4/phi8: exact cancel
+
+    sqrt_lam = math.sqrt(g.lam)
+    # terms 3, 4 and 6 depend on the level alone
+    phi3 = (s_at_iy - np.outer(t_iy, g.beta)
+            + g.mu * np.outer(passage, g.alpha) - b_y @ g.v)[k]
+    phi4 = np.outer(t_iy - level_times, g.beta)[k]
+    phi6 = ((b_y - wstar_level / sqrt_lam) @ g.v)[k]
+    s_at_m = path.prefix_xi[m_u]
+    phi1 = s_u - s_at_m
+    phi2 = s_at_m - s_at_iy[k]
+    phi5 = -g.mu * np.outer(
+        passage[k] - u / (g.lam * g.gamma)
+        - wtilde_u / (g.lam * math.sqrt(g.gamma)), g.alpha)
+    phi7 = ((wstar_level[k] - wstar_scaled) @ g.v) / sqrt_lam
+    phi8 = np.outer(level_times[k] - u, g.beta)
+    return (phi1, phi2, phi3, phi4, phi5, phi6, phi7, phi8)
 
 
 def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
-                  t: float, grid_step: float = 0.25) -> float:
-    """Max over the evaluation grid of |S(u) - kappa*u - sigma*W(u)|.
+                  t: float, grid_step: float = 1.0) -> float:
+    """The exact sup over [0, t] of |S(u) - kappa*u - sigma*W(u)|.
 
-    The grid contains every kink of the pipeline components for the
-    piecewise-constant families, and is grid_step-tight for linear accrual.
+    The deviation is linear between consecutive points of the evaluation
+    grid (with the mean-duration lattice), so the max over those points is
+    the sup for piecewise-linear paths.  A piecewise-constant path jumps at
+    its events, so the max also runs over the left limits
+    ``S(e-) - kappa*e - sigma*W(e)`` at the events ``e <= t`` (W is
+    continuous).
     """
     if t > path.horizon:
         raise HorizonExceededError(
@@ -552,4 +623,13 @@ def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
     s_u = path.evaluate(grid)
     w_u = np.atleast_2d(w.at(grid))
     dev = s_u - np.outer(grid, greeks.kappa) - w_u @ greeks.sigma
-    return float(np.max(np.abs(dev)))
+    sup = float(np.max(np.abs(dev)))
+    if path.interpolation != PIECEWISE_CONSTANT:
+        return sup
+    events = path.event_times[path.event_times <= t]
+    if events.size:
+        w_e = np.atleast_2d(w.at(events))
+        dev = path.evaluate(events, side="left") \
+            - np.outer(events, greeks.kappa) - w_e @ greeks.sigma
+        sup = max(sup, float(np.max(np.abs(dev))))
+    return sup

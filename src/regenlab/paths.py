@@ -148,18 +148,20 @@ class RegenerativePath:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, u: np.ndarray) -> np.ndarray:
+    def evaluate(self, u: np.ndarray, side: str = "right") -> np.ndarray:
         """Path value S(u) for an array of times, shape (len(u), d).
 
         Exact (bitwise) at event times; between events the value follows the
-        accrual scheme.  Raises HorizonExceededError past the last renewal.
+        accrual scheme.  ``side="left"`` gives the left limits S(u-), which
+        differ from S(u) only at the jumps of a piecewise-constant path.
+        Raises HorizonExceededError past the last renewal.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.size and (u.min() < 0 or u.max() > self.horizon):
             raise HorizonExceededError(
                 f"evaluation times must lie in [0, {self.horizon}]")
         if self.interpolation == PIECEWISE_CONSTANT:
-            idx = np.searchsorted(self.event_times, u, side="right")
+            idx = np.searchsorted(self.event_times, u, side=side)
             padded = np.concatenate([np.zeros((1, self.d)), self.event_values])
             return padded[idx]
         out = np.empty((u.size, self.d))
@@ -169,10 +171,11 @@ class RegenerativePath:
             out[:, j] = np.interp(u, xs, ys)
         return out
 
-    def renewal_counts(self, t: np.ndarray) -> np.ndarray:
-        """m(t) = number of completed cycles by each time in ``t``."""
+    def renewal_counts(self, t: np.ndarray, side: str = "right") -> np.ndarray:
+        """m(t) = number of completed cycles by each time in ``t``;
+        ``side="left"`` gives the left limits m(t-)."""
         t = np.asarray(t, dtype=float)
-        return np.searchsorted(self.renewal_times[1:], t, side="right")
+        return np.searchsorted(self.renewal_times[1:], t, side=side)
 
     def eta(self) -> np.ndarray:
         """Per-cycle trajectory maxima (max-norm), shape (n_cycles,)."""

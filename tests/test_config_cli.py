@@ -75,6 +75,16 @@ class TestConfigErrors:
         with pytest.raises(ConfigValidationError):
             build_config("rate", t_grid=(64.0, 128.0))
 
+    def test_grid_step_must_divide_the_unit(self):
+        # 1/grid_step must be a positive integer so the grid keeps the
+        # integers, the kinks of the unit-grid Wiener surrogates
+        for bad in ("0.3", "1.5", "0.0", "-0.25"):
+            with pytest.raises(ConfigValidationError, match="1/grid_step"):
+                parse_config_text(f"experiment.grid_step = {bad}\n", "tail")
+        for good in (0.5, 1.0, 0.25):
+            assert build_config("tail", grid_step=good).grid_step == good
+        assert build_config("tail").grid_step == 1.0
+
 
 class TestCliExitCodes:
     def test_bounds_success(self, capsys):
@@ -170,16 +180,21 @@ class TestCliArtifacts:
         assert main(["couple", "--t", "16", "--out", str(out)]) == 0
         lines = (out / "couple.csv").read_text().splitlines()
         header = lines[0].split(",")
-        assert header[0] == "u" and header[-1] == "deviation"
+        assert header[:2] == ["u", "left"] and header[-1] == "deviation"
         assert "phi1_1" in header and "phi8_1" in header
         # re-verify the decomposition from the serialized numbers alone
         idx = {name: k for k, name in enumerate(header)}
+        flags = []
         for line in lines[1:]:
             cells = [float(c) for c in line.split(",")]
+            flags.append(cells[idx["left"]])
             phi_sum = sum(cells[idx[f"phi{q}_1"]] for q in range(1, 9))
             # the sum of the eight terms reproduces the coupling gap, whose
             # max-norm is the deviation column (d = 1 here)
             assert abs(abs(phi_sum) - cells[idx["deviation"]]) < 1e-7
+        # left-limit rows (flag 1) sit at the jumps, right rows (flag 0)
+        # everywhere, and the first and last rows are right rows at 0 and t
+        assert set(flags) == {0.0, 1.0} and flags[0] == flags[-1] == 0.0
 
     def test_rate_experiment_files(self, tmp_path, capsys):
         cfg = tmp_path / "rate.cfg"

@@ -12,9 +12,10 @@ from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
                                PoissonQuantile, ScaledPath, UnitGridPath,
                                build_bundle, build_inverse_wiener,
                                build_poisson_from_brownian,
-                               build_timechange_wiener, drive_gaussians,
-                               evaluation_grid, horizon_cycles_for,
-                               phi_decomposition, sup_deviation)
+                               _phi_terms, build_timechange_wiener,
+                               drive_gaussians, evaluation_grid,
+                               horizon_cycles_for, phi_decomposition,
+                               sup_deviation)
 from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
                              IidSumModel, MM1BusyCycleModel, ParetoCycleModel,
                              reference_greeks)
@@ -224,6 +225,26 @@ class TestEvaluationGrid:
         for rt in renewals:
             assert np.min(np.abs(grid - rt)) == 0.0
 
+    def test_grid_step_must_divide_the_unit(self, gg1_model):
+        g = reference_greeks(gg1_model, 3.0)
+        path, _ = build_bundle(gg1_model, g, 10.0, "independent", _stream(13))
+        for bad in (0.3, 1.5, 0.0, -1.0):
+            with pytest.raises(ValueError, match="1/grid_step"):
+                evaluation_grid(path, 10.0, bad)
+        thirds = evaluation_grid(path, 10.0, 1.0 / 3.0)
+        assert set(np.arange(11.0)) <= set(thirds)
+
+    def test_finer_step_cannot_raise_the_sup(self, gg1_model):
+        g = reference_greeks(gg1_model, 3.0)
+        path, bundle = build_bundle(gg1_model, g, 64.0, "shared-innovations",
+                                    _stream(14))
+        coarse = sup_deviation(path, bundle.w, g, 64.0)
+        for step in (0.5, 0.25, 0.125):
+            fine = sup_deviation(path, bundle.w, g, 64.0, step)
+            assert fine == pytest.approx(coarse, rel=1e-12)
+            assert evaluation_grid(path, 64.0, step).size \
+                > evaluation_grid(path, 64.0, 1.0).size
+
 
 class TestPhiDecomposition:
     def _decompose(self, model, mode, t=48.0, index=30, p=3.0):
@@ -282,8 +303,9 @@ class TestPhiDecomposition:
                                     _stream(63))
         dec = phi_decomposition(path, bundle, t)
         sup = sup_deviation(path, bundle.w, g, t)
-        # different lattice sets; both grids refine {0, t} + events + steps
-        assert sup == pytest.approx(float(dec.deviation.max()), rel=0.05)
+        # both are the exact sup; the decomposition only adds points at
+        # which the deviation is linear
+        assert sup == pytest.approx(float(dec.deviation.max()), rel=1e-12)
 
     def test_corrupted_bundle_is_caught(self, gg1_model):
         g = reference_greeks(gg1_model, 3.0)
@@ -302,6 +324,98 @@ class TestPhiDecomposition:
                                      index=70 + k)
             assert dec.residual <= dec.tolerance
             assert dec.grid[-1] == t
+
+
+EXACT_CASES = [
+    (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=np.array([0.4]),
+                        kappa=np.array([0.25]), noise_cov=np.array([[0.9]]),
+                        dim=1), "shared-innovations"),
+    (ParetoCycleModel(tail_index=3.5), "quantile-1d"),
+    (CompoundJumpModel(dim=2), "independent"),
+    (MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0), "independent"),
+]
+
+
+def _gap(path, w, g, u, s_u) -> np.ndarray:
+    """Max-norm of S - kappa*u - sigma*W at times u, given the S values."""
+    return np.max(np.abs(s_u - np.outer(u, g.kappa)
+                         - np.atleast_2d(w.at(u)) @ g.sigma), axis=1)
+
+
+class TestExactSup:
+    """Breakpoints plus left limits give the exact sup over [0, t]: no probe
+    of the continuum, dense or just beside a jump, reads higher."""
+
+    @pytest.fixture(params=[(c, t) for c in range(len(EXACT_CASES))
+                            for t in (37.5, 256.0)],
+                    ids=lambda p: f"{EXACT_CASES[p[0]][0].family}-t{p[1]:g}")
+    def case(self, request):
+        c, t = request.param
+        model, mode = EXACT_CASES[c]
+        g = reference_greeks(model, 3.0)
+        path, bundle = build_bundle(model, g, t, mode, _stream(80 + c))
+        return g, path, bundle, t
+
+    def test_sup_deviation_is_the_sup(self, case):
+        g, path, bundle, t = case
+        sup = sup_deviation(path, bundle.w, g, t)
+        events = path.event_times[path.event_times <= t]
+        probes = np.concatenate([np.arange(64 * t + 1) / 64, events - 1e-9,
+                                 np.minimum(events + 1e-9, t)])
+        reference = _gap(path, bundle.w, g, probes, path.evaluate(probes))
+        assert np.all(reference <= sup * (1 + 1e-12))
+        assert sup == pytest.approx(float(reference.max()), rel=1e-9)
+
+    def test_term_sups_dominate_left_probes(self, case):
+        g, path, bundle, t = case
+        dec = phi_decomposition(path, bundle, t)
+        steps = g.gamma * np.arange(1.0, math.floor(t / g.gamma) + 1.0)
+        jumps = np.unique(np.concatenate([
+            path.event_times[path.event_times <= t], steps[steps <= t]]))
+        probes = jumps - 1e-9
+        levels = np.floor(probes / g.gamma).astype(np.int64) + 1
+        values = _phi_terms(path, bundle, probes, path.evaluate(probes),
+                            path.renewal_counts(probes), levels,
+                            bundle.wtilde.at(probes),
+                            bundle.wstar.at(probes / g.gamma))
+        sups = dec.sup_per_term()
+        for q in range(8):
+            assert float(np.max(np.abs(values[q]))) \
+                <= sups[q] * (1 + 1e-12) + 1e-12, f"phi{q + 1}"
+        assert dec.sup_deviation() == pytest.approx(
+            sup_deviation(path, bundle.w, g, t), rel=1e-12)
+
+    def test_left_rows_telescope(self, case):
+        g, path, bundle, t = case
+        dec = phi_decomposition(path, bundle, t)
+        left = np.flatnonzero(dec.left)
+        assert left.size and not dec.left[0] and not dec.left[-1]
+        # each left row sits just before the right row at the same time
+        assert np.all(dec.grid[left + 1] == dec.grid[left])
+        assert not np.any(dec.left[left + 1])
+        np.testing.assert_array_equal(
+            dec.s_values[left], path.evaluate(dec.grid[left], side="left"))
+        target = dec.s_values - np.outer(dec.grid, g.kappa) \
+            - dec.w_values @ g.sigma
+        residual = np.abs(sum(dec.phi) - target)[left]
+        assert float(residual.max()) <= dec.tolerance
+
+    def test_pareto_quarter_grid_reads_low(self):
+        # a fixed seed on which the quarter-unit grid alone misses the sup:
+        # it is attained at a left limit S(e-), just before a jump
+        model = ParetoCycleModel(tail_index=3.5)
+        g = reference_greeks(model, 3.0)
+        t = 256.0
+        path, bundle = build_bundle(model, g, t, "quantile-1d", _stream(90))
+        grid = evaluation_grid(path, t, 0.25, lattices=(g.mu,))
+        grid_sup = _gap(path, bundle.w, g, grid, path.evaluate(grid)).max()
+        keep = path.event_times <= t
+        before = np.vstack([np.zeros((1, 1)), path.event_values[:-1]])[keep]
+        left_sup = _gap(path, bundle.w, g, path.event_times[keep],
+                        before).max()
+        assert left_sup > grid_sup + 0.1
+        for step in (1.0, 0.25):
+            assert sup_deviation(path, bundle.w, g, t, step) == left_sup
 
 
 class TestBundle:

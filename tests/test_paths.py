@@ -61,6 +61,16 @@ class TestRegenerativePath:
         values = path.evaluate(np.array([0.5, 2.0, 2.25, 3.0]))
         np.testing.assert_array_equal(values[:, 0], [3.0, 1.0, 0.5, -1.0])
 
+    def test_left_limits_at_events(self):
+        path = _two_cycle_path()
+        times = np.array([0.5, 2.0, 2.25, 3.0, 1.0])
+        left = path.evaluate(times, side="left")
+        np.testing.assert_array_equal(left[:, 0], [0.0, 3.0, 1.0, 0.5, 3.0])
+        brute = [sum(1 for rt in path.renewal_times[1:] if rt < t)
+                 for t in times]
+        np.testing.assert_array_equal(
+            path.renewal_counts(times, side="left"), brute)
+
     def test_piecewise_constant_holds_between_events(self):
         path = _two_cycle_path()
         values = path.evaluate(np.array([0.0, 0.49, 0.51, 1.99]))
