@@ -31,7 +31,10 @@ done
 
 echo "== experiments =="
 regenlab rate   --config "$configs/rate_gamma.cfg"            --out "$runs/rate-shared"      --workers "$workers"
-regenlab rate   --config "$configs/rate_independent_null.cfg" --out "$runs/rate-independent" --workers "$workers"
+# the uncoupled null must FAIL its rate threshold: exit 1, not 0 or a fault
+rc=0
+regenlab rate   --config "$configs/rate_independent_null.cfg" --out "$runs/rate-independent" --workers "$workers" || rc=$?
+[ "$rc" -eq 1 ] || { echo "rate-independent: expected exit 1 (FAIL), got $rc" >&2; exit 1; }
 regenlab tail   --config "$configs/tail_gamma.cfg"            --out "$runs/tail-shared"      --workers "$workers"
 regenlab phis   --config "$configs/phis_gamma.cfg"            --out "$runs/phis-shared"      --workers "$workers"
 regenlab maxima --config "$configs/maxima_pareto.cfg"         --out "$runs/maxima-pareto"    --workers "$workers"

@@ -15,9 +15,10 @@ Subcommands fall into three groups:
   under ``--out``.
 
 Exit codes: 0 on success, 1 when a verdict-bearing subcommand (``certify``,
-``maxima``) reports FAIL, 2 on usage, parse, or validation errors, 3 on an
-internal fault (a violated telescoping identity or an exhausted sampling
-budget), so that a crash never reads as a FAIL verdict.
+``maxima``, ``rate``) reports FAIL, 2 on usage, parse, or validation errors,
+3 on an internal fault (a violated telescoping identity, an exhausted
+sampling budget, or a path that falls short of its horizon:
+``HorizonExceededError``), so that a crash never reads as a FAIL verdict.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from .harness import (certify_bound, fit_constant_a,
                       run_phi_diagnostics, run_rate_experiment,
                       run_tail_experiment)
 from .models import InvalidParameterError, reference_greeks
+from .paths import HorizonExceededError
 from .reporting import (append_manifest, atomic_write_text, format_value,
                         write_csv, write_report)
 from .rng import RngStream
@@ -129,6 +131,10 @@ def _cmd_simulate(args) -> int:
         offsets = path.event_times - np.repeat(path.renewal_times[:-1], counts)
         values = path.event_values - np.repeat(path.prefix_xi[:-1], counts,
                                                axis=0)
+        # terminal rows carry the sampled (tau, xi), exactly as cycles.csv
+        last = path.cycle_event_ptr[1:] - 1
+        offsets[last] = path.tau
+        values[last] = path.xi
         write_csv(out_dir / "events.csv",
                   ["cycle_index", "offset",
                    *(f"value_{j + 1}" for j in range(path.d))],
@@ -467,7 +473,7 @@ def _cmd_rate(args) -> int:
     print(f"rate: slope={fit.slope:.4f} "
           f"ci=({fit.slope_ci[0]:.4f}, {fit.slope_ci[1]:.4f}) "
           f"threshold={fit.threshold:.4f} {_verdict(fit.passed)} -> {out_dir}")
-    return 0
+    return 0 if fit.passed else 1
 
 
 def _cmd_tail(args) -> int:
@@ -661,15 +667,17 @@ def main(argv: list[str] | None = None) -> int:
         if takes_extra:
             return args.handler(args, extra)
         return args.handler(args)
+    # HorizonExceededError is a ValueError, so this clause must come first
+    except (IdentityViolationError, HorizonExceededError,
+            RuntimeError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (ConfigParseError, ConfigValidationError, InvalidParameterError,
             InsufficientDataError, DegenerateTauError, ValueError, KeyError,
             OSError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except (IdentityViolationError, RuntimeError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

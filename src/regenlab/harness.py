@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
-from scipy.stats import binom
 
 from .bounds import (TailMoments, block_maximal_tail,
                      brownian_grid_increment_tail, brownian_sup_tail,
@@ -92,10 +91,22 @@ def _map_chunks(fn: Callable, args: list, workers: int) -> list:
 def _replicate_chunk(args) -> list:
     rep_fn, cfg, greeks, kind, t_index, t, lo, hi = args
     model = cfg.build_model()
-    return [rep_fn(model, greeks, cfg, t,
-                   replication_stream(cfg.root_seed, kind, t_index,
-                                      cfg.replications, rep))
-            for rep in range(lo, hi)]
+    out = []
+    for rep in range(lo, hi):
+        stream = replication_stream(cfg.root_seed, kind, t_index,
+                                    cfg.replications, rep)
+        try:
+            out.append(rep_fn(model, greeks, cfg, t, stream))
+        except Exception as exc:
+            # Name the replication's stream address in the message and keep
+            # the type, so the CLI exit code holds.  ``args`` travel with the
+            # exception out of a pool worker; ``add_note`` needs Python 3.11.
+            if exc.args and isinstance(exc.args[0], str):
+                exc.args = (f"replication root_seed={cfg.root_seed} "
+                            f"kind={kind} t_index={t_index} rep={rep}: "
+                            f"{exc.args[0]}", *exc.args[1:])
+            raise
+    return out
 
 
 def _replicate(rep_fn: Callable, cfg: ExperimentConfig, greeks: Greeks | None,
@@ -563,14 +574,26 @@ def _certify_brownian_sup(params, root_seed, workers) -> CertificationRecord:
                                all(r.passed for r in rows), {})
 
 
+def _symmetric_binomial_sf(k: int, n: int) -> float:
+    """P(Binomial(n, 1/2) > k): the exact rational, rounded once (integer
+    true division is correctly rounded)."""
+    j = max(k + 1, 0)
+    term = math.comb(n, j)
+    upper = 0
+    while term:
+        upper += term
+        term = term * (n - j) // (j + 1)
+        j += 1
+    return upper / 2 ** n
+
+
 def _certify_nagaev(params, root_seed, workers) -> CertificationRecord:
     """Exact oracles: symmetric binomial tail and a single normal term."""
     del root_seed, workers
     n = int(params.get("n", 100))
     x = float(params.get("x", 50.0))
     p = float(params.get("p", 3.0))
-    threshold = math.ceil((n + x) / 2.0) - 1
-    lhs_binom = 2.0 * float(binom.sf(threshold, n, 0.5))
+    lhs_binom = 2.0 * _symmetric_binomial_sf(math.ceil((n + x) / 2.0) - 1, n)
     two_point = TailMoments(n=n, p=p, abs_moment=1.0, variance=1.0)
     bound_binom = nagaev_tail(two_point, x)
     normal = TailMoments(n=1, p=p,

@@ -490,22 +490,28 @@ class MM1BusyCycleModel(Model):
         """Vectorized batch: walk all busy periods forward in lockstep rounds.
 
         Each round advances every still-busy cycle by one event; the queue
-        length does a +/-1 random walk from 1 down to 0.  Total event counts
-        then determine the busy duration as an Erlang sum.
+        length does a +/-1 random walk from 1 down to 0.  Only the heights
+        of the still-busy cycles are kept, compacted each round, and a cycle
+        records its event count in the round that empties the queue.  A walk
+        from 1 to 0 in ``steps`` events makes ``(steps + 1) // 2`` downward
+        moves, the departures.  Total event counts then determine the busy
+        duration as an Erlang sum.
         """
         gen = rng.generator()
         total_rate = self.arrival_rate + self.service_rate
         p_up = self.arrival_rate / total_rate
-        height = np.ones(n, dtype=np.int64)
         steps = np.zeros(n, dtype=np.int64)
-        departures = np.zeros(n, dtype=np.int64)
         active = np.arange(n)
+        height = np.ones(n, dtype=np.int64)
+        rounds = 0
         while active.size:
-            up = gen.random(active.size) < p_up
-            height[active] += np.where(up, 1, -1)
-            steps[active] += 1
-            departures[active] += ~up
-            active = active[height[active] > 0]
+            rounds += 1
+            height += np.where(gen.random(active.size) < p_up, 1, -1)
+            alive = height > 0
+            steps[active[~alive]] = rounds
+            active = active[alive]
+            height = height[alive]
+        departures = (steps + 1) // 2
         busy = gen.gamma(shape=steps.astype(float)) / total_rate
         idle = gen.exponential(1.0 / self.arrival_rate, size=n)
         tau = idle + busy

@@ -11,7 +11,8 @@ from regenlab.coupling import IdentityViolationError
 from regenlab.config import (ConfigParseError, ConfigValidationError,
                              EXPERIMENT_KINDS, build_config, parse_config,
                              parse_config_text)
-from regenlab.paths import read_cycle_csv
+from regenlab.harness import HorizonSummary, RateFit
+from regenlab.paths import HorizonExceededError, read_cycle_csv
 from regenlab.reporting import read_manifest
 
 
@@ -133,7 +134,8 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
 
 
-    @pytest.mark.parametrize("fault", [IdentityViolationError, RuntimeError])
+    @pytest.mark.parametrize("fault", [IdentityViolationError, RuntimeError,
+                                       HorizonExceededError])
     def test_internal_fault_is_exit_3(self, tmp_path, monkeypatch, capsys,
                                       fault):
         def broken(*args, **kwargs):
@@ -141,7 +143,20 @@ class TestCliExitCodes:
 
         monkeypatch.setattr(cli, "phi_decomposition", broken)
         assert main(["couple", "--t", "16", "--out", str(tmp_path)]) == 3
-        assert "internal error" in capsys.readouterr().err
+        assert (f"internal error: {fault.__name__}"
+                in capsys.readouterr().err)
+
+    def test_rate_fail_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        summary = HorizonSummary(t=1024.0, n=50, median=2.0, ci_low=1.0,
+                                 ci_high=3.0, mean=2.0, q90=3.5)
+        fit = RateFit(slope=0.6, intercept=0.0, slope_ci=(0.5, 0.7),
+                      per_t=(summary,), p=3.0, threshold=1.0 / 3.0 + 0.1,
+                      passed=False, deviations=((2.0,),))
+        monkeypatch.setattr(cli, "run_rate_experiment",
+                            lambda cfg, workers: fit)
+        assert main(["rate", "--out", str(tmp_path / "out")]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert "passed = false" in (tmp_path / "out" / "report.txt").read_text()
 
 
 class TestCliArtifacts:

@@ -1,16 +1,21 @@
 """Experiment drivers: stream layout, summaries, worker invariance."""
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from regenlab.config import build_config
 from regenlab.coupling import build_bundle, sup_deviation
-from regenlab.harness import (TailEstimate, certify_bound, fit_constant_a,
-                              maxima_scaling_experiment, replication_stream,
-                              run_embedding_check, run_phi_diagnostics,
-                              run_rate_experiment, run_tail_experiment)
+from regenlab.harness import (TailEstimate, _replicate,
+                              _symmetric_binomial_sf, certify_bound,
+                              fit_constant_a, maxima_scaling_experiment,
+                              replication_stream, run_embedding_check,
+                              run_phi_diagnostics, run_rate_experiment,
+                              run_tail_experiment)
 from regenlab.models import reference_greeks
+from regenlab.paths import HorizonExceededError
 
 
 def _estimate(normalized_high: float) -> TailEstimate:
@@ -46,6 +51,26 @@ class TestStreamLayout:
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
             replication_stream(0, "sideways", 0, 10, 0)
+
+
+def _short_at_rep_7(model, greeks, cfg, t, stream):
+    """A replication function whose replication 7 of horizon 1 falls short."""
+    failing = replication_stream(cfg.root_seed, "tail", 1, cfg.replications, 7)
+    if stream.stream_index == failing.stream_index:
+        raise HorizonExceededError("cycles reach only 3.5")
+    return float(t)
+
+
+class TestFailingReplication:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exception_names_its_stream_address(self, workers):
+        cfg = build_config("tail", t_grid=(64.0, 128.0), replications=120,
+                           root_seed=5)
+        with pytest.raises(HorizonExceededError) as err:
+            _replicate(_short_at_rep_7, cfg, None, cfg.t_grid, "tail",
+                       workers)
+        assert str(err.value) == ("replication root_seed=5 kind=tail "
+                                  "t_index=1 rep=7: cycles reach only 3.5")
 
 
 class TestTailFit:
@@ -207,6 +232,16 @@ class TestCertification:
         for row in record.rows:
             assert row.se == 0.0
             assert row.lhs <= row.bound
+
+    def test_nagaev_tail_is_the_exact_rational(self):
+        for n in range(1, 61):
+            for k in range(-2, n + 2):
+                upper = sum(Fraction(math.comb(n, j), 2 ** n)
+                            for j in range(max(k + 1, 0), n + 1))
+                assert _symmetric_binomial_sf(k, n) == float(upper), (n, k)
+        # the shipped default, n=100 and x=50, reads the committed fixture
+        record = certify_bound("nagaev")
+        assert record.rows[0].lhs == 5.636282034205402e-07
 
     def test_rows_are_recomputable(self):
         record = certify_bound("poisson-inverse")

@@ -139,6 +139,25 @@ class TestMM1BusyCycle:
         # long-run departure rate must equal the arrival rate
         assert float(g.kappa[0]) == pytest.approx(0.5, abs=0.01)
 
+    def test_reference_greeks_pinned(self):
+        # the oracle's parameters bit for bit: any change to the order of
+        # the walk's draws or to its arithmetic shows here
+        g = reference_greeks(
+            MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0), 3.0)
+        pinned = {"mu": "0x1.000f4e244a716p+2",
+                  "var_tau": "0x1.0016e213c168ep+4",
+                  "gamma": "0x1.0007937b82b84p+2",
+                  "lam": "0x1.0007ba6e3aedbp+0",
+                  "kappa": "0x1.ffe43d81de585p-2",
+                  "var_xi": "0x1.8041e7ffd6b96p+2",
+                  "cov_xi_tau": "0x1.001a18157fd23p+3",
+                  "beta": "0x1.000335b84ae6cp-1",
+                  "v2": "0x1.004933bc93f52p+1",
+                  "v": "0x1.6a3da5b3e5748p+0"}
+        for name, value in pinned.items():
+            got = float(np.ravel(getattr(g, name))[0])
+            assert got == float.fromhex(value), name
+
     def test_stability_guard(self):
         with pytest.raises(InvalidParameterError):
             MM1BusyCycleModel(arrival_rate=1.0, service_rate=1.0)

@@ -3,11 +3,14 @@ trips."""
 import numpy as np
 import pytest
 
+from regenlab import cli
 from regenlab.cli import main
+from regenlab.config import parse_config
 from regenlab.paths import (CountingPath, HorizonExceededError,
                             RegenerativePath, invert_counting, read_cycle_csv)
 from regenlab.models import single_event_path
 from regenlab.reporting import write_csv
+from regenlab.rng import RngStream
 
 
 def _one_cycle(tau, xi, offsets, values) -> RegenerativePath:
@@ -169,9 +172,26 @@ class TestCsv:
         assert lines[0] == "cycle_index,offset,value_1,value_2"
         rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
         tau, xi, _ = read_cycle_csv(out / "cycles.csv")
-        # one terminal row per cycle closes it at (tau, xi); the offsets are
-        # recovered from absolute times, so they match to rounding only
+        # one terminal row per cycle closes it at exactly the (tau, xi) of
+        # cycles.csv
         last = np.flatnonzero(np.diff(rows[:, 0], append=30.0))
         np.testing.assert_array_equal(rows[last, 0], np.arange(30))
-        np.testing.assert_allclose(rows[last, 1], tau, rtol=1e-12)
-        np.testing.assert_allclose(rows[last, 2:], xi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(rows[last, 1], tau)
+        np.testing.assert_array_equal(rows[last, 2:], xi)
+        # the jump rows are recovered from absolute times, so they match the
+        # path's events to rounding only
+        jumps = np.setdiff1d(np.arange(rows.shape[0]), last)
+        cycle = rows[jumps, 0].astype(int)
+        assert np.all((rows[jumps, 1] > 0) & (rows[jumps, 1] < tau[cycle]))
+        starts = np.concatenate([[0.0], np.cumsum(tau)])
+        prefix = np.vstack([np.zeros((1, 2)), np.cumsum(xi, axis=0)])
+        cfg = parse_config(config, "maxima")
+        path = cfg.build_model().sample_path(30, RngStream(
+            cfg.root_seed, cli._CLI_STREAM_BASE + cli._SIMULATE_OFFSET))
+        on_path = np.setdiff1d(np.arange(path.event_times.size),
+                               path.cycle_event_ptr[1:] - 1)
+        np.testing.assert_allclose(rows[jumps, 1] + starts[cycle],
+                                   path.event_times[on_path], rtol=1e-12)
+        np.testing.assert_allclose(rows[jumps, 2:] + prefix[cycle],
+                                   path.event_values[on_path], rtol=1e-12,
+                                   atol=1e-12)

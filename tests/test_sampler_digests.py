@@ -59,6 +59,26 @@ def test_sample_path_bytes(name):
     assert _digest(_sample(name)) == DIGESTS[name]
 
 
+# ``MM1BusyCycleModel.sample_cycles``, the moment oracle's sampler: its draw
+# order is part of the stream contract just as ``sample_path``'s is.
+CYCLE_DIGESTS = {
+    0.5: "0a4aba29544abfdb8c48f7b815ccf22651c54f12fb884ad2de29e8df0e14e6e6",
+    0.9: "39b847ff9d3d3517a367a2c344fa35198030ec42545206b0219bb558234fdd21",
+}
+
+
+@pytest.mark.parametrize("rho", sorted(CYCLE_DIGESTS))
+def test_mm1_sample_cycles_bytes(rho):
+    batch = MM1BusyCycleModel(arrival_rate=rho, service_rate=1.0) \
+        .sample_cycles(5000, RngStream(2024, 17))
+    h = hashlib.sha256()
+    for array in (batch.tau, batch.xi, batch.eta):
+        array = np.ascontiguousarray(array)
+        h.update(f"{array.dtype}{array.shape}".encode())
+        h.update(array.tobytes())
+    assert h.hexdigest() == CYCLE_DIGESTS[rho]
+
+
 def test_cases_cover_cycles_without_jumps():
     counts = np.diff(_sample("compound-jump-d2").cycle_event_ptr)
     assert np.any(counts == 1) and np.any(counts > 2)

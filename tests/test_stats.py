@@ -4,9 +4,14 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import chdtrc
 
-from regenlab.stats import (bootstrap_slope_ci, loglog_slope, median_ci,
-                            poisson_gof_pvalue, wilson_interval)
+from regenlab.stats import (_binom_half_ppf, bootstrap_slope_ci,
+                            loglog_slope, median_ci, poisson_gof_pvalue,
+                            wilson_interval)
+
+# replication counts of the shipped configs and the benchmark's workloads
+SHIPPED_REPLICATIONS = (50, 60, 100, 200, 600, 10_000)
 
 
 class TestWilson:
@@ -73,6 +78,20 @@ class TestMedianCi:
             hits += est.ci_low <= true_median <= est.ci_high
         assert hits >= 180
 
+    @pytest.mark.parametrize("confidence", [0.95, 0.9, 0.99])
+    def test_quantile_matches_scipy_binom_ppf(self, confidence):
+        q = (1.0 - confidence) / 2.0
+        ns = np.concatenate([np.arange(8, 2001), SHIPPED_REPLICATIONS])
+        ours = [_binom_half_ppf(q, int(n)) for n in ns]
+        np.testing.assert_array_equal(ours, stats.binom.ppf(q, ns, 0.5))
+
+    def test_quantile_is_the_smallest_covering_k(self):
+        # P(X <= k) >= q at k and < q at k - 1, by exact integer arithmetic
+        for n in (8, 9, 57, 200, 601):
+            k = _binom_half_ppf(0.025, n)
+            below = sum(math.comb(n, j) for j in range(k))
+            assert below < 0.025 * 2 ** n <= below + math.comb(n, k)
+
 
 class TestSlopes:
     def test_exact_power_law(self):
@@ -123,3 +142,10 @@ class TestPoissonGof:
         mixed = np.concatenate([rng.poisson(1.0, 5000),
                                 rng.poisson(9.0, 5000)])
         assert poisson_gof_pvalue(mixed, 5.0) < 1e-6
+
+    def test_chdtrc_is_the_chi2_survival_function(self):
+        rng = np.random.default_rng(11)
+        df = rng.integers(1, 60, size=2000)
+        x = rng.exponential(40.0, size=2000)
+        np.testing.assert_array_equal(chdtrc(df, x), stats.chi2.sf(x, df))
+        assert chdtrc(3, 0.0) == 1.0
