@@ -16,6 +16,7 @@ mkdir -p "$runs"
 echo "== one-shot sanity =="
 regenlab simulate --cycles 1000 --out "$runs/simulate-demo"
 regenlab greeks --cycles 100000
+regenlab greeks --config "$configs/greeks_mm1.cfg" --cycles 100000
 regenlab couple --t 256 --out "$runs/couple-demo"
 
 echo "== closed-form bound values =="

@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .rng import RngStream, bytes_generator
 from .paths import (RegenerativePath, CountingPath, HorizonExceededError,
                     invert_counting, read_cycle_csv)
-from .greeks import (Greeks, DegenerateTauError, GreeksUnavailableError,
-                     InsufficientDataError, estimate_greeks,
+from .greeks import (Greeks, DegenerateTauError, InsufficientDataError,
+                     estimate_greeks,
                      check_greek_identities, jacobi_eigh, matrix_sqrt_psd,
                      pseudo_inverse)
 from .models import (FAMILIES, CycleBatch, Model, IidSumModel,

@@ -4,8 +4,10 @@ Subcommands fall into three groups:
 
 * object inspection -- ``simulate`` (write sampled cycles to CSV), ``greeks``
   (print estimated and, where available, exact cycle parameters), ``couple``
-  (write one coupled path, its Gaussian approximant, and the eight error
-  terms at the evaluation points, with left-limit rows at the jumps);
+  (replay one replication of a ``rate``, ``tail`` or ``phis`` run by its
+  stream address: write its coupled path, its Gaussian approximant, and the
+  eight error terms at the evaluation points, with left-limit rows at the
+  jumps, and print its sup-deviation);
 * closed-form calculators -- ``bounds`` evaluates a single named tail bound
   and prints one CSV row, ``certify`` runs the Monte-Carlo / exact cross-check
   for a named bound and reports PASS or FAIL;
@@ -33,10 +35,9 @@ from . import bounds as bounds_mod
 from .config import (ConfigParseError, ConfigValidationError, build_config,
                      parse_config)
 from .coupling import (IdentityViolationError, build_bundle,
-                       phi_decomposition)
-from .greeks import (DegenerateTauError, GreeksUnavailableError,
-                     InsufficientDataError, check_greek_identities,
-                     estimate_greeks)
+                       phi_decomposition, sup_deviation)
+from .greeks import (DegenerateTauError, InsufficientDataError,
+                     check_greek_identities, estimate_greeks)
 from .harness import (certify_bound, fit_constant_a,
                       maxima_scaling_experiment, replication_stream,
                       run_phi_diagnostics, run_rate_experiment,
@@ -178,7 +179,7 @@ def _cmd_greeks(args) -> int:
     try:
         exact = model.true_greeks(cfg.p)
         sections["exact"] = _greeks_section(exact)
-    except (GreeksUnavailableError, DegenerateTauError) as exc:
+    except DegenerateTauError as exc:
         sections["exact"] = {"available": False, "reason": str(exc)}
     residuals = check_greek_identities(estimated)
     sections["identities"] = dict(residuals)
@@ -191,13 +192,23 @@ def _cmd_greeks(args) -> int:
 
 
 def _cmd_couple(args) -> int:
-    cfg = _load_config(args.config, "phis")
+    cfg = _load_config(args.config, args.kind)
+    # the phis experiment runs its first horizon only
+    horizons = cfg.t_grid[:1] if args.kind == "phis" else cfg.t_grid
+    if not 0 <= args.t_index < len(horizons):
+        raise ValueError(f"--t-index {args.t_index} is outside the "
+                         f"{len(horizons)} horizon(s) a {args.kind} run uses")
+    if not 0 <= args.rep < cfg.replications:
+        raise ValueError(f"--rep {args.rep} is outside the "
+                         f"{cfg.replications} replications of the config")
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
-    t = float(args.t) if args.t is not None else float(cfg.t_grid[0])
-    stream = replication_stream(cfg.root_seed, "phis", 0, cfg.replications, 0)
+    t = float(args.t) if args.t is not None else float(horizons[args.t_index])
+    stream = replication_stream(cfg.root_seed, args.kind, args.t_index,
+                                cfg.replications, args.rep)
     path, bundle = build_bundle(model, greeks, t, cfg.mode, stream)
     dec = phi_decomposition(path, bundle, t, grid_step=cfg.grid_step)
+    sup_dev = sup_deviation(path, bundle.w, greeks, t, cfg.grid_step)
     d = path.d
     header = (["u", "left"]
               + [f"S_{j + 1}" for j in range(d)]
@@ -217,11 +228,12 @@ def _cmd_couple(args) -> int:
     write_csv(out_dir / "couple.csv", header, rows)
     _write_snapshot(out_dir, cfg)
     _record_run(out_dir, "couple", args.config, cfg.root_seed, t=t,
-                mode=cfg.mode)
-    sup_dev = float(dec.deviation.max())
-    print(f"couple: mode={cfg.mode} t={t:g} rows={dec.grid.size} "
-          f"({int(dec.left.sum())} left limits) "
-          f"sup-deviation={sup_dev:.6g} identity-residual={dec.residual:.3g} "
+                mode=cfg.mode, kind=args.kind, t_index=args.t_index,
+                rep=args.rep)
+    print(f"couple: replication root_seed={cfg.root_seed} kind={args.kind} "
+          f"t_index={args.t_index} rep={args.rep} mode={cfg.mode} t={t:g} "
+          f"rows={dec.grid.size} ({int(dec.left.sum())} left limits) "
+          f"sup_deviation={sup_dev!r} identity-residual={dec.residual:.3g} "
           f"(tolerance {dec.tolerance:.3g}) -> {out_dir / 'couple.csv'}")
     return 0
 
@@ -615,10 +627,18 @@ def _build_parser() -> argparse.ArgumentParser:
     grk.set_defaults(handler=_cmd_greeks)
 
     cpl = sub.add_parser("couple", allow_abbrev=False,
-                         help="write one coupled path and its error terms")
+                         help="replay one replication and write its error terms")
     cpl.add_argument("--config", default=None)
+    cpl.add_argument("--kind", choices=("rate", "tail", "phis"),
+                     default="phis",
+                     help="experiment whose replication stream to replay "
+                          "(default: phis)")
+    cpl.add_argument("--t-index", type=int, default=0,
+                     help="horizon index in the config's t_grid (default: 0)")
+    cpl.add_argument("--rep", type=int, default=0,
+                     help="replication index (default: 0)")
     cpl.add_argument("--t", type=float, default=None,
-                     help="horizon (default: first grid entry)")
+                     help="horizon (default: the --t-index grid entry)")
     cpl.add_argument("--out", required=True)
     cpl.set_defaults(handler=_cmd_couple)
 

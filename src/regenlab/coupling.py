@@ -530,12 +530,13 @@ def phi_decomposition(path: RegenerativePath, bundle: CouplingBundle,
     is_left = np.append(point[:-1] == point[1:], False)
     after = np.cumsum(rows_at)               # one past each point's right row
     grid = right[point]
-    s_u = path.evaluate(right)[point]
-    m_u = path.renewal_counts(right)[point]
+    s_right, m_right, s_left, m_left = _path_on_grid(path, right, on_event)
+    s_u = s_right[point]
+    m_u = m_right[point]
     levels = count[point] + 1
     # left limits: S and m jump at events, the level at multiples of gamma
-    s_u[after[on_event] - 2] = path.evaluate(events, side="left")
-    m_u[after[on_event] - 2] = path.renewal_counts(events, side="left")
+    s_u[after[on_event] - 2] = s_left
+    m_u[after[on_event] - 2] = m_left
     levels[after[on_step] - 2] -= 1
 
     # the terms read the surrogates, the target reads the assembled W: the
@@ -556,6 +557,37 @@ def phi_decomposition(path: RegenerativePath, bundle: CouplingBundle,
     return PhiDecomposition(grid=grid, left=is_left, s_values=s_u,
                             w_values=w_u, phi=phi, deviation=deviation,
                             residual=residual, tolerance=tolerance)
+
+
+def _path_on_grid(path: RegenerativePath, right: np.ndarray,
+                  on_event: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(S, m) at the grid points ``right`` and their left limits (S(e-),
+    m(e-)) at the events, from ``on_event``, the grid position of each
+    event up to the end of the grid.
+
+    The grid holds every such event, so the events at or before
+    ``right[i]`` are those whose position is at most ``i``: a cumulative
+    count, which also counts duplicate event times, and the count one row
+    up gives the events strictly before.  A cycle's last event sits at its
+    renewal time, so m counts those last events the same way.  A
+    piecewise-linear path is continuous: it is interpolated on the grid and
+    its left limits are its values.
+    """
+    size = right.size
+    upto = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(on_event, minlength=size), out=upto[1:])
+    last = path.cycle_event_ptr[1:] - 1
+    done = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(on_event[last[last < on_event.size]],
+                          minlength=size), out=done[1:])
+    if path.interpolation == PIECEWISE_CONSTANT:
+        padded = np.concatenate([np.zeros((1, path.d)),
+                                 path.event_values[:on_event.size]])
+        s_right, s_left = padded[upto[1:]], padded[upto[on_event]]
+    else:
+        s_right = path.evaluate(right)
+        s_left = s_right[on_event]
+    return s_right, done[1:], s_left, done[on_event]
 
 
 def _phi_terms(path: RegenerativePath, bundle: CouplingBundle,

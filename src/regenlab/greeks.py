@@ -49,10 +49,6 @@ class InsufficientDataError(ValueError):
     """Too few cycles to estimate second moments."""
 
 
-class GreeksUnavailableError(ValueError):
-    """No closed-form moments for this model family."""
-
-
 def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 

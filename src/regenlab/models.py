@@ -12,8 +12,8 @@ Five families, each producing i.i.d. cycles ``(tau, xi, trajectory)``:
                            the increment equals the duration.
 * ``mm1-busy-cycle``    -- idle period plus M/M/1 busy period; the increment
                            counts departures, giving a genuine intra-cycle
-                           trajectory.  No closed-form second moments; a
-                           fixed-seed simulation oracle stands in.
+                           trajectory; closed-form moments from the
+                           busy period's departure count.
 * ``compound-jump``     -- exponential durations with Gaussian jumps at
                            Poisson times, dimension up to 3.
 
@@ -36,8 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainccinv, gammaincinv, ndtr
 
-from .greeks import (DegenerateTauError, Greeks, GreeksUnavailableError,
-                     matrix_sqrt_psd)
+from .greeks import DegenerateTauError, Greeks, matrix_sqrt_psd
 from .paths import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath
 from .rng import RngStream
 
@@ -130,11 +129,9 @@ class Model:
     def true_greeks(self, p: float) -> Greeks:
         """Exact parameters from closed-form cycle moments.
 
-        Raises GreeksUnavailableError when the family has no closed forms and
-        DegenerateTauError when the durations carry no variance.
+        Raises DegenerateTauError when the durations carry no variance.
         """
-        raise GreeksUnavailableError(
-            f"{self.family} has no closed-form cycle moments")
+        raise NotImplementedError
 
     def laplace_tau(self, b: float) -> float:
         """E exp(-b tau) for one cycle duration."""
@@ -439,13 +436,6 @@ class ParetoCycleModel(Model):
         return float(val)
 
 
-# Fixed stream index for the mm1 moment oracle; deliberately far from the
-# experiment stream ranges so the oracle never shares draws with them.
-_MM1_ORACLE_STREAM = 2 ** 62 + 11
-_MM1_ORACLE_CYCLES = 10 ** 7
-_mm1_oracle_cache: dict[tuple, Greeks] = {}
-
-
 @dataclass(frozen=True, eq=False)
 class MM1BusyCycleModel(Model):
     """Idle period plus M/M/1 busy period; the increment counts departures.
@@ -455,9 +445,17 @@ class MM1BusyCycleModel(Model):
     ``arrival_rate + service_rate`` and each event is an arrival with
     probability ``arrival_rate / (arrival_rate + service_rate)``.  The path
     steps up by one at every departure, so cycles have a genuine intra-cycle
-    trajectory and the cycle maximum equals the departure count.  Second
-    moments have no convenient closed form; ``reference_greeks`` runs a
-    fixed-seed simulation oracle instead.
+    trajectory and the cycle maximum equals the departure count.
+
+    The cycle moments are closed forms.  The departure count N of a busy
+    period has E N = 1/(1 - rho) and Var N = rho (1 + rho) / (1 - rho)^3
+    with rho = arrival_rate / service_rate (Takacs 1962; Kleinrock 1975,
+    Queueing Systems I, sec. 5.8).  A walk that empties the queue after N
+    departures takes 2N - 1 events, so given N the busy period is
+    Erlang(2N - 1, arrival_rate + service_rate), which is how both samplers
+    build it; the idle period is independent of it.  Conditioning on N gives
+    the duration moments and Cov(N, tau), and the drift is exactly the
+    arrival rate.
     """
 
     family: ClassVar[str] = "mm1-busy-cycle"
@@ -482,9 +480,20 @@ class MM1BusyCycleModel(Model):
         # polynomial moments; so does the departure count.
         return math.inf
 
-    @property
-    def mu(self) -> float:
-        return 1.0 / self.arrival_rate + 1.0 / (self.service_rate - self.arrival_rate)
+    def true_greeks(self, p: float) -> Greeks:
+        self._check_p(p)
+        la = self.arrival_rate
+        rho = la / self.service_rate
+        rate = la + self.service_rate
+        mean_n = 1.0 / (1.0 - rho)
+        var_n = rho * (1.0 + rho) / (1.0 - rho) ** 3
+        stages = 2.0 * mean_n - 1.0           # E(2N - 1) Erlang stages
+        # Var tau = Var idle + E Var(busy | N) + Var E(busy | N)
+        var_tau = 1.0 / la ** 2 + stages / rate ** 2 + 4.0 * var_n / rate ** 2
+        return Greeks.from_moments(
+            mu=1.0 / la + stages / rate, mean_xi=np.array([mean_n]),
+            var_tau=var_tau, var_xi=np.array([[var_n]]),
+            cov_xi_tau=np.array([2.0 * var_n / rate]), p=p)
 
     def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
         """Vectorized batch: walk all busy periods forward in lockstep rounds.
@@ -555,35 +564,6 @@ class MM1BusyCycleModel(Model):
         s = mu_s + la + b
         busy = (s - math.sqrt(s * s - 4.0 * la * mu_s)) / (2.0 * la)
         return la / (la + b) * busy
-
-
-def _mm1_reference_greeks(model: MM1BusyCycleModel, p: float) -> Greeks:
-    """Moment oracle: 10^7 cycles on a fixed, dedicated stream, chunked."""
-    key = (model.arrival_rate, model.service_rate, float(p))
-    if key in _mm1_oracle_cache:
-        return _mm1_oracle_cache[key]
-    chunk, total = 10 ** 6, _MM1_ORACLE_CYCLES
-    s_tau = s_tau2 = 0.0
-    s_xi = s_xi2 = s_xitau = 0.0
-    for i in range(total // chunk):
-        stream = RngStream(0, _MM1_ORACLE_STREAM + i)
-        batch = model.sample_cycles(chunk, stream)
-        tau, xi = batch.tau, batch.xi[:, 0]
-        s_tau += tau.sum()
-        s_tau2 += (tau * tau).sum()
-        s_xi += xi.sum()
-        s_xi2 += (xi * xi).sum()
-        s_xitau += (xi * tau).sum()
-    n = float(total)
-    mu = s_tau / n
-    mean_xi = s_xi / n
-    greeks = Greeks.from_moments(
-        mu=mu, mean_xi=np.array([mean_xi]),
-        var_tau=s_tau2 / n - mu * mu,
-        var_xi=np.array([[s_xi2 / n - mean_xi * mean_xi]]),
-        cov_xi_tau=np.array([s_xitau / n - mean_xi * mu]), p=p)
-    _mm1_oracle_cache[key] = greeks
-    return greeks
 
 
 @dataclass(frozen=True, eq=False)
@@ -703,9 +683,7 @@ class CompoundJumpModel(Model):
 
 
 def reference_greeks(model: Model, p: float) -> Greeks:
-    """Best available ground truth: closed form, or the simulation oracle."""
-    if isinstance(model, MM1BusyCycleModel):
-        return _mm1_reference_greeks(model, p)
+    """Ground truth for the coupling pipeline: the family's closed form."""
     return model.true_greeks(p)
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from regenlab.config import build_config
 from regenlab.coupling import build_bundle, phi_decomposition
-from regenlab.greeks import (DegenerateTauError, GreeksUnavailableError,
-                             check_greek_identities, estimate_greeks)
+from regenlab.greeks import (DegenerateTauError, check_greek_identities,
+                             estimate_greeks)
 from regenlab.harness import (certify_bound, fit_constant_a,
                               maxima_scaling_experiment, run_embedding_check,
                               run_phi_diagnostics, run_rate_experiment,
@@ -130,7 +130,8 @@ def _flatten_greeks(g) -> np.ndarray:
     ParetoCycleModel(tail_index=4.5),
     CompoundJumpModel(cycle_rate=1.0, jump_rate=2.0, jump_mean=[0.4, -0.1],
                       jump_cov=[[0.5, 0.1], [0.1, 0.3]], dim=2),
-], ids=["gamma-gaussian", "pareto-cycle", "compound-jump"])
+    MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0),
+], ids=["gamma-gaussian", "pareto-cycle", "compound-jump", "mm1-busy-cycle"])
 def test_criterion_03_estimated_vs_closed_form(model):
     """Estimates from 1e5 cycles agree with the closed forms to 4 SE,
     component by component (batch-means standard errors)."""
@@ -157,8 +158,6 @@ def test_criterion_03_estimated_vs_closed_form(model):
 def test_criterion_03_families_without_closed_forms():
     with pytest.raises(DegenerateTauError):
         IidSumModel().true_greeks(3.0)
-    with pytest.raises(GreeksUnavailableError):
-        MM1BusyCycleModel().true_greeks(3.0)
 
 
 def test_criterion_04_rate_slopes(workers):

@@ -11,7 +11,7 @@ from regenlab.coupling import IdentityViolationError
 from regenlab.config import (ConfigParseError, ConfigValidationError,
                              EXPERIMENT_KINDS, build_config, parse_config,
                              parse_config_text)
-from regenlab.harness import HorizonSummary, RateFit
+from regenlab.harness import HorizonSummary, RateFit, run_rate_experiment
 from regenlab.paths import HorizonExceededError, read_cycle_csv
 from regenlab.reporting import read_manifest
 
@@ -189,6 +189,43 @@ class TestCliArtifacts:
         out = capsys.readouterr().out
         assert "[estimated]" in out and "[identities]" in out
         assert "mu = " in out
+
+    def test_greeks_prints_exact_mm1(self, capsys):
+        config = (Path(__file__).resolve().parents[1] / "scripts" / "configs"
+                  / "greeks_mm1.cfg")
+        assert main(["greeks", "--config", str(config),
+                     "--cycles", "5000"]) == 0
+        out = capsys.readouterr().out
+        exact = out.split("[exact]\n", 1)[1].split("\n\n", 1)[0]
+        lines = dict(line.split(" = ") for line in exact.splitlines())
+        assert float(lines["mu"]) == 4.0
+        assert float(lines["kappa_1"]) == 0.5
+
+    def test_couple_replays_a_rate_replication(self, tmp_path, capsys):
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text("experiment.t_grid = 16.0, 32.0, 64.0, 128.0\n"
+                            "experiment.replications = 50\n"
+                            "coupling.mode = shared-innovations\n"
+                            "rng.root_seed = 5\n")
+        fit = run_rate_experiment(parse_config(cfg_path, "rate"))
+        for t_index, rep in ((0, 0), (2, 17), (3, 49)):
+            assert main(["couple", "--config", str(cfg_path),
+                         "--kind", "rate", "--t-index", str(t_index),
+                         "--rep", str(rep),
+                         "--out", str(tmp_path / "cpl")]) == 0
+            line = capsys.readouterr().out
+            assert (f"replication root_seed=5 kind=rate t_index={t_index} "
+                    f"rep={rep} ") in line
+            replayed = float(line.split("sup_deviation=")[1].split()[0])
+            assert replayed == fit.deviations[t_index][rep]
+
+    @pytest.mark.parametrize("flags", [["--t-index", "1"], ["--rep", "200"],
+                                       ["--rep", "-1"]])
+    def test_couple_rejects_an_address_outside_the_run(self, tmp_path,
+                                                       capsys, flags):
+        # a phis run uses its first horizon only, 200 replications
+        assert main(["couple", *flags, "--out", str(tmp_path)]) == 2
+        assert "outside" in capsys.readouterr().err
 
     def test_couple_csv_telescopes(self, tmp_path, capsys):
         out = tmp_path / "cpl"

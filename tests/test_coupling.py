@@ -12,14 +12,16 @@ from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
                                PoissonQuantile, ScaledPath, UnitGridPath,
                                build_bundle, build_inverse_wiener,
                                build_poisson_from_brownian,
-                               _phi_terms, build_timechange_wiener,
+                               _path_on_grid, _phi_terms,
+                               build_timechange_wiener,
                                drive_gaussians, evaluation_grid,
                                horizon_cycles_for, phi_decomposition,
                                sup_deviation)
 from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
                              IidSumModel, MM1BusyCycleModel, ParetoCycleModel,
                              reference_greeks)
-from regenlab.paths import HorizonExceededError
+from regenlab.models import single_event_path
+from regenlab.paths import PIECEWISE_CONSTANT, HorizonExceededError
 from regenlab.rng import RngStream
 
 
@@ -334,6 +336,57 @@ EXACT_CASES = [
     (CompoundJumpModel(dim=2), "independent"),
     (MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0), "independent"),
 ]
+
+
+FAMILY_PATHS = {
+    "iid-sums": IidSumModel(xi_mean=np.array([0.2, -0.1]), dim=2),
+    "gamma-gaussian": GammaGaussianModel(tau_shape=2.0, tau_scale=1.0,
+                                         beta=0.4, kappa=0.25),
+    "pareto-cycle": ParetoCycleModel(tail_index=3.5),
+    "mm1-busy-cycle": MM1BusyCycleModel(),
+    "compound-jump": CompoundJumpModel(jump_mean=np.array([0.3, -0.2]),
+                                       dim=2),
+}
+
+
+class TestPathOnGrid:
+    """``_path_on_grid`` against the path's own searchsorted evaluation."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PATHS))
+    def test_last_events_are_the_renewal_times(self, family):
+        path = FAMILY_PATHS[family].sample_path(300, _stream(40))
+        last = path.cycle_event_ptr[1:] - 1
+        assert path.event_times[last].tobytes() \
+            == path.renewal_times[1:].tobytes()
+
+    @staticmethod
+    def _check(path, t, lattices):
+        right = evaluation_grid(path, t, 1.0, lattices=lattices)
+        events = path.event_times[path.event_times <= t]
+        on_event = np.searchsorted(right, events)
+        s_right, m_right, s_left, m_left = _path_on_grid(path, right,
+                                                         on_event)
+        np.testing.assert_array_equal(s_right, path.evaluate(right))
+        np.testing.assert_array_equal(m_right, path.renewal_counts(right))
+        np.testing.assert_array_equal(s_left,
+                                      path.evaluate(events, side="left"))
+        np.testing.assert_array_equal(m_left,
+                                      path.renewal_counts(events, side="left"))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PATHS))
+    def test_matches_evaluate_and_renewal_counts(self, family):
+        path = FAMILY_PATHS[family].sample_path(300, _stream(41))
+        for t in (0.5, 37.25, 0.9 * path.horizon, path.horizon):
+            self._check(path, t, (1.7, 0.3))
+
+    def test_duplicate_event_times(self):
+        # a cycle too short to move the clock repeats its renewal time
+        path = single_event_path(np.array([1.0, 1e-20, 0.5, 2.0]),
+                                 np.array([1.0, 2.0, -4.0, 8.0]),
+                                 PIECEWISE_CONSTANT)
+        assert path.event_times[0] == path.event_times[1]
+        for t in (1.0, 1.5, 3.5):
+            self._check(path, t, ())
 
 
 def _gap(path, w, g, u, s_u) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Cycle distribution families: moments, quantile hooks, parameter guards."""
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from regenlab.greeks import DegenerateTauError, GreeksUnavailableError
+from regenlab.greeks import DegenerateTauError
 from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
                              IidSumModel, InvalidParameterError,
                              MM1BusyCycleModel, ModeUnsupportedHookError,
@@ -128,35 +131,77 @@ class TestMM1BusyCycle:
         # the path only steps upward, so the cycle maximum is the increment
         np.testing.assert_array_equal(batch.eta, batch.xi[:, 0])
 
-    def test_true_greeks_unavailable(self):
-        model = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0)
-        with pytest.raises(GreeksUnavailableError):
-            model.true_greeks(3.0)
+    def test_true_greeks_exact(self):
+        # E N = 2, Var N = 6, E tau = 4, Var tau = 16, Cov(N, tau) = 8 at
+        # rho = 1/2; every value is exact in binary floating point
+        g = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0) \
+            .true_greeks(3.0)
+        assert g.mu == 4.0 and g.var_tau == 16.0
+        assert float(g.var_xi[0, 0]) == 6.0
+        assert float(g.cov_xi_tau[0]) == 8.0
+        assert float(g.kappa[0]) == 0.5
+        assert float(g.beta[0]) == 0.5 and float(g.sigma2[0, 0]) == 0.5
 
     def test_reference_greeks_oracle(self):
         model = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0)
         g = reference_greeks(model, 3.0)
         # long-run departure rate must equal the arrival rate
-        assert float(g.kappa[0]) == pytest.approx(0.5, abs=0.01)
+        assert float(g.kappa[0]) == 0.5
 
-    def test_reference_greeks_pinned(self):
-        # the oracle's parameters bit for bit: any change to the order of
-        # the walk's draws or to its arithmetic shows here
-        g = reference_greeks(
-            MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0), 3.0)
-        pinned = {"mu": "0x1.000f4e244a716p+2",
-                  "var_tau": "0x1.0016e213c168ep+4",
-                  "gamma": "0x1.0007937b82b84p+2",
-                  "lam": "0x1.0007ba6e3aedbp+0",
-                  "kappa": "0x1.ffe43d81de585p-2",
-                  "var_xi": "0x1.8041e7ffd6b96p+2",
-                  "cov_xi_tau": "0x1.001a18157fd23p+3",
-                  "beta": "0x1.000335b84ae6cp-1",
-                  "v2": "0x1.004933bc93f52p+1",
-                  "v": "0x1.6a3da5b3e5748p+0"}
-        for name, value in pinned.items():
-            got = float(np.ravel(getattr(g, name))[0])
-            assert got == float.fromhex(value), name
+    def test_sample_cycles_pinned(self):
+        # sample_cycles bit for bit on a fixed stream: any change to the
+        # order of the walk's draws or to its arithmetic shows here
+        batch = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0) \
+            .sample_cycles(10 ** 6, RngStream(0, 2 ** 62 + 11))
+        h = hashlib.sha256()
+        for array in (batch.tau, batch.xi):
+            array = np.ascontiguousarray(array)
+            h.update(f"{array.dtype}{array.shape}".encode())
+            h.update(array.tobytes())
+        assert h.hexdigest() == ("b06817bd72536e3e79692a1b2a82ec8b"
+                                 "1ac8304b0f8e7382bedb86617a3b2a72")
+
+    @pytest.mark.parametrize("arrival,service",
+                             [(0.5, 1.0), (0.3, 2.0), (0.9, 1.0)])
+    def test_moments_match_laplace_transform(self, arrival, service):
+        # independent route: -L'(0) = E tau and L''(0) = E tau^2 from the
+        # closed-form transform, by Richardson-extrapolated central
+        # differences well inside its radius of convergence
+        model = MM1BusyCycleModel(arrival_rate=arrival, service_rate=service)
+        g = model.true_greeks(3.0)
+        lap = model.laplace_tau
+        radius = min(arrival, (math.sqrt(service) - math.sqrt(arrival)) ** 2)
+        h = 0.01 * radius
+
+        def first(h):
+            return (lap(h) - lap(-h)) / (2.0 * h)
+
+        def second(h):
+            return (lap(h) - 2.0 * lap(0.0) + lap(-h)) / (h * h)
+
+        slope = (4.0 * first(h / 2) - first(h)) / 3.0
+        curvature = (4.0 * second(h / 2) - second(h)) / 3.0
+        assert -slope == pytest.approx(g.mu, rel=1e-7)
+        assert curvature == pytest.approx(g.var_tau + g.mu ** 2, rel=1e-7)
+
+    @pytest.mark.parametrize("arrival,service",
+                             [(0.5, 1.0), (0.8, 1.0), (0.3, 2.0)])
+    def test_moments_match_simulation(self, arrival, service):
+        # each moment is the mean of an i.i.d. per-cycle quantity once
+        # centred at the exact means; 10^6 cycles, 4 standard errors
+        model = MM1BusyCycleModel(arrival_rate=arrival, service_rate=service)
+        g = model.true_greeks(3.0)
+        batch = _batch(model, 10 ** 6, seed=2026, index=90)
+        tau, n = batch.tau, batch.xi[:, 0]
+        mean_n = float(g.kappa[0]) * g.mu
+        checks = {"E tau": (tau, g.mu), "E N": (n, mean_n),
+                  "Var tau": ((tau - g.mu) ** 2, g.var_tau),
+                  "Var N": ((n - mean_n) ** 2, float(g.var_xi[0, 0])),
+                  "Cov": ((n - mean_n) * (tau - g.mu),
+                          float(g.cov_xi_tau[0]))}
+        for name, (sample, exact) in checks.items():
+            se = sample.std() / math.sqrt(sample.size)
+            assert abs(sample.mean() - exact) <= 4.0 * se, name
 
     def test_stability_guard(self):
         with pytest.raises(InvalidParameterError):
