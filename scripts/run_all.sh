@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full experiment battery at publication scale.  Results land under ./runs/;
-# every run directory gets a config.snapshot, results.csv, report.txt,
-# plotdata_*.csv, and an append-only manifest.jsonl.
+# every experiment directory gets a config.snapshot, results.csv, report.txt
+# and an append-only manifest.jsonl (certify directories have no snapshot;
+# simulate and couple write cycles.csv / couple.csv instead of results).
 #
 # Usage: scripts/run_all.sh [WORKERS]
 set -euo pipefail

@@ -10,42 +10,39 @@ almost-sure deviation rate and the polynomial tail bound empirically.
 
 __version__ = "0.1.0"
 
-from .rng import RngStream, bytes_generator
-from .paths import (RegenerativePath, CountingPath, HorizonExceededError,
-                    invert_counting, read_cycle_csv)
-from .greeks import (Greeks, DegenerateTauError, InsufficientDataError,
-                     estimate_greeks,
-                     check_greek_identities, jacobi_eigh, matrix_sqrt_psd,
-                     pseudo_inverse)
-from .models import (FAMILIES, CycleBatch, Model, IidSumModel,
-                     GammaGaussianModel, ParetoCycleModel, MM1BusyCycleModel,
-                     CompoundJumpModel, InvalidParameterError,
-                     ModeUnsupportedHookError, reference_greeks, eta_moment,
-                     single_event_path)
-from .coupling import (ModeUnsupportedError, GridMismatchError,
-                       IdentityViolationError, UnitGridPath, ScaledPath,
-                       GaussianDriver, drive_gaussians, PoissonQuantile,
-                       build_poisson_from_brownian, build_inverse_wiener,
-                       build_timechange_wiener, AssembledW, assemble_W,
-                       CouplingBundle, horizon_cycles_for, build_bundle,
-                       evaluation_grid, PhiDecomposition, phi_decomposition,
+from .rng import RngStream
+from .models import eta_moment, reference_greeks, single_event_path
+from .coupling import (AssembledW, CouplingBundle, GaussianDriver,
+                       PhiDecomposition, ScaledPath, UnitGridPath, assemble_W,
+                       build_bundle, build_inverse_wiener,
+                       build_poisson_from_brownian, build_timechange_wiener,
+                       evaluation_grid, horizon_cycles_for, phi_decomposition,
                        sup_deviation)
-from .bounds import (REGION_PAIR, REGION_LARGE_DEVIATION, BoundResult,
-                     TailMoments, RegionViolationError, NoFeasibleBError,
-                     InfeasibleError, validity_region, poisson_inverse_tail,
-                     renewal_count_tail, brownian_grid_increment_tail,
-                     nagaev_tail, block_maximal_tail, random_sum_M0,
-                     random_sum_nagaev_tail, brownian_sup_tail, exp_to_power)
-from .stats import (wilson_interval, MedianEstimate, median_ci, loglog_slope,
-                    bootstrap_slope_ci, poisson_gof_pvalue)
-from .config import (ExperimentConfig, ConfigParseError,
-                     ConfigValidationError, EXPERIMENT_KINDS, build_config,
-                     parse_config, parse_config_text, validate_config)
-from .harness import (HorizonSummary, RateFit, run_rate_experiment,
-                      TailEstimate, run_tail_experiment, fit_constant_a,
-                      PhiDiagnostics, run_phi_diagnostics, MaximaTrend,
-                      maxima_scaling_experiment, CertRow, CertificationRecord,
-                      CERTIFIERS, certify_bound, run_embedding_check,
-                      replication_stream)
+from .bounds import (TailMoments, block_maximal_tail,
+                     brownian_grid_increment_tail, brownian_sup_tail,
+                     nagaev_tail, poisson_inverse_tail, random_sum_M0,
+                     random_sum_nagaev_tail, renewal_count_tail,
+                     validity_region)
+from .stats import bootstrap_slope_ci, loglog_slope, median_ci, wilson_interval
+from .config import parse_config, parse_config_text
+from .harness import replication_stream
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The package-level names; everything else is imported from its module.
+# ``cli`` is the command-line submodule, loaded on first use.
+__all__ = [
+    "RngStream",
+    "eta_moment", "reference_greeks", "single_event_path",
+    "AssembledW", "CouplingBundle", "GaussianDriver", "PhiDecomposition",
+    "ScaledPath", "UnitGridPath", "assemble_W", "build_bundle",
+    "build_inverse_wiener", "build_poisson_from_brownian",
+    "build_timechange_wiener", "evaluation_grid", "horizon_cycles_for",
+    "phi_decomposition", "sup_deviation",
+    "TailMoments", "block_maximal_tail", "brownian_grid_increment_tail",
+    "brownian_sup_tail", "nagaev_tail", "poisson_inverse_tail",
+    "random_sum_M0", "random_sum_nagaev_tail", "renewal_count_tail",
+    "validity_region",
+    "bootstrap_slope_ci", "loglog_slope", "median_ci", "wilson_interval",
+    "parse_config", "parse_config_text",
+    "replication_stream",
+    "cli",
+]

@@ -12,9 +12,12 @@ Subcommands fall into three groups:
   and prints one CSV row, ``certify`` runs the Monte-Carlo / exact cross-check
   for a named bound and reports PASS or FAIL;
 * experiments -- ``rate``, ``tail``, ``phis``, ``maxima`` parse a config file
-  (or use the kind's defaults), run the experiment, and persist results,
-  plot data, a canonical config snapshot, a report, and a manifest line
-  under ``--out``.
+  (or use the kind's defaults), run the experiment, and persist results, a
+  canonical config snapshot, a report, and a manifest line under ``--out``.
+
+Every output directory is written by one routine, :func:`_write_run`: all of
+a run's files are rendered before the first one is written, so a failure
+leaves no new file behind.
 
 Exit codes: 0 on success, 1 when a verdict-bearing subcommand (``certify``,
 ``maxima``, ``rate``) reports FAIL, 2 on usage, parse, or validation errors,
@@ -44,8 +47,8 @@ from .harness import (certify_bound, fit_constant_a,
                       run_tail_experiment)
 from .models import InvalidParameterError, reference_greeks
 from .paths import HorizonExceededError
-from .reporting import (append_manifest, atomic_write_text, format_value,
-                        write_csv, write_report)
+from .reporting import (append_manifest, atomic_write_text, csv_text,
+                        format_value, render_report)
 from .rng import RngStream
 
 # Stream area for the one-shot subcommands, disjoint from every experiment
@@ -73,25 +76,25 @@ def _load_config(config_path: str | None, kind: str):
     return parse_config(config_path, kind)
 
 
-def _prepare_out(out: str) -> Path:
+def _write_run(out: str, subcommand: str, config_path: str | None, cfg,
+               root_seed: int, files: dict[str, str],
+               **manifest_extra) -> Path:
+    """Write a run directory from its already-rendered ``{name: text}`` files.
+
+    Adds ``config.snapshot`` when the run has a config, writes each file
+    atomically, then appends the run's one manifest line.
+    """
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if cfg is not None:
+        files = {**files, "config.snapshot": cfg.render()}
+    for name, text in files.items():
+        atomic_write_text(out_dir / name, text)
+    append_manifest(out_dir, {"subcommand": subcommand,
+                              "config": config_path or "<defaults>",
+                              "out_dir": str(out_dir),
+                              "root_seed": root_seed,
+                              "version": _version(), **manifest_extra})
     return out_dir
-
-
-def _write_snapshot(out_dir: Path, cfg) -> None:
-    atomic_write_text(out_dir / "config.snapshot", cfg.render())
-
-
-def _record_run(out_dir: Path, subcommand: str, config_path: str | None,
-                root_seed: int, **extra) -> None:
-    record = {"subcommand": subcommand,
-              "config": config_path if config_path else "<defaults>",
-              "out_dir": str(out_dir),
-              "root_seed": root_seed,
-              "version": _version()}
-    record.update(extra)
-    append_manifest(out_dir, record)
 
 
 def _run_section(cfg) -> dict:
@@ -121,11 +124,11 @@ def _cmd_simulate(args) -> int:
     model = cfg.build_model()
     stream = RngStream(cfg.root_seed, _CLI_STREAM_BASE + _SIMULATE_OFFSET)
     path = model.sample_path(args.cycles, stream)
-    out_dir = _prepare_out(args.out)
     xi_cols = [f"xi_{j + 1}" for j in range(path.d)]
-    write_csv(out_dir / "cycles.csv", ["cycle_index", "tau", *xi_cols, "eta"],
-              [[k, tau, *xi, eta] for k, (tau, xi, eta)
-               in enumerate(zip(path.tau, path.xi, path.eta()))])
+    files = {"cycles.csv": csv_text(
+        ["cycle_index", "tau", *xi_cols, "eta"],
+        [[k, tau, *xi, eta] for k, (tau, xi, eta)
+         in enumerate(zip(path.tau, path.xi, path.eta()))])}
     if args.events:
         counts = np.diff(path.cycle_event_ptr)
         cycle = np.repeat(np.arange(path.n_cycles), counts)
@@ -136,13 +139,12 @@ def _cmd_simulate(args) -> int:
         last = path.cycle_event_ptr[1:] - 1
         offsets[last] = path.tau
         values[last] = path.xi
-        write_csv(out_dir / "events.csv",
-                  ["cycle_index", "offset",
-                   *(f"value_{j + 1}" for j in range(path.d))],
-                  [[k, o, *v] for k, o, v in zip(cycle, offsets, values)])
-    _write_snapshot(out_dir, cfg)
-    _record_run(out_dir, "simulate", args.config, cfg.root_seed,
-                cycles=args.cycles)
+        files["events.csv"] = csv_text(
+            ["cycle_index", "offset",
+             *(f"value_{j + 1}" for j in range(path.d))],
+            [[k, o, *v] for k, o, v in zip(cycle, offsets, values)])
+    out_dir = _write_run(args.out, "simulate", args.config, cfg,
+                         cfg.root_seed, files, cycles=args.cycles)
     total = float(path.renewal_times[-1])
     print(f"simulate: {args.cycles} cycles of {cfg.family} "
           f"(total duration {total:.6g}) -> {out_dir / 'cycles.csv'}")
@@ -186,7 +188,6 @@ def _cmd_greeks(args) -> int:
     sections["run"] = {"family": cfg.family, "cycles": args.cycles,
                        "p": cfg.p, "root_seed": cfg.root_seed,
                        "version": _version()}
-    from .reporting import render_report
     sys.stdout.write(render_report(sections))
     return 0
 
@@ -215,21 +216,13 @@ def _cmd_couple(args) -> int:
               + [f"W_{j + 1}" for j in range(d)]
               + [f"phi{q}_{j + 1}" for q in range(1, 9) for j in range(d)]
               + ["deviation"])
-    rows = []
-    for i in range(dec.grid.size):
-        row = [dec.grid[i], int(dec.left[i])]
-        row.extend(dec.s_values[i])
-        row.extend(dec.w_values[i])
-        for q in range(8):
-            row.extend(dec.phi[q][i])
-        row.append(dec.deviation[i])
-        rows.append(row)
-    out_dir = _prepare_out(args.out)
-    write_csv(out_dir / "couple.csv", header, rows)
-    _write_snapshot(out_dir, cfg)
-    _record_run(out_dir, "couple", args.config, cfg.root_seed, t=t,
-                mode=cfg.mode, kind=args.kind, t_index=args.t_index,
-                rep=args.rep)
+    rows = [[dec.grid[i], int(dec.left[i]), *dec.s_values[i], *dec.w_values[i],
+             *(value for phi in dec.phi for value in phi[i]), dec.deviation[i]]
+            for i in range(dec.grid.size)]
+    out_dir = _write_run(args.out, "couple", args.config, cfg, cfg.root_seed,
+                         {"couple.csv": csv_text(header, rows)}, t=t,
+                         mode=cfg.mode, kind=args.kind, t_index=args.t_index,
+                         rep=args.rep)
     print(f"couple: replication root_seed={cfg.root_seed} kind={args.kind} "
           f"t_index={args.t_index} rep={args.rep} mode={cfg.mode} t={t:g} "
           f"rows={dec.grid.size} ({int(dec.left.sum())} left limits) "
@@ -242,6 +235,15 @@ def _cmd_couple(args) -> int:
 # bounds
 # ---------------------------------------------------------------------------
 
+def _finite(key: str, text: str) -> float:
+    """A numeric parameter; nan and infinities are usage errors (exit 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"parameter --{key.replace('_', '-')} must be a "
+                         f"finite number, got {text!r}")
+    return value
+
+
 def _parse_laplace(text: str):
     """Duration Laplace transform from a compact descriptor string.
 
@@ -250,19 +252,20 @@ def _parse_laplace(text: str):
     """
     kind, _, rest = text.partition(":")
     if kind == "exp":
-        rate = float(rest)
+        rate = _finite("laplace", rest)
         if rate <= 0:
             raise ValueError(f"exponential rate must be positive, got {rate}")
         return lambda b: rate / (rate + b)
     if kind == "gamma":
         shape_text, _, scale_text = rest.partition(",")
-        shape, scale = float(shape_text), float(scale_text)
+        shape = _finite("laplace", shape_text)
+        scale = _finite("laplace", scale_text)
         if shape <= 0 or scale <= 0:
             raise ValueError(
                 f"gamma shape and scale must be positive, got {shape}, {scale}")
         return lambda b: (1.0 + scale * b) ** (-shape)
     if kind == "point":
-        tau0 = float(rest)
+        tau0 = _finite("laplace", rest)
         if tau0 <= 0:
             raise ValueError(f"point duration must be positive, got {tau0}")
         return lambda b: math.exp(-b * tau0)
@@ -278,18 +281,15 @@ def _need(params: dict, key: str) -> str:
 
 
 def _f(params: dict, key: str, default: float | None = None) -> float:
-    if key not in params:
-        if default is None:
-            raise ValueError(
-                f"missing required parameter --{key.replace('_', '-')}")
+    if key not in params and default is not None:
         return default
-    return float(params[key])
+    return _finite(key, _need(params, key))
 
 
 def _moments(params: dict, need_laplace: bool = False) -> bounds_mod.TailMoments:
     laplace_at_1 = None
     if "laplace_at_1" in params:
-        laplace_at_1 = float(params["laplace_at_1"])
+        laplace_at_1 = _f(params, "laplace_at_1")
     elif "laplace" in params:
         laplace_at_1 = float(_parse_laplace(params["laplace"])(1.0))
     elif need_laplace:
@@ -297,66 +297,60 @@ def _moments(params: dict, need_laplace: bool = False) -> bounds_mod.TailMoments
             "missing duration transform: give --laplace-at-1 VALUE or "
             "--laplace DESC")
     return bounds_mod.TailMoments(
-        n=int(float(_need(params, "n"))), p=_f(params, "p"),
+        n=int(_f(params, "n")), p=_f(params, "p"),
         abs_moment=_f(params, "abs_moment"), variance=_f(params, "variance"),
         laplace_at_1=laplace_at_1)
 
 
 def _bound_poisson_inverse(params):
-    res = bounds_mod.poisson_inverse_tail(
+    return bounds_mod.poisson_inverse_tail(
         _f(params, "t"), _f(params, "x"), _f(params, "gamma"))
-    return res.value, res.region, dict(res.constants_used)
 
 
 def _bound_renewal_count(params):
-    res = bounds_mod.renewal_count_tail(
+    return bounds_mod.renewal_count_tail(
         _f(params, "t"), _f(params, "x"), _f(params, "mu"),
         _parse_laplace(_need(params, "laplace")))
-    return res.value, res.region, dict(res.constants_used)
 
 
 def _bound_grid_increment(params):
-    res = bounds_mod.brownian_grid_increment_tail(_f(params, "t"),
-                                                  _f(params, "x"))
-    return res.value, res.region, dict(res.constants_used)
+    return bounds_mod.brownian_grid_increment_tail(_f(params, "t"),
+                                                   _f(params, "x"))
 
 
 def _bound_nagaev(params):
-    res = bounds_mod.nagaev_tail(_moments(params), _f(params, "x"))
-    return res.value, res.region, dict(res.constants_used)
+    return bounds_mod.nagaev_tail(_moments(params), _f(params, "x"))
 
 
 def _bound_block_maximal(params):
-    res = bounds_mod.block_maximal_tail(_moments(params), _f(params, "x"),
-                                        c=_f(params, "c", 1.0))
-    return res.value, res.region, dict(res.constants_used)
+    return bounds_mod.block_maximal_tail(_moments(params), _f(params, "x"),
+                                         c=_f(params, "c", 1.0))
 
 
 def _bound_random_sum_m0(params):
     if "laplace_at_1" in params:
-        laplace = lambda b: float(params["laplace_at_1"])  # noqa: E731
+        value = _f(params, "laplace_at_1")
+        laplace = lambda b: value  # noqa: E731
     else:
         laplace = _parse_laplace(_need(params, "laplace"))
     m0 = bounds_mod.random_sum_M0(laplace)
-    return float(m0), "none", {"M0": m0}
+    return bounds_mod.BoundResult(float(m0), None, {"M0": m0})
 
 
 def _bound_random_sum_nagaev(params):
-    res = bounds_mod.random_sum_nagaev_tail(
+    return bounds_mod.random_sum_nagaev_tail(
         _f(params, "t"), _f(params, "x"), _moments(params, need_laplace=True))
-    return res.value, res.region, dict(res.constants_used)
 
 
 def _bound_brownian_sup(params):
-    res = bounds_mod.brownian_sup_tail(_f(params, "t"), _f(params, "x"),
-                                       int(_f(params, "d", 1.0)))
-    return res.value, res.region, dict(res.constants_used)
+    return bounds_mod.brownian_sup_tail(_f(params, "t"), _f(params, "x"),
+                                        int(_f(params, "d", 1.0)))
 
 
 def _bound_exp_to_power(params):
     c, a0 = bounds_mod.exp_to_power(_f(params, "A"), _f(params, "B"),
                                     _f(params, "C"), _f(params, "p"))
-    return a0, "none", {"c": c, "a0": a0}
+    return bounds_mod.BoundResult(a0, None, {"c": c, "a0": a0})
 
 
 BOUND_CALCULATORS = {
@@ -411,10 +405,11 @@ def _cmd_bounds(args, extra: list[str]) -> int:
         known = ", ".join(sorted(BOUND_CALCULATORS))
         raise ValueError(f"unknown bound {name!r}; known bounds: {known}")
     params = _collect_params(args.param, extra)
-    value, region, constants = BOUND_CALCULATORS[name](params)
+    res = BOUND_CALCULATORS[name](params)
     constant_text = ";".join(
-        f"{key}={format_value(val)}" for key, val in constants.items())
-    print(f"{name},{format_value(value)},{region or 'none'},{constant_text}")
+        f"{key}={format_value(val)}" for key, val in res.constants_used.items())
+    print(f"{name},{format_value(res.value)},{res.region or 'none'},"
+          f"{constant_text}")
     return 0
 
 
@@ -426,7 +421,7 @@ def _cmd_certify(args, extra: list[str]) -> int:
     raw = _collect_params(args.param, extra)
     params = {}
     for key, value in raw.items():
-        number = float(value)
+        number = _finite(key, value)
         params[key] = int(number) if number == int(number) else number
     record = certify_bound(args.name, params=params or None,
                            root_seed=args.seed, workers=args.workers)
@@ -436,23 +431,17 @@ def _cmd_certify(args, extra: list[str]) -> int:
               f"bound={row.bound:.6g}  {_verdict(row.passed)}")
     print(f"certify {record.name}: {_verdict(record.passed)}")
     if args.out:
-        out_dir = _prepare_out(args.out)
-        sections = {
-            "run": {"name": record.name, "root_seed": args.seed,
-                    "passed": record.passed, "version": _version()},
-            "details": dict(record.details),
-        }
-        for k, row in enumerate(record.rows):
-            sections[f"row_{k}"] = {"label": row.label, "lhs": row.lhs,
-                                    "se": row.se, "bound": row.bound,
-                                    "passed": row.passed}
-        write_report(out_dir / "report.txt", sections)
-        write_csv(out_dir / "results.csv",
-                  ["label", "lhs", "se", "bound", "passed"],
-                  [[row.label, row.lhs, row.se, row.bound, row.passed]
-                   for row in record.rows])
-        _record_run(out_dir, "certify", None, args.seed, name=record.name,
-                    passed=record.passed)
+        fields = ["label", "lhs", "se", "bound", "passed"]
+        cells = [[getattr(row, name) for name in fields] for row in record.rows]
+        sections = {"run": {"name": record.name, "root_seed": args.seed,
+                            "passed": record.passed, "version": _version()},
+                    "details": dict(record.details),
+                    **{f"row_{k}": dict(zip(fields, row_cells))
+                       for k, row_cells in enumerate(cells)}}
+        _write_run(args.out, "certify", None, None, args.seed,
+                   {"results.csv": csv_text(fields, cells),
+                    "report.txt": render_report(sections)},
+                   name=record.name, passed=record.passed)
     return 0 if record.passed else 1
 
 
@@ -463,25 +452,22 @@ def _cmd_certify(args, extra: list[str]) -> int:
 def _cmd_rate(args) -> int:
     cfg = _load_config(args.config, "rate")
     fit = run_rate_experiment(cfg, workers=args.workers)
-    out_dir = _prepare_out(args.out)
-    _write_snapshot(out_dir, cfg)
-    write_csv(out_dir / "results.csv",
-              ["t", "replications", "median", "ci_low", "ci_high", "mean",
-               "q90"],
-              [[s.t, s.n, s.median, s.ci_low, s.ci_high, s.mean, s.q90]
-               for s in fit.per_t])
-    write_csv(out_dir / "plotdata_rate.csv", ["t", "median"],
-              [[s.t, s.median] for s in fit.per_t])
-    write_report(out_dir / "report.txt", {
-        "run": _run_section(cfg),
-        "fit": {"slope": fit.slope,
-                "intercept": fit.intercept,
-                "slope_ci_low": fit.slope_ci[0],
-                "slope_ci_high": fit.slope_ci[1],
-                "threshold": fit.threshold,
-                "passed": fit.passed},
+    out_dir = _write_run(args.out, "rate", args.config, cfg, cfg.root_seed, {
+        "results.csv": csv_text(
+            ["t", "replications", "median", "ci_low", "ci_high", "mean",
+             "q90"],
+            [[s.t, s.n, s.median, s.ci_low, s.ci_high, s.mean, s.q90]
+             for s in fit.per_t]),
+        "report.txt": render_report({
+            "run": _run_section(cfg),
+            "fit": {"slope": fit.slope,
+                    "intercept": fit.intercept,
+                    "slope_ci_low": fit.slope_ci[0],
+                    "slope_ci_high": fit.slope_ci[1],
+                    "threshold": fit.threshold,
+                    "passed": fit.passed},
+        }),
     })
-    _record_run(out_dir, "rate", args.config, cfg.root_seed)
     print(f"rate: slope={fit.slope:.4f} "
           f"ci=({fit.slope_ci[0]:.4f}, {fit.slope_ci[1]:.4f}) "
           f"threshold={fit.threshold:.4f} {_verdict(fit.passed)} -> {out_dir}")
@@ -491,32 +477,25 @@ def _cmd_rate(args) -> int:
 def _cmd_tail(args) -> int:
     cfg = _load_config(args.config, "tail")
     estimates = run_tail_experiment(cfg, workers=args.workers)
-    a_hat = fit_constant_a(estimates)
-    out_dir = _prepare_out(args.out)
-    _write_snapshot(out_dir, cfg)
-    write_csv(out_dir / "results.csv",
-              ["t", "x", "region", "replications", "hits", "p_hat", "ci_low",
-               "ci_high", "normalized", "normalized_high"],
-              [[e.t, e.x, e.region, e.n, e.hits, e.p_hat, e.ci_low, e.ci_high,
-                e.normalized, e.normalized_high] for e in estimates])
-    fit_section = {"a_hat": a_hat}
     per_t: dict[float, list] = {}
     for e in estimates:
-        per_t.setdefault(e.t, []).append(e)
-    for t, group in per_t.items():
-        label = _t_label(t)
-        write_csv(out_dir / f"plotdata_tail_t{label}.csv",
-                  ["x", "normalized_high"],
-                  [[e.x, e.normalized_high] for e in group])
-        fit_section[f"a_hat_t{label}"] = max(e.normalized_high for e in group)
-    horizon_maxima = [fit_section[f"a_hat_t{_t_label(t)}"] for t in per_t]
-    fit_section["horizon_spread"] = (max(horizon_maxima)
-                                     / max(min(horizon_maxima), 1e-300))
-    write_report(out_dir / "report.txt", {
-        "run": _run_section(cfg),
-        "fit": fit_section,
+        per_t.setdefault(e.t, []).append(e.normalized_high)
+    a_hat = fit_constant_a(estimates)
+    horizon_maxima = [max(group) for group in per_t.values()]
+    fit_section = {"a_hat": a_hat,
+                   **{f"a_hat_t{_t_label(t)}": m
+                      for t, m in zip(per_t, horizon_maxima)},
+                   "horizon_spread": (max(horizon_maxima)
+                                      / max(min(horizon_maxima), 1e-300))}
+    out_dir = _write_run(args.out, "tail", args.config, cfg, cfg.root_seed, {
+        "results.csv": csv_text(
+            ["t", "x", "region", "replications", "hits", "p_hat", "ci_low",
+             "ci_high", "normalized", "normalized_high"],
+            [[e.t, e.x, e.region, e.n, e.hits, e.p_hat, e.ci_low, e.ci_high,
+              e.normalized, e.normalized_high] for e in estimates]),
+        "report.txt": render_report({"run": _run_section(cfg),
+                                     "fit": fit_section}),
     })
-    _record_run(out_dir, "tail", args.config, cfg.root_seed)
     print(f"tail: a_hat={a_hat:.6g} over {len(estimates)} (t, x) cells, "
           f"horizon spread {fit_section['horizon_spread']:.3g}x -> {out_dir}")
     return 0
@@ -525,24 +504,10 @@ def _cmd_tail(args) -> int:
 def _cmd_phis(args) -> int:
     cfg = _load_config(args.config, "phis")
     diag = run_phi_diagnostics(cfg, workers=args.workers)
-    out_dir = _prepare_out(args.out)
-    _write_snapshot(out_dir, cfg)
-    rows = []
-    for q in range(1, 9):
-        for e in diag.per_term[q - 1]:
-            rows.append([q, e.t, e.x, e.region, e.n, e.hits, e.p_hat,
-                         e.ci_low, e.ci_high, e.normalized])
-    for e in diag.deviation_table:
-        rows.append([0, e.t, e.x, e.region, e.n, e.hits, e.p_hat, e.ci_low,
-                     e.ci_high, e.normalized])
-    write_csv(out_dir / "results.csv",
-              ["q", "t", "x", "region", "replications", "hits", "p_hat",
-               "ci_low", "ci_high", "normalized"], rows)
-    for q in range(1, 9):
-        write_csv(out_dir / f"plotdata_phi{q}.csv", ["x", "p_hat"],
-                  [[e.x, e.p_hat] for e in diag.per_term[q - 1]])
-    write_csv(out_dir / "plotdata_phi_total.csv", ["x", "p_hat"],
-              [[e.x, e.p_hat] for e in diag.deviation_table])
+    # q = 1..8 are the terms, q = 0 the deviation itself
+    tables = [*enumerate(diag.per_term, 1), (0, diag.deviation_table)]
+    rows = [[q, e.t, e.x, e.region, e.n, e.hits, e.p_hat, e.ci_low,
+             e.ci_high, e.normalized] for q, table in tables for e in table]
     diagnostics = {
         "t": diag.t,
         "passage_exceed_freq": diag.passage_exceed_freq,
@@ -561,12 +526,14 @@ def _cmd_phis(args) -> int:
         structure[f"empirical_{k}"] = lhs
         structure[f"bound_{k}"] = rhs
         structure[f"holds_{k}"] = bool(lhs <= rhs)
-    write_report(out_dir / "report.txt", {
-        "run": _run_section(cfg),
-        "diagnostics": diagnostics,
-        "structure": structure,
+    out_dir = _write_run(args.out, "phis", args.config, cfg, cfg.root_seed, {
+        "results.csv": csv_text(
+            ["q", "t", "x", "region", "replications", "hits", "p_hat",
+             "ci_low", "ci_high", "normalized"], rows),
+        "report.txt": render_report({"run": _run_section(cfg),
+                                     "diagnostics": diagnostics,
+                                     "structure": structure}),
     })
-    _record_run(out_dir, "phis", args.config, cfg.root_seed)
     print(f"phis: t={diag.t:g} dominant term phi{diagnostics['dominant_term']} "
           f"max identity residual {diag.max_residual:.3g} -> {out_dir}")
     return 0
@@ -575,24 +542,19 @@ def _cmd_phis(args) -> int:
 def _cmd_maxima(args) -> int:
     cfg = _load_config(args.config, "maxima")
     trend = maxima_scaling_experiment(cfg, workers=args.workers)
-    out_dir = _prepare_out(args.out)
-    _write_snapshot(out_dir, cfg)
-    write_csv(out_dir / "results.csv",
-              ["n", "replications", "median", "ci_low", "ci_high"],
-              [[n, row.n, row.median, row.ci_low, row.ci_high]
-               for n, row in zip(trend.n_values, trend.rows)])
-    write_csv(out_dir / "plotdata_maxima.csv", ["n", "median"],
-              [[n, row.median] for n, row in zip(trend.n_values, trend.rows)])
     trend_section = {"passed": trend.passed,
                      "first_median": trend.rows[0].median,
                      "last_median": trend.rows[-1].median,
                      "decay_ratio": trend.rows[-1].median
                      / max(trend.rows[0].median, 1e-300)}
-    write_report(out_dir / "report.txt", {
-        "run": _run_section(cfg),
-        "trend": trend_section,
+    out_dir = _write_run(args.out, "maxima", args.config, cfg, cfg.root_seed, {
+        "results.csv": csv_text(
+            ["n", "replications", "median", "ci_low", "ci_high"],
+            [[n, row.n, row.median, row.ci_low, row.ci_high]
+             for n, row in zip(trend.n_values, trend.rows)]),
+        "report.txt": render_report({"run": _run_section(cfg),
+                                     "trend": trend_section}),
     })
-    _record_run(out_dir, "maxima", args.config, cfg.root_seed)
     print(f"maxima: medians "
           f"{[round(row.median, 4) for row in trend.rows]} "
           f"{_verdict(trend.passed)} -> {out_dir}")

@@ -34,10 +34,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .greeks import Greeks
-from .models import (INDEPENDENT, QUANTILE_1D, SHARED_INNOVATIONS,
-                     GammaGaussianModel, Model, single_event_path)
+from .models import INDEPENDENT, QUANTILE_1D, Model, single_event_path
 from .paths import (PIECEWISE_CONSTANT, CountingPath, HorizonExceededError,
-                    RegenerativePath)
+                    RegenerativePath, invert_counting)
 from .rng import RngStream, bytes_generator
 
 _MAX_TABLE_RATE = 500.0
@@ -89,10 +88,6 @@ class UnitGridPath:
     @property
     def values(self) -> np.ndarray:
         return self._matrix[:, 0] if self._flat else self._matrix
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
 
     def at(self, x) -> np.ndarray:
         """Interpolated value(s); scalar in -> (d,) out, (m,) in -> (m, d)."""
@@ -181,26 +176,18 @@ def drive_gaussians(model: Model, horizon_cycles: int, mode: str,
     k = int(horizon_cycles)
     if k < 2:
         raise ValueError(f"need at least 2 cycles, got {k}")
-    if mode == SHARED_INNOVATIONS:
-        assert isinstance(model, GammaGaussianModel)
-        batch, g, g_dur = model.sample_cycles_coupled(
-            k, noise_rng=rng.child(1), duration_rng=rng.child(2))
-        path = single_event_path(batch.tau, batch.xi, model.interpolation)
-        return path, GaussianDriver(g, g_dur, mode)
-    if mode == QUANTILE_1D:
-        if model.d != 1:
-            raise ModeUnsupportedError(
-                f"quantile-1d requires d=1, model has d={model.d}")
-        g_dur = rng.child(2).generator().standard_normal(k)
-        g = rng.child(1).generator().standard_normal((k, 1))
-        tau = model.tau_from_gaussian(g_dur)
-        xi = model.increments_from(tau, g)
-        path = single_event_path(tau, xi, model.interpolation)
-        return path, GaussianDriver(g, g_dur, mode)
-    path = model.sample_path(k, rng.child(0))
+    if mode == QUANTILE_1D and model.d != 1:
+        raise ModeUnsupportedError(
+            f"quantile-1d requires d=1, model has d={model.d}")
     g = rng.child(1).generator().standard_normal((k, model.d))
     g_dur = rng.child(2).generator().standard_normal(k)
-    return path, GaussianDriver(g, g_dur, INDEPENDENT)
+    if mode == INDEPENDENT:
+        path = model.sample_path(k, rng.child(0))
+    else:
+        tau = model.tau_from_gaussian(g_dur)
+        path = single_event_path(tau, model.increments_from(tau, g),
+                                 model.interpolation)
+    return path, GaussianDriver(g, g_dur, mode)
 
 
 # -- Poisson embedding ------------------------------------------------------
@@ -365,7 +352,6 @@ class CouplingBundle:
         Ceiling semantics at integer levels, matching
         :func:`regenlab.paths.invert_counting`.
         """
-        from .paths import invert_counting
         return invert_counting(self.n_path, float(u) / self.greeks.gamma)
 
 

@@ -74,10 +74,6 @@ class CycleBatch:
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
 
     @property
-    def n(self) -> int:
-        return self.tau.size
-
-    @property
     def d(self) -> int:
         return self.xi.shape[1]
 
@@ -334,23 +330,6 @@ class GammaGaussianModel(Model):
         tau = gen.gamma(self.tau_shape, self.tau_scale, size=n)
         xi = self._xi_from(tau, gen.standard_normal((n, self.dim)))
         return CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
-
-    def sample_cycles_coupled(self, n: int, noise_rng: RngStream,
-                              duration_rng: RngStream
-                              ) -> tuple[CycleBatch, np.ndarray, np.ndarray]:
-        """Cycles together with the standard normal innovations behind them.
-
-        Returns (batch, g, g_dur): ``g`` (n, d) generates the noise (so the
-        increment-side driver is exact by construction) and ``g_dur`` (n,)
-        generates the duration through the inverse CDF (the duration-side
-        driver couples through a common quantile).
-        """
-        g_dur = duration_rng.generator().standard_normal(n)
-        tau = self.tau_from_gaussian(g_dur)
-        g = noise_rng.generator().standard_normal((n, self.dim))
-        xi = self._xi_from(tau, g)
-        batch = CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
-        return batch, g, g_dur
 
     def true_greeks(self, p: float) -> Greeks:
         self._check_p(p)

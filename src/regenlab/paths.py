@@ -204,11 +204,6 @@ class CountingPath:
     def n_jumps(self) -> int:
         return self.jump_times.size
 
-    def count(self, u) -> np.ndarray:
-        """N(u): number of jumps at or before u (right-continuous)."""
-        return np.searchsorted(self.jump_times, np.asarray(u, dtype=float),
-                               side="right")
-
 
 def invert_counting(counting: CountingPath, level: float) -> float:
     """First passage time of the counting process to ``level``.

@@ -1,9 +1,9 @@
-"""Output plumbing: atomic file writes, CSV emission, key-value reports,
-and the append-only run manifest.
+"""Output plumbing: canonical CSV and key-value report text, atomic file
+writes, and the append-only run manifest.
 
-Every file lands via write-to-temp plus atomic rename, so error paths never
-leave partial outputs.  Floats are serialized with ``repr`` (shortest
-round-tripping form), which makes byte-identical reruns meaningful.
+Rendering is pure; every file lands via write-to-temp plus atomic rename, so
+error paths never leave partial outputs.  Floats are serialized with ``repr``
+(shortest round-tripping form), which makes byte-identical reruns meaningful.
 Wall-clock timestamps appear in the manifest and nowhere else: every other
 output is a pure function of config and seed.
 """
@@ -53,8 +53,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def write_csv(path: str | Path, header: Sequence[str],
-              rows: Iterable[Sequence]) -> None:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV with a fixed header; every cell serialized canonically."""
     lines = [",".join(header)]
     width = len(header)
@@ -63,7 +62,7 @@ def write_csv(path: str | Path, header: Sequence[str],
             raise ValueError(
                 f"row has {len(row)} cells, header has {width}")
         lines.append(",".join(format_value(cell) for cell in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def render_report(sections: Mapping[str, Mapping[str, object]]) -> str:
@@ -75,11 +74,6 @@ def render_report(sections: Mapping[str, Mapping[str, object]]) -> str:
             lines.append(f"{key} = {format_value(value)}")
         lines.append("")
     return "\n".join(lines)
-
-
-def write_report(path: str | Path,
-                 sections: Mapping[str, Mapping[str, object]]) -> None:
-    atomic_write_text(path, render_report(sections))
 
 
 def append_manifest(out_dir: str | Path, record: Mapping[str, object]) -> None:

@@ -16,6 +16,14 @@ from regenlab.paths import HorizonExceededError, read_cycle_csv
 from regenlab.reporting import read_manifest
 
 
+def _failing_fit() -> RateFit:
+    summary = HorizonSummary(t=1024.0, n=50, median=2.0, ci_low=1.0,
+                             ci_high=3.0, mean=2.0, q90=3.5)
+    return RateFit(slope=0.6, intercept=0.0, slope_ci=(0.5, 0.7),
+                   per_t=(summary,), p=3.0, threshold=1.0 / 3.0 + 0.1,
+                   passed=False, deviations=((2.0,),))
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_defaults_round_trip(self, kind):
@@ -114,6 +122,20 @@ class TestCliExitCodes:
     def test_certify_unknown_name(self, capsys):
         assert main(["certify", "no-such-inequality"]) == 2
 
+    @pytest.mark.parametrize("argv, key", [
+        (["certify", "nagaev", "--x", "inf"], "--x"),
+        (["certify", "block-maximal", "--n", "inf"], "--n"),
+        (["bounds", "nagaev-tail", "--n", "inf", "--p", "3",
+          "--abs-moment", "1", "--variance", "1", "--x", "10"], "--n"),
+        (["bounds", "brownian-sup-tail", "--t", "100", "--x", "40",
+          "--d", "inf"], "--d"),
+    ])
+    def test_non_finite_parameter_is_exit_2(self, capsys, argv, key):
+        # int(inf) would raise OverflowError, a crash that exits 1 (FAIL)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"parameter {key} must be a finite number" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert main(["rate", "--config", str(missing),
@@ -147,13 +169,8 @@ class TestCliExitCodes:
                 in capsys.readouterr().err)
 
     def test_rate_fail_is_exit_1(self, tmp_path, monkeypatch, capsys):
-        summary = HorizonSummary(t=1024.0, n=50, median=2.0, ci_low=1.0,
-                                 ci_high=3.0, mean=2.0, q90=3.5)
-        fit = RateFit(slope=0.6, intercept=0.0, slope_ci=(0.5, 0.7),
-                      per_t=(summary,), p=3.0, threshold=1.0 / 3.0 + 0.1,
-                      passed=False, deviations=((2.0,),))
         monkeypatch.setattr(cli, "run_rate_experiment",
-                            lambda cfg, workers: fit)
+                            lambda cfg, workers: _failing_fit())
         assert main(["rate", "--out", str(tmp_path / "out")]) == 1
         assert "FAIL" in capsys.readouterr().out
         assert "passed = false" in (tmp_path / "out" / "report.txt").read_text()
@@ -260,11 +277,24 @@ class TestCliArtifacts:
         assert len(results) == 5
         report = (out / "report.txt").read_text()
         assert "[fit]" in report and "slope = " in report
-        plot = (out / "plotdata_rate.csv").read_text().splitlines()
-        assert plot[0] == "t,median" and len(plot) == 5
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.snapshot", "manifest.jsonl", "report.txt", "results.csv"]
         record = read_manifest(out)[-1]
         assert record["subcommand"] == "rate"
         assert record["config"] == str(cfg)
+
+    def test_render_failure_leaves_no_file(self, tmp_path, monkeypatch,
+                                           capsys):
+        def broken(sections):
+            raise RuntimeError("report rendering failed")
+
+        monkeypatch.setattr(cli, "run_rate_experiment",
+                            lambda cfg, workers: _failing_fit())
+        monkeypatch.setattr(cli, "render_report", broken)
+        out = tmp_path / "out"
+        assert main(["rate", "--out", str(out)]) == 3
+        assert not (out / "results.csv").exists()
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -3,39 +3,44 @@
 Each pooled run goes through ``cli.main`` at ``--workers 2`` so the pooled
 path is the one compared; the determinism contract makes the bytes
 independent of the worker count.  ``couple`` builds one bundle in process.
+Every committed file but the wall-clock manifest is compared, and the
+regenerated directory must hold exactly the committed file set.
 """
 from pathlib import Path
 
 import pytest
 
 from regenlab.cli import main
+from regenlab.reporting import MANIFEST_NAME
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
 
-OUTPUTS = ("results.csv", "report.txt")
 POOL = ["--workers", "2"]
 EXPERIMENTS = [
     ("maxima-pareto",
-     ["maxima", "--config", str(CONFIGS / "maxima_pareto.cfg"), *POOL],
-     OUTPUTS),
-    ("phis-shared",
-     ["phis", "--config", str(CONFIGS / "phis_gamma.cfg"), *POOL], OUTPUTS),
-    ("rate-shared",
-     ["rate", "--config", str(CONFIGS / "rate_gamma.cfg"), *POOL], OUTPUTS),
-    ("couple-demo", ["couple", "--t", "256"], ("couple.csv",)),
+     ["maxima", "--config", str(CONFIGS / "maxima_pareto.cfg"), *POOL]),
+    ("phis-shared", ["phis", "--config", str(CONFIGS / "phis_gamma.cfg"), *POOL]),
+    ("rate-shared", ["rate", "--config", str(CONFIGS / "rate_gamma.cfg"), *POOL]),
+    ("couple-demo", ["couple", "--t", "256"]),
+    ("simulate-demo", ["simulate", "--cycles", "1000"]),
 ]
 CERTIFIERS = ["poisson-inverse", "renewal-count", "block-maximal",
               "random-sum", "grid-increment", "brownian-sup", "nagaev"]
-RUNS = EXPERIMENTS + [(f"certify-{name}", ["certify", name, *POOL], OUTPUTS)
+RUNS = EXPERIMENTS + [(f"certify-{name}", ["certify", name, *POOL])
                       for name in CERTIFIERS]
 
 
-@pytest.mark.parametrize("run, argv, files", RUNS, ids=[r for r, *_ in RUNS])
-def test_committed_run_regenerates_byte_for_byte(run, argv, files, tmp_path,
-                                                 capsys):
+def _file_names(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.name != MANIFEST_NAME)
+
+
+@pytest.mark.parametrize("run, argv", RUNS, ids=[r for r, _ in RUNS])
+def test_committed_run_regenerates_byte_for_byte(run, argv, tmp_path, capsys):
     out = tmp_path / run
     assert main([*argv, "--out", str(out)]) == 0
-    for name in files:
-        committed = ROOT / "runs" / run / name
-        assert (out / name).read_bytes() == committed.read_bytes(), name
+    committed = ROOT / "runs" / run
+    names = _file_names(committed)
+    assert _file_names(out) == names
+    for name in names:
+        assert (out / name).read_bytes() == (committed / name).read_bytes(), name

@@ -9,7 +9,7 @@ from regenlab.config import parse_config
 from regenlab.paths import (CountingPath, HorizonExceededError,
                             RegenerativePath, invert_counting, read_cycle_csv)
 from regenlab.models import single_event_path
-from regenlab.reporting import write_csv
+from regenlab.reporting import csv_text
 from regenlab.rng import RngStream
 
 
@@ -154,8 +154,9 @@ class TestCsv:
         xi = rng.standard_normal((13, 2))
         eta = np.abs(xi).max(axis=1)
         target = tmp_path / "cycles.csv"
-        write_csv(target, ["cycle_index", "tau", "xi_1", "xi_2", "eta"],
-                  [[k, tau[k], *xi[k], eta[k]] for k in range(13)])
+        target.write_text(csv_text(
+            ["cycle_index", "tau", "xi_1", "xi_2", "eta"],
+            [[k, tau[k], *xi[k], eta[k]] for k in range(13)]))
         tau2, xi2, eta2 = read_cycle_csv(target)
         np.testing.assert_array_equal(tau, tau2)
         np.testing.assert_array_equal(xi, xi2)
