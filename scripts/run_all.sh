@@ -23,7 +23,7 @@ regenlab couple --t 256 --out "$runs/couple-demo"
 echo "== closed-form bound values =="
 regenlab bounds poisson-inverse-tail --t 1024 --x 147 --gamma 1
 regenlab bounds renewal-count-tail --t 20 --x 6.67 --mu 1 --laplace exp:1
-regenlab bounds brownian-sup-tail --t 100 --x 40 --dim 1
+regenlab bounds brownian-sup-tail --t 100 --x 40 --d 1
 
 echo "== certifications (oracle vs bound) =="
 for name in poisson-inverse renewal-count block-maximal random-sum \

@@ -41,7 +41,7 @@ from .coupling import (IdentityViolationError, build_bundle,
                        phi_decomposition, sup_deviation)
 from .greeks import (DegenerateTauError, InsufficientDataError,
                      check_greek_identities, estimate_greeks)
-from .harness import (certify_bound, fit_constant_a,
+from .harness import (CERTIFIERS, certify_bound, fit_constant_a,
                       maxima_scaling_experiment, replication_stream,
                       run_phi_diagnostics, run_rate_experiment,
                       run_tail_experiment)
@@ -353,16 +353,21 @@ def _bound_exp_to_power(params):
     return bounds_mod.BoundResult(a0, None, {"c": c, "a0": a0})
 
 
+_MOMENT_KEYS = ("n", "p", "abs_moment", "variance")
+_LAPLACE_KEYS = ("laplace_at_1", "laplace")
+
+# name: (calculator, the parameters it reads)
 BOUND_CALCULATORS = {
-    "poisson-inverse-tail": _bound_poisson_inverse,
-    "renewal-count-tail": _bound_renewal_count,
-    "brownian-grid-increment-tail": _bound_grid_increment,
-    "nagaev-tail": _bound_nagaev,
-    "block-maximal-tail": _bound_block_maximal,
-    "random-sum-m0": _bound_random_sum_m0,
-    "random-sum-nagaev-tail": _bound_random_sum_nagaev,
-    "brownian-sup-tail": _bound_brownian_sup,
-    "exp-to-power": _bound_exp_to_power,
+    "poisson-inverse-tail": (_bound_poisson_inverse, ("t", "x", "gamma")),
+    "renewal-count-tail": (_bound_renewal_count, ("t", "x", "mu", "laplace")),
+    "brownian-grid-increment-tail": (_bound_grid_increment, ("t", "x")),
+    "nagaev-tail": (_bound_nagaev, (*_MOMENT_KEYS, "x")),
+    "block-maximal-tail": (_bound_block_maximal, (*_MOMENT_KEYS, "x", "c")),
+    "random-sum-m0": (_bound_random_sum_m0, _LAPLACE_KEYS),
+    "random-sum-nagaev-tail": (_bound_random_sum_nagaev,
+                               ("t", "x", *_MOMENT_KEYS, *_LAPLACE_KEYS)),
+    "brownian-sup-tail": (_bound_brownian_sup, ("t", "x", "d")),
+    "exp-to-power": (_bound_exp_to_power, ("A", "B", "C", "p")),
 }
 
 
@@ -399,16 +404,31 @@ def _collect_params(pairs: list[str], extra: list[str]) -> dict:
     return params
 
 
+def _flags(keys) -> str:
+    return ", ".join(f"--{key.replace('_', '-')}" for key in keys)
+
+
+def _check_request(registry: dict, name: str, what: str,
+                   params: dict) -> None:
+    """A ``name`` missing from the registry of ``what``, or a parameter its
+    entry does not read, is a usage error raised before any computation."""
+    if name not in registry:
+        raise ValueError(f"unknown {what} {name!r}; known {what}s: "
+                         f"{', '.join(sorted(registry))}")
+    accepted = registry[name][1]
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise ValueError(f"{what} {name} does not take {_flags(unknown)}; "
+                         f"accepted: {_flags(accepted)}")
+
+
 def _cmd_bounds(args, extra: list[str]) -> int:
-    name = args.name
-    if name not in BOUND_CALCULATORS:
-        known = ", ".join(sorted(BOUND_CALCULATORS))
-        raise ValueError(f"unknown bound {name!r}; known bounds: {known}")
     params = _collect_params(args.param, extra)
-    res = BOUND_CALCULATORS[name](params)
+    _check_request(BOUND_CALCULATORS, args.name, "bound", params)
+    res = BOUND_CALCULATORS[args.name][0](params)
     constant_text = ";".join(
         f"{key}={format_value(val)}" for key, val in res.constants_used.items())
-    print(f"{name},{format_value(res.value)},{res.region or 'none'},"
+    print(f"{args.name},{format_value(res.value)},{res.region or 'none'},"
           f"{constant_text}")
     return 0
 
@@ -419,6 +439,7 @@ def _cmd_bounds(args, extra: list[str]) -> int:
 
 def _cmd_certify(args, extra: list[str]) -> int:
     raw = _collect_params(args.param, extra)
+    _check_request(CERTIFIERS, args.name, "certification", raw)
     params = {}
     for key, value in raw.items():
         number = _finite(key, value)

@@ -57,7 +57,6 @@ _CHUNK = 50                    # fixed so chunk boundaries never depend on worke
 _CERT_BASE = 2 ** 62
 _CERT_RENEWAL = _CERT_BASE + 101_000
 _CERT_RANDOM_SUM = _CERT_BASE + 103_000
-_CERT_GRID = _CERT_BASE + 104_000
 
 
 def replication_stream(root_seed: int, kind: str, t_index: int,
@@ -513,45 +512,43 @@ def _certify_random_sum(params, root_seed, workers) -> CertificationRecord:
          "series_sum": bound.constants_used["series_sum"]})
 
 
-def _grid_increment_kernel(gen, size: int, t_values: tuple[float, ...],
-                           n_steps: int) -> np.ndarray:
-    t_max = int(max(t_values))
-    dt = 1.0 / n_steps
-    sups = np.zeros((size, len(t_values)))
-    running = np.zeros(size)
-    values = np.zeros((size, n_steps + 1))
-    for unit in range(t_max):
-        steps = gen.standard_normal((size, n_steps)) * math.sqrt(dt)
-        np.cumsum(steps, axis=1, out=values[:, 1:])
-        running = np.maximum(running, np.abs(values[:, 1:]).max(axis=1))
-        for j, t in enumerate(t_values):
-            if unit + 1 == int(t):
-                sups[:, j] = running
-    return sups
+def _wiener_oscillation_tail(x: float) -> float:
+    """P(sup_{s<=1} |W(s)| >= x) for a standard Wiener process W: Levy's
+    reflection series 4 sum_{k>=1} (-1)^{k-1} Phi(-(2k-1)x) (Feller, vol.
+    II; Borodin & Salminen), summed until a term no longer changes the sum."""
+    total, sign, k = 0.0, 4.0, 1
+    while (nxt := total + sign * float(ndtr((1 - 2 * k) * x))) != total:
+        total, sign, k = nxt, -sign, k + 1
+    return min(total, 1.0)
+
+
+def _log_below(x: float, span: float) -> float:
+    """log P(sup_{s<=span} |W(s)| < x), by Brownian scaling."""
+    q = _wiener_oscillation_tail(x / math.sqrt(span)) if span else 0.0
+    return math.log1p(-q) if q < 1.0 else -math.inf
 
 
 def _certify_grid_increment(params, root_seed, workers) -> CertificationRecord:
-    """Monte Carlo oracle on a fine grid for the within-unit Wiener
-    oscillation sup, against the union/reflection bound."""
+    """Exact oracle for the within-unit Wiener oscillation sup against the
+    union/reflection bound: the units of [0, t], the last one partial when
+    t is not an integer, are independent, so P(sup_{u<=t} |B(u) -
+    B(floor(u))| >= x) = 1 - (1 - q(x))^floor(t) (1 - q(x / sqrt(t -
+    floor(t)))), with q the reflection-series tail."""
+    del root_seed, workers
     t_values = tuple(float(t) for t in params.get("t_values",
                                                   (1.0, 2.0, 3.0, 5.0, 10.0)))
     x_values = tuple(float(x) for x in params.get("x_values",
                                                   (2.6, 2.9, 3.2, 3.6, 4.0)))
-    reps = int(params.get("reps", 20_000))
-    n_steps = int(params.get("steps_per_unit", 1000))
-    sups = np.vstack(_monte_carlo(_grid_increment_kernel, _CERT_GRID, reps,
-                                  500, root_seed, workers, t_values, n_steps))
     rows = []
-    for j, t in enumerate(t_values):
+    for t in t_values:
+        units = math.floor(t)
         for x in x_values:
-            hits = int(np.count_nonzero(sups[:, j] >= x))
-            bound = brownian_grid_increment_tail(t, x)
-            rows.append(_mc_row(f"mc t={t:g} x={x:g}", hits, reps,
-                                bound.value))
+            lhs = -math.expm1(units * _log_below(x, 1.0)
+                              + _log_below(x, t - units))
+            rows.append(_row(f"exact t={t:g} x={x:g}", lhs, 0.0,
+                             brownian_grid_increment_tail(t, x).value))
     return CertificationRecord("grid-increment", tuple(rows),
-                               all(r.passed for r in rows),
-                               {"reps": float(reps),
-                                "steps_per_unit": float(n_steps)})
+                               all(r.passed for r in rows), {})
 
 
 def _certify_brownian_sup(params, root_seed, workers) -> CertificationRecord:
@@ -609,14 +606,15 @@ def _certify_nagaev(params, root_seed, workers) -> CertificationRecord:
          "C2": bound_binom.constants_used["C2"]})
 
 
-CERTIFIERS: dict[str, Callable] = {
-    "poisson-inverse": _certify_poisson_inverse,
-    "renewal-count": _certify_renewal_count,
-    "block-maximal": _certify_block_maximal,
-    "random-sum": _certify_random_sum,
-    "grid-increment": _certify_grid_increment,
-    "brownian-sup": _certify_brownian_sup,
-    "nagaev": _certify_nagaev,
+# name: (certifier, the parameters it reads)
+CERTIFIERS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "poisson-inverse": (_certify_poisson_inverse, ("t_values",)),
+    "renewal-count": (_certify_renewal_count, ("t", "reps")),
+    "block-maximal": (_certify_block_maximal, ("n", "x", "p", "c")),
+    "random-sum": (_certify_random_sum, ("t", "x", "reps")),
+    "grid-increment": (_certify_grid_increment, ("t_values", "x_values")),
+    "brownian-sup": (_certify_brownian_sup, ("t_values", "factors")),
+    "nagaev": (_certify_nagaev, ("n", "x", "p")),
 }
 
 
@@ -628,7 +626,7 @@ def certify_bound(name: str, params: dict | None = None, root_seed: int = 0,
     if name not in CERTIFIERS:
         raise KeyError(
             f"unknown bound {name!r}; registry: {sorted(CERTIFIERS)}")
-    return CERTIFIERS[name](params or {}, root_seed, workers)
+    return CERTIFIERS[name][0](params or {}, root_seed, workers)
 
 
 # -- embedding sanity check -------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line surface."""
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from regenlab.config import (ConfigParseError, ConfigValidationError,
 from regenlab.harness import HorizonSummary, RateFit, run_rate_experiment
 from regenlab.paths import HorizonExceededError, read_cycle_csv
 from regenlab.reporting import read_manifest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _failing_fit() -> RateFit:
@@ -135,6 +138,27 @@ class TestCliExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"parameter {key} must be a finite number" in err
+
+    @pytest.mark.parametrize("argv, key, accepted", [
+        (["bounds", "brownian-sup-tail", "--t", "100", "--x", "40",
+          "--dim", "7"], "--dim", "--t, --x, --d"),
+        (["certify", "nagaev", "--bogus", "3"], "--bogus", "--n, --x, --p"),
+        (["certify", "grid-increment", "--reps", "20000"], "--reps",
+         "--t-values, --x-values"),
+    ])
+    def test_unknown_parameter_is_exit_2(self, capsys, argv, key, accepted):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"does not take {key}; accepted: {accepted}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        shlex.split(line)[1:]
+        for doc in ("scripts/run_all.sh", "README.md")
+        for line in (ROOT / doc).read_text().splitlines()
+        if line.startswith("regenlab bounds ")], ids=" ".join)
+    def test_documented_bounds_lines_run(self, capsys, argv):
+        assert main(argv) == 0
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"

@@ -9,7 +9,8 @@ import pytest
 from regenlab.config import build_config
 from regenlab.coupling import build_bundle, sup_deviation
 from regenlab.harness import (TailEstimate, _replicate,
-                              _symmetric_binomial_sf, certify_bound,
+                              _symmetric_binomial_sf,
+                              _wiener_oscillation_tail, certify_bound,
                               fit_constant_a, maxima_scaling_experiment,
                               replication_stream, run_embedding_check,
                               run_phi_diagnostics, run_rate_experiment,
@@ -248,6 +249,48 @@ class TestCertification:
         for row in record.rows:
             again = dataclasses.replace(row)
             assert again == row
+
+
+class TestGridIncrementOracle:
+    """The exact law of sup_{s<=1} |W(s)| behind the grid-increment rows."""
+
+    def test_reflection_series_matches_the_theta_form(self):
+        for x in np.linspace(0.3, 4.0, 75):
+            theta = 1.0 - 4.0 / math.pi * math.fsum(
+                (-1) ** k / (2 * k + 1)
+                * math.exp(-(2 * k + 1) ** 2 * math.pi ** 2 / (8 * x * x))
+                for k in range(60))
+            assert abs(_wiener_oscillation_tail(float(x)) - theta) <= 1e-12, x
+
+    def test_grid_simulation_does_not_read_above_it(self):
+        # the max over a 1/1000 grid is pathwise <= the continuous sup
+        gen = np.random.default_rng(20_201)
+        steps, chunks, size = 1000, 8, 500
+        maxima = np.concatenate([
+            np.abs(gen.standard_normal((size, steps)).cumsum(axis=1))
+            .max(axis=1) / math.sqrt(steps) for _ in range(chunks)])
+        for x in (1.0, 1.5, 2.0):
+            q = _wiener_oscillation_tail(x)
+            se = math.sqrt(q * (1.0 - q) / maxima.size)
+            assert np.mean(maxima >= x) <= q + 4.0 * se, x
+
+    def test_rises_in_t_and_falls_in_x(self):
+        t_values = (1.0, 2.0, 2.5, 3.0, 5.0, 10.0)
+        x_values = (2.6, 2.9, 3.2, 3.6, 4.0)
+        record = certify_bound("grid-increment", {"t_values": t_values,
+                                                  "x_values": x_values})
+        lhs = np.array([row.lhs for row in record.rows]).reshape(
+            len(t_values), len(x_values))
+        # strict along t, so the partial unit puts t=2.5 between 2 and 3
+        assert np.all(np.diff(lhs, axis=0) > 0)
+        assert np.all(np.diff(lhs, axis=1) < 0)
+
+    def test_rows_are_exact_and_below_the_bound(self):
+        record = certify_bound("grid-increment")
+        assert record.passed and len(record.rows) == 25
+        for row in record.rows:
+            assert row.label.startswith("exact t=")
+            assert row.se == 0.0 and row.lhs <= row.bound
 
 
 class TestEmbeddingCheck:
