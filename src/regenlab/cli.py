@@ -437,11 +437,19 @@ def _cmd_bounds(args, extra: list[str]) -> int:
 # certify
 # ---------------------------------------------------------------------------
 
+# certifier parameters that take a comma-separated list of numbers
+_CERTIFY_LIST_KEYS = ("t_values", "x_values", "factors")
+
+
 def _cmd_certify(args, extra: list[str]) -> int:
     raw = _collect_params(args.param, extra)
     _check_request(CERTIFIERS, args.name, "certification", raw)
     params = {}
     for key, value in raw.items():
+        if key in _CERTIFY_LIST_KEYS:
+            params[key] = tuple(_finite(key, item)
+                                for item in value.split(","))
+            continue
         number = _finite(key, value)
         params[key] = int(number) if number == int(number) else number
     record = certify_bound(args.name, params=params or None,

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammainccinv, gammaincinv, ndtr
+from scipy.special import gammainccinv, gammaincinv, hyp2f1, ndtr
 
 from .greeks import DegenerateTauError, Greeks, matrix_sqrt_psd
 from .paths import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath
@@ -217,7 +216,9 @@ class IidSumModel(Model):
     def eta_moment(self, p: float) -> float | None:
         if self.dim != 1:
             return None
-        # eta = |xi| with xi ~ Normal(m, s^2); E|xi|^p by quadrature.
+        # eta = |xi| with xi ~ Normal(m, s^2); E|xi|^p by quadrature.  No CLI
+        # path reaches this, so scipy.integrate is imported here only.
+        from scipy.integrate import quad
         m = float(self.xi_mean[0])
         s = math.sqrt(float(self.xi_cov[0, 0]))
         if s == 0.0:
@@ -401,6 +402,9 @@ class ParetoCycleModel(Model):
         b = float(b)
         if b == 0.0:
             return 1.0
+        # No CLI --laplace descriptor names this family, so scipy.integrate
+        # is imported here only.
+        from scipy.integrate import quad
         th = self.tail_index
         val, _ = quad(lambda x: math.exp(-b * (1.0 + x)) * th * x ** (-th - 1.0),
                       1.0, np.inf)
@@ -409,10 +413,11 @@ class ParetoCycleModel(Model):
     def eta_moment(self, p: float) -> float | None:
         if p >= self.tail_index:
             return None
-        th = self.tail_index
-        val, _ = quad(lambda x: (1.0 + x) ** p * th * x ** (-th - 1.0),
-                      1.0, np.inf)
-        return float(val)
+        # E(1+X)^p with X ~ Pareto(th) on [1, inf): s = 1/x turns the
+        # integral into th * int_0^1 s^(th-p-1) (1+s)^p ds, Euler's integral
+        # of 2F1(-p, th-p; th-p+1; -1) / (th-p).
+        th = float(self.tail_index)
+        return th / (th - p) * float(hyp2f1(-p, th - p, th - p + 1.0, -1.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -132,12 +132,29 @@ class TestCliExitCodes:
           "--abs-moment", "1", "--variance", "1", "--x", "10"], "--n"),
         (["bounds", "brownian-sup-tail", "--t", "100", "--x", "40",
           "--d", "inf"], "--d"),
+        (["certify", "poisson-inverse", "--t-values", "64,inf"],
+         "--t-values"),
     ])
     def test_non_finite_parameter_is_exit_2(self, capsys, argv, key):
         # int(inf) would raise OverflowError, a crash that exits 1 (FAIL)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"parameter {key} must be a finite number" in err
+
+    @pytest.mark.parametrize("argv, rows", [
+        # one t value times the five default x values
+        (["certify", "grid-increment", "--t-values", "3"], 5),
+        (["certify", "grid-increment", "--t-values", "3,5"], 10),
+        (["certify", "poisson-inverse", "--t-values", "64"], 1),
+        # the five default t values, each with x = 2 t / log t > e
+        (["certify", "brownian-sup", "--factors", "2"], 5),
+    ])
+    def test_certify_list_parameters(self, capsys, argv, rows):
+        # a single number is a one-element list, not a crash (exit 1, FAIL)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"certify {argv[1]}: PASS"
+        assert len(lines) == rows + 1
 
     @pytest.mark.parametrize("argv, key, accepted", [
         (["bounds", "brownian-sup-tail", "--t", "100", "--x", "40",

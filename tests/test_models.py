@@ -1,6 +1,7 @@
 """Cycle distribution families: moments, quantile hooks, parameter guards."""
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +105,33 @@ class TestParetoCycle:
     def test_tail_index_guard(self):
         with pytest.raises(InvalidParameterError):
             ParetoCycleModel(tail_index=2.0)
+
+    @pytest.mark.parametrize("theta, p", [
+        (theta, p) for theta in (2.5, 3.5, 5.0, 10.0)
+        for p in (0.5, 2.05, 3.0, 3.4) if p < theta])
+    def test_eta_moment_matches_quadrature(self, theta, p):
+        from scipy.integrate import quad
+        # quad at its default tolerances is off by up to 1.8e-11 here, so
+        # the oracle runs at tighter ones.
+        oracle, _ = quad(lambda x: (1.0 + x) ** p * theta * x ** (-theta - 1),
+                         1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        ours = ParetoCycleModel(tail_index=theta).eta_moment(p)
+        assert ours == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [2.5, 3.5, 5.0, 10.0])
+    def test_eta_moment_integer_p_is_the_binomial_sum(self, theta):
+        # E(1+X)^p = theta sum_j C(p, j) / (theta - p + j), in exact rationals
+        th = Fraction(theta)
+        for p in range(0, math.ceil(theta)):
+            exact = th * sum(Fraction(math.comb(p, j)) / (th - p + j)
+                             for j in range(p + 1))
+            ours = ParetoCycleModel(tail_index=theta).eta_moment(p)
+            assert ours == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    def test_eta_moment_infinite_from_tail_index_on(self):
+        model = ParetoCycleModel(tail_index=3.5)
+        assert model.eta_moment(3.5) is None
+        assert model.eta_moment(4.0) is None
 
     def test_duration_quantile_matches_closed_form(self):
         model = ParetoCycleModel(tail_index=3.5)
