@@ -28,7 +28,7 @@ regenlab bounds brownian-sup-tail --t 100 --x 40 --d 1
 echo "== certifications (oracle vs bound) =="
 for name in poisson-inverse renewal-count block-maximal random-sum \
             grid-increment brownian-sup nagaev; do
-  regenlab certify "$name" --workers "$workers" --out "$runs/certify-$name"
+  regenlab certify "$name" --out "$runs/certify-$name"
 done
 
 echo "== experiments =="

@@ -4,9 +4,9 @@ Every calculator returns a :class:`BoundResult` whose ``value`` is the
 probability bound capped at 1, with the uncapped value and every constant
 that entered the formula recorded in ``constants_used``.  The calculators
 are exact transcriptions of the inequalities the analysis composes; the
-certification harness checks each one against an independent oracle (exact
-CDF, exhaustive enumeration, or Monte Carlo) — domination is *verified*,
-never assumed.
+certification harness checks each one against an independent exact oracle
+(a CDF or series, an exact count, or a deterministic quadrature) —
+domination is *verified*, never assumed.
 
 Two regimes partition the (t, x) plane for t >= e: the *pair* region
 ``x <= t / log t`` (moderate deviations, Gaussian-dominated) and the

@@ -9,8 +9,9 @@ Subcommands fall into three groups:
   eight error terms at the evaluation points, with left-limit rows at the
   jumps, and print its sup-deviation);
 * closed-form calculators -- ``bounds`` evaluates a single named tail bound
-  and prints one CSV row, ``certify`` runs the Monte-Carlo / exact cross-check
-  for a named bound and reports PASS or FAIL;
+  and prints one CSV row, ``certify`` checks a named bound against its exact
+  oracle and reports PASS or FAIL (no oracle draws a random number, so its
+  ``--seed`` and ``--workers`` are accepted and have no effect);
 * experiments -- ``rate``, ``tail``, ``phis``, ``maxima`` parse a config file
   (or use the kind's defaults), run the experiment, and persist results, a
   canonical config snapshot, a report, and a manifest line under ``--out``.
@@ -21,9 +22,9 @@ leaves no new file behind.
 
 Exit codes: 0 on success, 1 when a verdict-bearing subcommand (``certify``,
 ``maxima``, ``rate``) reports FAIL, 2 on usage, parse, or validation errors,
-3 on an internal fault (a violated telescoping identity, an exhausted
-sampling budget, or a path that falls short of its horizon:
-``HorizonExceededError``), so that a crash never reads as a FAIL verdict.
+3 on an internal fault (a violated telescoping identity, a ``RuntimeError``,
+or a path that falls short of its horizon: ``HorizonExceededError``), so
+that a crash never reads as a FAIL verdict.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ def _load_config(config_path: str | None, kind: str):
 
 
 def _write_run(out: str, subcommand: str, config_path: str | None, cfg,
-               root_seed: int, files: dict[str, str],
+               root_seed: int | None, files: dict[str, str],
                **manifest_extra) -> Path:
     """Write a run directory from its already-rendered ``{name: text}`` files.
 
@@ -452,8 +453,7 @@ def _cmd_certify(args, extra: list[str]) -> int:
             continue
         number = _finite(key, value)
         params[key] = int(number) if number == int(number) else number
-    record = certify_bound(args.name, params=params or None,
-                           root_seed=args.seed, workers=args.workers)
+    record = certify_bound(args.name, params=params or None)
     width = max((len(row.label) for row in record.rows), default=8)
     for row in record.rows:
         print(f"  {row.label:<{width}}  lhs={row.lhs:.6g}  se={row.se:.3g}  "
@@ -462,12 +462,12 @@ def _cmd_certify(args, extra: list[str]) -> int:
     if args.out:
         fields = ["label", "lhs", "se", "bound", "passed"]
         cells = [[getattr(row, name) for name in fields] for row in record.rows]
-        sections = {"run": {"name": record.name, "root_seed": args.seed,
-                            "passed": record.passed, "version": _version()},
+        sections = {"run": {"name": record.name, "passed": record.passed,
+                            "version": _version()},
                     "details": dict(record.details),
                     **{f"row_{k}": dict(zip(fields, row_cells))
                        for k, row_cells in enumerate(cells)}}
-        _write_run(args.out, "certify", None, None, args.seed,
+        _write_run(args.out, "certify", None, None, None,
                    {"results.csv": csv_text(fields, cells),
                     "report.txt": render_report(sections)},
                    name=record.name, passed=record.passed)
@@ -640,13 +640,15 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(handler=_cmd_bounds, takes_extra=True)
 
     crt = sub.add_parser("certify", allow_abbrev=False,
-                         help="cross-check one bound against Monte Carlo "
-                              "or exact probabilities")
+                         help="cross-check one bound against its exact "
+                              "oracle")
     crt.add_argument("name")
     crt.add_argument("--param", action="append", default=[],
                      metavar="KEY=VALUE")
-    crt.add_argument("--seed", type=int, default=0)
-    crt.add_argument("--workers", type=int, default=1)
+    crt.add_argument("--seed", type=int, default=0,
+                     help="accepted and ignored: no oracle draws")
+    crt.add_argument("--workers", type=int, default=1,
+                     help="accepted and ignored: no oracle opens a pool")
     crt.add_argument("--out", default=None)
     crt.set_defaults(handler=_cmd_certify, takes_extra=True)
 

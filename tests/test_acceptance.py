@@ -206,44 +206,48 @@ def test_criterion_06_poisson_inverse_certificate():
           + ", ".join(r.label for r in record.rows))
 
 
-def test_criterion_07_renewal_count_certificate(workers):
-    record = certify_bound("renewal-count", root_seed=SEED, workers=workers)
+def test_criterion_07_renewal_count_certificate():
+    record = certify_bound("renewal-count")
     assert record.passed
-    mc, exact = record.rows
-    assert mc.label == "mc-1000000-reps"
-    assert mc.lhs <= mc.bound + 3.0 * mc.se
-    assert exact.se == 0.0 and exact.lhs <= exact.bound
-    assert mc.bound == pytest.approx(4.4125517470983166e-4)
-    print(f"[criterion 7] PASS: MC frequency {mc.lhs:.3e} vs bound "
-          f"{mc.bound:.3e} (+3 SE {3 * mc.se:.1e})")
+    poisson, gamma = record.rows
+    assert poisson.label == "exact-poisson-tail"
+    assert gamma.label == "exact-gamma-cdf"
+    for row in record.rows:
+        assert row.se == 0.0 and row.lhs <= row.bound
+    assert poisson.lhs == pytest.approx(gamma.lhs, rel=1e-13)
+    assert poisson.bound == pytest.approx(4.4125517470983166e-4)
+    print(f"[criterion 7] PASS: exact Poisson tail {poisson.lhs:.6e} = "
+          f"Gamma CDF {gamma.lhs:.6e} vs bound {poisson.bound:.3e}")
 
 
 def test_criterion_08_block_maximal_certificate():
     record = certify_bound("block-maximal")
     assert record.passed
     row = record.rows[0]
-    assert row.label == "exhaustive-2^16" and row.se == 0.0
+    assert row.label == "runs n=16 x=4" and row.se == 0.0
     assert row.lhs <= row.bound
-    assert record.details["paths"] == 65536.0
-    print(f"[criterion 8] PASS: exhaustive frequency {row.lhs:.4f} <= "
+    assert row.lhs == 0.39501953125
+    print(f"[criterion 8] PASS: exact run probability {row.lhs:.4f} <= "
           f"bound {row.bound:.4f}")
 
 
-def test_criterion_09_random_sum_certificate(workers):
-    record = certify_bound("random-sum", root_seed=SEED, workers=workers)
+def test_criterion_09_random_sum_certificate():
+    record = certify_bound("random-sum")
     assert record.passed
-    mc, pivot = record.rows
-    assert mc.lhs <= mc.bound + 3.0 * mc.se
+    exact, pivot = record.rows
+    assert exact.label == "exact t=10 x=4.34294"
+    assert exact.se == 0.0 and exact.lhs <= exact.bound
     assert pivot.label == "pivot-M0" and pivot.lhs == 3.0
-    print(f"[criterion 9] PASS: MC frequency {mc.lhs:.4f} vs bound "
-          f"{mc.bound:.4f}; pivot M0 = 3")
+    print(f"[criterion 9] PASS: exact tail {exact.lhs:.6f} vs bound "
+          f"{exact.bound:.4f}; pivot M0 = 3")
 
 
-def test_criterion_10_wiener_oscillation_certificates(workers):
-    grid = certify_bound("grid-increment", root_seed=SEED, workers=workers)
+def test_criterion_10_wiener_oscillation_certificates():
+    grid = certify_bound("grid-increment")
     assert grid.passed and len(grid.rows) == 25
     envelope = certify_bound("brownian-sup")
     assert envelope.passed and len(envelope.rows) >= 20
+    assert all(r.label.startswith("exact t=") for r in envelope.rows)
     moments = certify_bound("nagaev")
     assert moments.passed
     for record in (grid, envelope, moments):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regenlab import cli
+from regenlab import cli, harness
 from regenlab.cli import main
 from regenlab.coupling import IdentityViolationError
 from regenlab.config import (ConfigParseError, ConfigValidationError,
@@ -156,12 +156,33 @@ class TestCliExitCodes:
         assert lines[-1] == f"certify {argv[1]}: PASS"
         assert len(lines) == rows + 1
 
+    @pytest.mark.parametrize("argv, message", [
+        # t / log t divides by zero at t = 1 (a crash that exits 1, FAIL)
+        (["certify", "poisson-inverse", "--t-values", "1"],
+         "parameter --t-values must exceed 1"),
+        (["certify", "brownian-sup", "--t-values", "64,1"],
+         "parameter --t-values must exceed 1"),
+        (["certify", "renewal-count", "--t", "1"],
+         "parameter --t must exceed 1"),
+        (["certify", "random-sum", "--t", "1"], "parameter --t must exceed 1"),
+        # the random-sum oracle's quadrature would outgrow 32 MB
+        (["certify", "random-sum", "--x", "300"],
+         "parameter --x must be at most 256"),
+    ])
+    def test_parameter_out_of_range_is_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, key, accepted", [
         (["bounds", "brownian-sup-tail", "--t", "100", "--x", "40",
           "--dim", "7"], "--dim", "--t, --x, --d"),
         (["certify", "nagaev", "--bogus", "3"], "--bogus", "--n, --x, --p"),
         (["certify", "grid-increment", "--reps", "20000"], "--reps",
          "--t-values, --x-values"),
+        (["certify", "renewal-count", "--reps", "2000"], "--reps", "--t"),
+        (["certify", "random-sum", "--reps", "2000"], "--reps", "--t, --x"),
     ])
     def test_unknown_parameter_is_exit_2(self, capsys, argv, key, accepted):
         assert main(argv) == 2
@@ -362,3 +383,28 @@ class TestConfigFromCli:
                      "--workers", "3"]) == 0
         assert ((out1 / "results.csv").read_bytes()
                 == (out2 / "results.csv").read_bytes())
+
+
+CERTIFIER_NAMES = ["poisson-inverse", "renewal-count", "block-maximal",
+                   "random-sum", "grid-increment", "brownian-sup", "nagaev"]
+
+
+class TestCertifyIsDeterministic:
+    @pytest.mark.parametrize("name", CERTIFIER_NAMES)
+    def test_seed_and_workers_change_no_byte(self, tmp_path, capsys, name):
+        assert main(["certify", name, "--seed", "0",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["certify", name, "--seed", "7", "--workers", "2",
+                     "--out", str(tmp_path / "b")]) == 0
+        for file in ("results.csv", "report.txt"):
+            assert ((tmp_path / "a" / file).read_bytes()
+                    == (tmp_path / "b" / file).read_bytes()), file
+        assert "root_seed" not in (tmp_path / "a" / "report.txt").read_text()
+
+    @pytest.mark.parametrize("name", CERTIFIER_NAMES)
+    def test_no_pool_is_opened(self, monkeypatch, capsys, name):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a certifier reached _map_chunks")
+
+        monkeypatch.setattr(harness, "_map_chunks", no_pool)
+        assert main(["certify", name, "--workers", "2"]) == 0

@@ -1,8 +1,9 @@
 """Golden byte-diff: the committed ``runs/`` fixtures regenerate exactly.
 
-Each pooled run goes through ``cli.main`` at ``--workers 2`` so the pooled
-path is the one compared; the determinism contract makes the bytes
-independent of the worker count.  ``couple`` builds one bundle in process.
+Each pooled experiment goes through ``cli.main`` at ``--workers 2`` so the
+pooled path is the one compared; the determinism contract makes the bytes
+independent of the worker count.  ``couple`` builds one bundle in process,
+and the certifiers open no pool.
 Every committed file but the wall-clock manifest is compared, and the
 regenerated directory must hold exactly the committed file set.
 """
@@ -27,7 +28,7 @@ EXPERIMENTS = [
 ]
 CERTIFIERS = ["poisson-inverse", "renewal-count", "block-maximal",
               "random-sum", "grid-increment", "brownian-sup", "nagaev"]
-RUNS = EXPERIMENTS + [(f"certify-{name}", ["certify", name, *POOL])
+RUNS = EXPERIMENTS + [(f"certify-{name}", ["certify", name])
                       for name in CERTIFIERS]
 
 

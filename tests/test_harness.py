@@ -8,8 +8,10 @@ import pytest
 
 from regenlab.config import build_config
 from regenlab.coupling import build_bundle, sup_deviation
-from regenlab.harness import (TailEstimate, _replicate,
-                              _symmetric_binomial_sf,
+from scipy.special import gammainc
+
+from regenlab.harness import (TailEstimate, _poisson_sf, _random_sum_tail,
+                              _replicate, _run_tail, _symmetric_binomial_sf,
                               _wiener_oscillation_tail, certify_bound,
                               fit_constant_a, maxima_scaling_experiment,
                               replication_stream, run_embedding_check,
@@ -291,6 +293,66 @@ class TestGridIncrementOracle:
         for row in record.rows:
             assert row.label.startswith("exact t=")
             assert row.se == 0.0 and row.lhs <= row.bound
+
+
+def _enumerated_run_tail(n: int, x: float) -> float:
+    """The block-maximal event by enumerating every +-1 path of n steps."""
+    codes = np.arange(2 ** n, dtype=np.uint32)
+    steps = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1) \
+        .astype(np.int8) * 2 - 1
+    q = np.zeros((codes.size, n + 1), dtype=np.int32)
+    np.cumsum(steps, axis=1, out=q[:, 1:])
+    exceeded = np.zeros(codes.size, dtype=bool)
+    for k in range(1, math.floor(x) + 1):
+        exceeded |= (q[:, k:] - q[:, :-k]).max(axis=1) >= x
+    return float(exceeded.mean())
+
+
+class TestExactOracles:
+    """The Poisson-tail, run-count and Nystrom oracles behind the
+    renewal-count, block-maximal and random-sum rows."""
+
+    @pytest.mark.parametrize("t", [2.5, 5.0, 20.0, 50.0, 200.0])
+    def test_renewal_routes_agree(self, t):
+        count = math.floor(2.0 * t) + 1
+        assert _poisson_sf(count, t) == pytest.approx(
+            float(gammainc(count, t)), rel=1e-13)
+
+    def test_run_recursion_equals_enumeration(self):
+        for n in range(1, 17):
+            for x in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 8.0, 16.0):
+                if math.floor(x) <= n:
+                    assert _run_tail(n, x) == _enumerated_run_tail(n, x), \
+                        (n, x)
+
+    def test_run_longer_than_the_walk_is_impossible(self):
+        assert _run_tail(16, 17.0) == 0.0
+        assert _run_tail(3, 8.0) == 0.0
+        assert _run_tail(40, 40.0) == 2.0 ** -40
+
+    @pytest.mark.parametrize("t, x", [(10.0, 4.343), (10.0, 8.0),
+                                      (50.0, 30.0)])
+    def test_nystrom_is_stable_under_doubling_the_nodes(self, monkeypatch,
+                                                        t, x):
+        once = _random_sum_tail(t, x)
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda m: leggauss(2 * m))
+        assert _random_sum_tail(t, x) == pytest.approx(once, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [10.0 / math.log(10.0), 8.0])
+    def test_nystrom_matches_simulation(self, x):
+        t, chunks, size = 10.0, 10, 20_000
+        gen = np.random.default_rng(90_210)
+        hits = 0
+        for _ in range(chunks):
+            steps = gen.poisson(t, size) + 1
+            walks = gen.standard_normal((size, steps.max())).cumsum(axis=1)
+            inside = np.arange(1, steps.max() + 1) <= steps[:, None]
+            hits += int(np.count_nonzero(
+                np.where(inside, np.abs(walks), 0.0).max(axis=1) > x))
+        p_hat, p = hits / (chunks * size), _random_sum_tail(t, x)
+        assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1 - p) / (chunks * size))
 
 
 class TestEmbeddingCheck:

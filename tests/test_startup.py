@@ -56,5 +56,6 @@ def test_run_path_loads_only_numpy_and_scipy_special(tmp_path):
         "from regenlab.cli import main\n"
         f"assert main(['phis', '--config', {str(cfg)!r}, "
         f"'--out', {str(tmp_path / 'phis')!r}]) == 0\n"
-        "assert main(['certify', 'renewal-count', '--reps', '2000']) == 0")
+        "assert main(['certify', 'renewal-count']) == 0\n"
+        "assert main(['certify', 'random-sum']) == 0")
     assert _loaded_heavy_modules(code) == []
