@@ -42,7 +42,7 @@ from .coupling import (IdentityViolationError, build_bundle,
                        phi_decomposition, sup_deviation)
 from .greeks import (DegenerateTauError, InsufficientDataError,
                      check_greek_identities, estimate_greeks)
-from .harness import (CERTIFIERS, certify_bound, fit_constant_a,
+from .harness import (CERTIFIERS, _whole, certify_bound, fit_constant_a,
                       maxima_scaling_experiment, replication_stream,
                       run_phi_diagnostics, run_rate_experiment,
                       run_tail_experiment)
@@ -101,7 +101,7 @@ def _write_run(out: str, subcommand: str, config_path: str | None, cfg,
 def _run_section(cfg) -> dict:
     return {"family": cfg.family,
             "kind": cfg.kind,
-            "mode": cfg.mode if cfg.mode is not None else "none",
+            "mode": cfg.mode,
             "p": cfg.p,
             "replications": cfg.replications,
             "root_seed": cfg.root_seed,
@@ -298,7 +298,7 @@ def _moments(params: dict, need_laplace: bool = False) -> bounds_mod.TailMoments
             "missing duration transform: give --laplace-at-1 VALUE or "
             "--laplace DESC")
     return bounds_mod.TailMoments(
-        n=int(_f(params, "n")), p=_f(params, "p"),
+        n=_whole("n", _f(params, "n")), p=_f(params, "p"),
         abs_moment=_f(params, "abs_moment"), variance=_f(params, "variance"),
         laplace_at_1=laplace_at_1)
 
@@ -345,7 +345,7 @@ def _bound_random_sum_nagaev(params):
 
 def _bound_brownian_sup(params):
     return bounds_mod.brownian_sup_tail(_f(params, "t"), _f(params, "x"),
-                                        int(_f(params, "d", 1.0)))
+                                        _whole("d", _f(params, "d", 1.0)))
 
 
 def _bound_exp_to_power(params):
@@ -450,9 +450,8 @@ def _cmd_certify(args, extra: list[str]) -> int:
         if key in _CERTIFY_LIST_KEYS:
             params[key] = tuple(_finite(key, item)
                                 for item in value.split(","))
-            continue
-        number = _finite(key, value)
-        params[key] = int(number) if number == int(number) else number
+        else:
+            params[key] = _finite(key, value)
     record = certify_bound(args.name, params=params or None)
     width = max((len(row.label) for row in record.rows), default=8)
     for row in record.rows:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .coupling import grid_points_per_unit
 from .models import (COUPLING_MODES, FAMILIES, INDEPENDENT,
-                     CompoundJumpModel, GammaGaussianModel, IidSumModel,
-                     InvalidParameterError, MM1BusyCycleModel, Model,
-                     ParetoCycleModel)
+                     SHARED_INNOVATIONS, CompoundJumpModel,
+                     GammaGaussianModel, IidSumModel, InvalidParameterError,
+                     MM1BusyCycleModel, Model, ParetoCycleModel)
 
 EXPERIMENT_KINDS = ("rate", "tail", "phis", "maxima")
 
@@ -209,6 +209,8 @@ def build_config(kind: str, family: str = "gamma-gaussian",
     defaults = _KIND_DEFAULTS[kind]
     if mode is None:
         mode = model.coupling_modes[0] if model.coupling_modes else INDEPENDENT
+    elif mode == "quantile-1d":  # the former name of the coupled mode
+        mode = SHARED_INNOVATIONS
     cfg = ExperimentConfig(
         kind=kind, family=family,
         model_params=_canonical_model_params(model), p=float(p), mode=mode,
@@ -263,15 +265,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.root_seed < 0:
         raise ConfigValidationError(
             f"root_seed must be nonnegative, got {cfg.root_seed}")
-    if cfg.kind in ("rate", "tail", "phis"):
-        if cfg.mode not in model.coupling_modes:
-            supported = (", ".join(model.coupling_modes)
-                         or "none - degenerate durations cannot be coupled")
-            raise ConfigValidationError(
-                f"coupling mode {cfg.mode!r} unsupported by {cfg.family} "
-                f"(supported: {supported})")
-        if cfg.mode not in COUPLING_MODES:
-            raise ConfigValidationError(f"unknown coupling mode {cfg.mode!r}")
+    if cfg.mode not in COUPLING_MODES:
+        raise ConfigValidationError(f"unknown coupling mode {cfg.mode!r}; "
+                                    f"choose from {COUPLING_MODES}")
+    if cfg.kind in ("rate", "tail", "phis") \
+            and cfg.mode not in model.coupling_modes:
+        supported = (", ".join(model.coupling_modes)
+                     or "none - degenerate durations cannot be coupled")
+        raise ConfigValidationError(
+            f"coupling mode {cfg.mode!r} unsupported by {cfg.family} "
+            f"(supported: {supported})")
     if cfg.kind == "tail":
         for t in cfg.t_grid:
             if t < math.e:
@@ -357,10 +360,6 @@ def parse_config_text(text: str, kind: str) -> ExperimentConfig:
         raise ConfigParseError(
             f"line {lineno}: unknown key {key!r}; sections are model.*, "
             "coupling.mode, experiment.*, rng.root_seed")
-    if "mode" in scalars and scalars["mode"] not in COUPLING_MODES:
-        raise ConfigValidationError(
-            f"unknown coupling mode {scalars['mode']!r}; "
-            f"choose from {COUPLING_MODES}")
     return build_config(kind=kind, family=family, model_params=kwargs,
                         **scalars)
 

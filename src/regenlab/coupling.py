@@ -2,8 +2,10 @@
 
 The pipeline builds, from one replication's randomness:
 
-* drivers ``B`` (d-dim) and ``B_tilde`` (scalar) — unit-grid Gaussian paths
-  coupled to the cycle increments and durations (per the chosen mode);
+* drivers ``B`` (d-dim) and ``B_tilde`` (scalar) — unit-grid Gaussian paths;
+  in ``shared-innovations`` mode the cycle durations are quantiles of
+  ``B_tilde``'s increments and the cycle increments are built from ``B``'s,
+  in ``independent`` mode the cycles are drawn apart from both;
 * an embedded Poisson counting process ``N`` derived measurably from
   ``B_tilde`` by per-unit-interval quantile mapping;
 * Wiener surrogates ``W_tilde`` (time-rescaled from ``B_tilde``) and
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .greeks import Greeks
-from .models import INDEPENDENT, QUANTILE_1D, Model, single_event_path
+from .models import INDEPENDENT, Model, single_event_path
 from .paths import (PIECEWISE_CONSTANT, CountingPath, HorizonExceededError,
                     RegenerativePath, invert_counting)
 from .rng import RngStream, bytes_generator
@@ -155,13 +157,13 @@ def drive_gaussians(model: Model, horizon_cycles: int, mode: str,
 
     Modes:
 
-    * ``shared-innovations`` — the model's own noise innovations become the
-      increments of ``B`` (zero per-cycle tracking error on the increment
-      side by construction) and the durations are generated from
-      ``B_tilde``'s increments through the duration inverse CDF.
-    * ``quantile-1d``       — d = 1 only; durations couple to ``B_tilde``
-      through inverse CDFs of a common uniform; the increment residual is
-      either Gaussian (then exact, as above) or degenerate.
+    * ``shared-innovations`` — the durations are the family's quantile of
+      ``B_tilde``'s increments, and the increments are
+      ``increments_from(tau, g)`` with ``g`` the increments of ``B``.  This
+      is exact when the residual is Gaussian (gamma-gaussian: ``g`` is the
+      model's own noise innovation, so the increment side has zero
+      per-cycle tracking error); ``g`` is unused when the residual is
+      degenerate (pareto-cycle, xi = tau).
     * ``independent``       — null baseline: drivers drawn independently of
       the cycles; no tracking guarantee.
 
@@ -176,9 +178,6 @@ def drive_gaussians(model: Model, horizon_cycles: int, mode: str,
     k = int(horizon_cycles)
     if k < 2:
         raise ValueError(f"need at least 2 cycles, got {k}")
-    if mode == QUANTILE_1D and model.d != 1:
-        raise ModeUnsupportedError(
-            f"quantile-1d requires d=1, model has d={model.d}")
     g = rng.child(1).generator().standard_normal((k, model.d))
     g_dur = rng.child(2).generator().standard_normal(k)
     if mode == INDEPENDENT:

@@ -391,6 +391,15 @@ def _above_one(key: str, t: float) -> float:
     return t
 
 
+def _whole(key: str, value) -> int:
+    """A count parameter; a fractional value is a usage error, never
+    truncated."""
+    if value != int(value):
+        raise ValueError(f"parameter --{key} must be a whole number, "
+                         f"got {value:g}")
+    return int(value)
+
+
 def _certify_poisson_inverse(params) -> CertificationRecord:
     """Exact Gamma-CDF oracle: P(unit-rate level-t passage time >= 2t)."""
     t_values = tuple(_above_one("t_values", float(t)) for t in params.get(
@@ -463,7 +472,7 @@ def _run_tail(n: int, x: float) -> float:
 def _certify_block_maximal(params) -> CertificationRecord:
     """Exact oracle: the +-1 walk's short-window maximum is a run of +1
     steps, counted by ``_run_tail``."""
-    n = int(params.get("n", 16))
+    n = _whole("n", params.get("n", 16))
     x = float(params.get("x", 4.0))
     p = float(params.get("p", 3.0))
     moments = TailMoments(n=n, p=p, abs_moment=1.0, variance=1.0)
@@ -608,7 +617,7 @@ def _symmetric_binomial_sf(k: int, n: int) -> float:
 
 def _certify_nagaev(params) -> CertificationRecord:
     """Exact oracles: symmetric binomial tail and a single normal term."""
-    n = int(params.get("n", 100))
+    n = _whole("n", params.get("n", 100))
     x = float(params.get("x", 50.0))
     p = float(params.get("p", 3.0))
     lhs_binom = 2.0 * _symmetric_binomial_sf(math.ceil((n + x) / 2.0) - 1, n)

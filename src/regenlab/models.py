@@ -40,9 +40,8 @@ from .paths import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath
 from .rng import RngStream
 
 SHARED_INNOVATIONS = "shared-innovations"
-QUANTILE_1D = "quantile-1d"
 INDEPENDENT = "independent"
-COUPLING_MODES = (SHARED_INNOVATIONS, QUANTILE_1D, INDEPENDENT)
+COUPLING_MODES = (SHARED_INNOVATIONS, INDEPENDENT)
 
 FAMILIES = ("iid-sums", "gamma-gaussian", "pareto-cycle", "mm1-busy-cycle",
             "compound-jump")
@@ -139,7 +138,7 @@ class Model:
     def tau_from_gaussian(self, g: np.ndarray) -> np.ndarray:
         """Duration from a standard normal variate via the inverse CDF.
 
-        Only the families supporting a quantile coupling mode implement it.
+        Only the families supporting ``shared-innovations`` implement it.
         """
         raise ModeUnsupportedHookError(
             f"{self.family} has no duration quantile coupling")
@@ -147,7 +146,7 @@ class Model:
     def increments_from(self, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Cycle increments given durations and standard normal innovations.
 
-        Only the families supporting a quantile coupling mode implement it.
+        Only the families supporting ``shared-innovations`` implement it.
         """
         raise ModeUnsupportedHookError(
             f"{self.family} has no increment coupling hook")
@@ -213,26 +212,6 @@ class IidSumModel(Model):
     def laplace_tau(self, b: float) -> float:
         return math.exp(-b * self.tau_const)
 
-    def eta_moment(self, p: float) -> float | None:
-        if self.dim != 1:
-            return None
-        # eta = |xi| with xi ~ Normal(m, s^2); E|xi|^p by quadrature.  No CLI
-        # path reaches this, so scipy.integrate is imported here only.
-        from scipy.integrate import quad
-        m = float(self.xi_mean[0])
-        s = math.sqrt(float(self.xi_cov[0, 0]))
-        if s == 0.0:
-            return abs(m) ** p
-
-        def integrand(z: float) -> float:
-            return abs(m + s * z) ** p \
-                * math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
-
-        kink = -m / s
-        left, _ = quad(integrand, -np.inf, kink)
-        right, _ = quad(integrand, kink, np.inf)
-        return float(left + right)
-
 
 @dataclass(frozen=True, eq=False)
 class GammaGaussianModel(Model):
@@ -252,6 +231,7 @@ class GammaGaussianModel(Model):
 
     family: ClassVar[str] = "gamma-gaussian"
     interpolation: ClassVar[str] = PIECEWISE_LINEAR
+    coupling_modes: ClassVar[tuple[str, ...]] = COUPLING_MODES
 
     tau_shape: float = 2.0
     tau_scale: float = 1.0
@@ -280,12 +260,6 @@ class GammaGaussianModel(Model):
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "noise_cov", cov)
         object.__setattr__(self, "_noise_root", matrix_sqrt_psd(cov))
-
-    @property
-    def coupling_modes(self) -> tuple[str, ...]:
-        if self.dim == 1:
-            return (SHARED_INNOVATIONS, QUANTILE_1D, INDEPENDENT)
-        return (SHARED_INNOVATIONS, INDEPENDENT)
 
     @property
     def d(self) -> int:
@@ -355,7 +329,7 @@ class ParetoCycleModel(Model):
 
     family: ClassVar[str] = "pareto-cycle"
     interpolation: ClassVar[str] = PIECEWISE_CONSTANT
-    coupling_modes: ClassVar[tuple[str, ...]] = (QUANTILE_1D, INDEPENDENT)
+    coupling_modes: ClassVar[tuple[str, ...]] = COUPLING_MODES
 
     tail_index: float = 3.5
 
@@ -397,18 +371,6 @@ class ParetoCycleModel(Model):
         return Greeks.from_moments(mu=1.0 + mean_x, mean_xi=1.0 + mean_x,
                                    var_tau=var_tau, var_xi=var,
                                    cov_xi_tau=np.array([var_tau]), p=p)
-
-    def laplace_tau(self, b: float) -> float:
-        b = float(b)
-        if b == 0.0:
-            return 1.0
-        # No CLI --laplace descriptor names this family, so scipy.integrate
-        # is imported here only.
-        from scipy.integrate import quad
-        th = self.tail_index
-        val, _ = quad(lambda x: math.exp(-b * (1.0 + x)) * th * x ** (-th - 1.0),
-                      1.0, np.inf)
-        return float(val)
 
     def eta_moment(self, p: float) -> float | None:
         if p >= self.tail_index:

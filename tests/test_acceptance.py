@@ -30,11 +30,10 @@ GG2 = {"tau_shape": 2.0, "tau_scale": 1.0, "beta": "0.3,-0.2",
 
 DECOMPOSITION_MATRIX = [
     ("gamma-gaussian", {}, "shared-innovations"),
-    ("gamma-gaussian", {}, "quantile-1d"),
     ("gamma-gaussian", {}, "independent"),
     ("gamma-gaussian", GG2, "shared-innovations"),
     ("gamma-gaussian", GG2, "independent"),
-    ("pareto-cycle", {"tail_index": 3.5}, "quantile-1d"),
+    ("pareto-cycle", {"tail_index": 3.5}, "shared-innovations"),
     ("pareto-cycle", {"tail_index": 3.5}, "independent"),
     ("mm1-busy-cycle", {}, "independent"),
     ("compound-jump", {}, "independent"),

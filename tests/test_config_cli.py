@@ -79,6 +79,14 @@ class TestConfigErrors:
         with pytest.raises(ConfigValidationError, match="degenerate"):
             parse_config_text(text, "rate")
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_unknown_mode_is_named_first(self, kind):
+        # before the family's supported modes, and for maxima too, which
+        # drives no Gaussians
+        with pytest.raises(ConfigValidationError,
+                           match="unknown coupling mode 'bogus'"):
+            build_config(kind, family="iid-sums", mode="bogus")
+
     def test_too_few_replications(self):
         with pytest.raises(ConfigValidationError, match="confidence"):
             build_config("rate", replications=10)
@@ -168,6 +176,16 @@ class TestCliExitCodes:
         # the random-sum oracle's quadrature would outgrow 32 MB
         (["certify", "random-sum", "--x", "300"],
          "parameter --x must be at most 256"),
+        # a fractional count was truncated: n = 16.9 certified n = 16
+        (["certify", "block-maximal", "--n", "16.9"],
+         "parameter --n must be a whole number"),
+        (["certify", "nagaev", "--n", "100.7"],
+         "parameter --n must be a whole number"),
+        (["bounds", "nagaev-tail", "--n", "16.9", "--p", "3",
+          "--abs-moment", "1", "--variance", "1", "--x", "10"],
+         "parameter --n must be a whole number"),
+        (["bounds", "brownian-sup-tail", "--t", "100", "--x", "40",
+          "--d", "1.7"], "parameter --d must be a whole number"),
     ])
     def test_parameter_out_of_range_is_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -212,7 +230,7 @@ class TestCliExitCodes:
 
     def test_config_validation_error_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("model.family = pareto-cycle\n"
+        bad.write_text("model.family = mm1-busy-cycle\n"
                        "coupling.mode = shared-innovations\n")
         assert main(["tail", "--config", str(bad),
                      "--out", str(tmp_path / "out")]) == 2
@@ -383,6 +401,29 @@ class TestConfigFromCli:
                      "--workers", "3"]) == 0
         assert ((out1 / "results.csv").read_bytes()
                 == (out2 / "results.csv").read_bytes())
+
+    def test_quantile_1d_is_an_alias_of_shared_innovations(self, tmp_path,
+                                                            capsys):
+        # the former name parses to the canonical one, so every output
+        # file of a phis run names and holds the same construction
+        base = ("model.family = pareto-cycle\n"
+                "experiment.t_grid = 64.0\n"
+                "experiment.replications = 50\n"
+                "rng.root_seed = 5\n")
+        cfgs, outs = [], []
+        for mode in ("quantile-1d", "shared-innovations"):
+            text = base + f"coupling.mode = {mode}\n"
+            cfgs.append(parse_config_text(text, "phis"))
+            path = tmp_path / f"{mode}.cfg"
+            path.write_text(text)
+            outs.append(tmp_path / mode)
+            assert main(["phis", "--config", str(path),
+                         "--out", str(outs[-1])]) == 0
+        assert cfgs[0] == cfgs[1]
+        assert cfgs[0].mode == "shared-innovations"
+        for file in ("results.csv", "report.txt", "config.snapshot"):
+            assert ((outs[0] / file).read_bytes()
+                    == (outs[1] / file).read_bytes())
 
 
 CERTIFIER_NAMES = ["poisson-inverse", "renewal-count", "block-maximal",

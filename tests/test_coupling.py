@@ -162,27 +162,18 @@ class TestAssembledW:
 
     def test_starts_at_zero(self, gg1_model):
         g = reference_greeks(gg1_model, 3.0)
-        _, bundle = build_bundle(gg1_model, g, 16.0, "quantile-1d", _stream(7))
+        _, bundle = build_bundle(gg1_model, g, 16.0, "shared-innovations",
+                                 _stream(7))
         np.testing.assert_allclose(bundle.w.at(np.array([0.0])),
                                    np.zeros((1, 1)), atol=1e-14)
 
 
 class TestModes:
-    def test_shared_and_quantile_agree_in_1d(self, gg1_model):
-        g = reference_greeks(gg1_model, 3.0)
-        path_a, bundle_a = build_bundle(gg1_model, g, 32.0,
-                                        "shared-innovations", _stream(8))
-        path_b, bundle_b = build_bundle(gg1_model, g, 32.0, "quantile-1d",
-                                        _stream(8))
-        np.testing.assert_array_equal(path_a.tau, path_b.tau)
-        np.testing.assert_array_equal(path_a.xi, path_b.xi)
-        np.testing.assert_array_equal(bundle_a.b.values, bundle_b.b.values)
-
     def test_unsupported_mode_raises(self):
-        pareto = ParetoCycleModel(tail_index=3.5)
-        g = reference_greeks(pareto, 3.0)
+        mm1 = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0)
+        g = reference_greeks(mm1, 3.0)
         with pytest.raises(ModeUnsupportedError):
-            build_bundle(pareto, g, 16.0, "shared-innovations", _stream(9))
+            build_bundle(mm1, g, 16.0, "shared-innovations", _stream(9))
 
     def test_unknown_mode_raises(self, gg1_model):
         g = reference_greeks(gg1_model, 3.0)
@@ -259,10 +250,8 @@ class TestPhiDecomposition:
             (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=0.3,
                                 kappa=0.1, dim=1), "shared-innovations"),
             (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=0.3,
-                                kappa=0.1, dim=1), "quantile-1d"),
-            (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=0.3,
                                 kappa=0.1, dim=1), "independent"),
-            (ParetoCycleModel(tail_index=3.5), "quantile-1d"),
+            (ParetoCycleModel(tail_index=3.5), "shared-innovations"),
             (MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0),
              "independent"),
             (CompoundJumpModel(dim=1), "independent"),
@@ -280,7 +269,7 @@ class TestPhiDecomposition:
         # increment == duration: the passage-time residual, drift-correction,
         # embedding and time-change terms must vanish identically
         dec, _ = self._decompose(ParetoCycleModel(tail_index=3.5),
-                                 "quantile-1d", index=60)
+                                 "shared-innovations", index=60)
         sups = dec.sup_per_term()
         for q in (3, 5, 6, 7):
             assert sups[q - 1] <= 1e-10, f"term {q} should vanish"
@@ -332,7 +321,7 @@ EXACT_CASES = [
     (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=np.array([0.4]),
                         kappa=np.array([0.25]), noise_cov=np.array([[0.9]]),
                         dim=1), "shared-innovations"),
-    (ParetoCycleModel(tail_index=3.5), "quantile-1d"),
+    (ParetoCycleModel(tail_index=3.5), "shared-innovations"),
     (CompoundJumpModel(dim=2), "independent"),
     (MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0), "independent"),
 ]
@@ -459,7 +448,7 @@ class TestExactSup:
         model = ParetoCycleModel(tail_index=3.5)
         g = reference_greeks(model, 3.0)
         t = 256.0
-        path, bundle = build_bundle(model, g, t, "quantile-1d", _stream(90))
+        path, bundle = build_bundle(model, g, t, "shared-innovations", _stream(90))
         grid = evaluation_grid(path, t, 0.25, lattices=(g.mu,))
         grid_sup = _gap(path, bundle.w, g, grid, path.evaluate(grid)).max()
         keep = path.event_times <= t
