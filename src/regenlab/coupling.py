@@ -21,6 +21,15 @@ whose existence classical strong-approximation theory guarantees without an
 algorithm.  Their error rates are measured by the experiment harness, never
 assumed.
 
+Two builders run the same stages in the same order: the stream draws for
+all K cycles, the cycles, the three horizon checks, the surrogates and W.
+:func:`build_bundle` keeps every array at its K-cycle length and places the
+Poisson jumps; the eight-term decomposition (``phis``) and ``couple`` read
+them.  :func:`sup_inputs` builds only what the sup over [0, t] reads: the
+cycles up to the first renewal past t, and the jump count without the jump
+times.  The ``rate`` and ``tail`` replications and the embedding check use
+it, and their sups keep every bit.
+
 Time axes: cycle index (``B``, ``B_tilde``, ``N`` and its first-passage
 inverse live here) versus physical time (the path ``S``, ``W_tilde``,
 ``W_circ`` and the assembled ``W``).  ``W_star`` is indexed by counting level.
@@ -28,6 +37,7 @@ inverse live here) versus physical time (the path ``S``, ``W_tilde``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -171,6 +181,13 @@ def drive_gaussians(model: Model, horizon_cycles: int, mode: str,
     increment-side driver, child(2) the duration-side driver.  Callers
     reserve child(3) for the independent Wiener path of the assembled W.
     """
+    driver = _draw_drivers(model, horizon_cycles, mode, rng)
+    return _cycle_path(model, driver, rng), driver
+
+
+def _draw_drivers(model: Model, horizon_cycles: int, mode: str,
+                  rng: RngStream) -> GaussianDriver:
+    """The K-cycle Gaussian drivers from child(1) and child(2)."""
     if mode not in model.coupling_modes:
         raise ModeUnsupportedError(
             f"model {model.family} supports modes {model.coupling_modes}, "
@@ -180,16 +197,72 @@ def drive_gaussians(model: Model, horizon_cycles: int, mode: str,
         raise ValueError(f"need at least 2 cycles, got {k}")
     g = rng.child(1).generator().standard_normal((k, model.d))
     g_dur = rng.child(2).generator().standard_normal(k)
-    if mode == INDEPENDENT:
-        path = model.sample_path(k, rng.child(0))
-    else:
-        tau = model.tau_from_gaussian(g_dur)
-        path = single_event_path(tau, model.increments_from(tau, g),
-                                 model.interpolation)
-    return path, GaussianDriver(g, g_dur, mode)
+    return GaussianDriver(g, g_dur, mode)
+
+
+def _cycle_path(model: Model, driver: GaussianDriver, rng: RngStream,
+                tau: np.ndarray | None = None) -> RegenerativePath:
+    """The replication's cycles.
+
+    In ``independent`` mode child(0) samples all K cycles natively: its draw
+    order is the stream contract.  Otherwise the durations are ``tau``, by
+    default the quantiles of all K duration-driver increments, and the
+    increments come from the matching leading rows of the increment driver.
+    """
+    k = driver.unit_increments_btilde.size
+    if driver.mode == INDEPENDENT:
+        return model.sample_path(k, rng.child(0))
+    if tau is None:
+        tau = model.tau_from_gaussian(driver.unit_increments_btilde)
+    xi = model.increments_from(tau, driver.unit_increments_b[:tau.size])
+    return single_event_path(tau, xi, model.interpolation)
+
+
+def _cycles_to_cover(span: float, greeks: Greeks) -> int:
+    """Cycles whose renewal time likely passes ``span``: the mean renewal
+    count plus three of its standard deviations, sqrt(span*gamma)/mu."""
+    return int(math.ceil(span / greeks.mu
+                         + 3.0 * math.sqrt(span * greeks.gamma) / greeks.mu
+                         + 1.0))
+
+
+def _durations_past(model: Model, g_dur: np.ndarray, greeks: Greeks,
+                    t: float) -> np.ndarray:
+    """The quantile durations of the leading cycles, up to the first whose
+    renewal time reaches t, or of all K when none does.
+
+    The quantile is elementwise, so each duration has the bits it has in
+    the full K-cycle array.  A first block sized from mu and gamma usually
+    suffices; otherwise the block grows from the same ``g_dur`` until the
+    renewal time reaches t.  The running renewal time continues
+    ``np.cumsum`` from its last value, so it equals, bit for bit, the last
+    renewal time of the path these durations build.
+    """
+    k = g_dur.size
+    blocks, n, reach = [], 0, 0.0
+    while reach < t and n < k:
+        stop = min(k, n + _cycles_to_cover(t - reach, greeks))
+        blocks.append(model.tau_from_gaussian(g_dur[n:stop]))
+        reach = float(np.cumsum(np.concatenate(([reach], blocks[-1])))[-1])
+        n = stop
+    return np.concatenate(blocks)
 
 
 # -- Poisson embedding ------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _poisson_cdf(rate: float) -> np.ndarray:
+    """Read-only CDF table of Poisson(rate), built once per rate."""
+    terms = [math.exp(-rate)]
+    k, cdf = 0, terms[0]
+    while cdf < 1.0 - 1e-16 and k < 40 + int(10 * rate):
+        k += 1
+        terms.append(terms[-1] * rate / k)
+        cdf += terms[-1]
+    table = np.cumsum(terms)
+    table.flags.writeable = False
+    return table
 
 
 class PoissonQuantile:
@@ -201,13 +274,7 @@ class PoissonQuantile:
             raise ValueError(
                 f"rate must lie in (0, {_MAX_TABLE_RATE:g}], got {rate}")
         self.rate = rate
-        terms = [math.exp(-rate)]
-        k, cdf = 0, terms[0]
-        while cdf < 1.0 - 1e-16 and k < 40 + int(10 * rate):
-            k += 1
-            terms.append(terms[-1] * rate / k)
-            cdf += terms[-1]
-        self._cdf = np.cumsum(terms)
+        self._cdf = _poisson_cdf(rate)
 
     def ppf(self, u) -> np.ndarray:
         """Smallest k with P(X <= k) >= u, vectorized."""
@@ -215,6 +282,14 @@ class PoissonQuantile:
         if np.any((u < 0) | (u > 1)):
             raise ValueError("quantile argument must lie in [0, 1]")
         return np.searchsorted(self._cdf, u, side="left")
+
+
+def _unit_jump_counts(btilde: UnitGridPath, rate: float,
+                      n_units: int) -> tuple[np.ndarray, np.ndarray]:
+    """The driver increments over the first ``n_units`` unit intervals and
+    their Poisson(rate) quantile jump counts."""
+    increments = np.diff(btilde.values[:n_units + 1])
+    return increments, PoissonQuantile(rate).ppf(ndtr(increments))
 
 
 def build_poisson_from_brownian(btilde: UnitGridPath, greeks: Greeks,
@@ -234,8 +309,7 @@ def build_poisson_from_brownian(btilde: UnitGridPath, greeks: Greeks,
     if n_units > btilde.horizon:
         raise GridMismatchError(
             f"driver covers {btilde.horizon} units, horizon asks {n_units}")
-    increments = np.diff(btilde.values[:n_units + 1])
-    counts = PoissonQuantile(greeks.lam).ppf(ndtr(increments))
+    increments, counts = _unit_jump_counts(btilde, greeks.lam, n_units)
     total = int(counts.sum())
     gen = bytes_generator(increments.tobytes())
     offsets = gen.random(total)
@@ -368,21 +442,57 @@ def build_bundle(model: Model, greeks: Greeks, t: float, mode: str,
     Wiener surrogates and the assembled W, and verifies that every component
     actually covers the requested horizon (raising HorizonExceededError with
     a diagnostic when the generous default margin is ever insufficient).
+
+    Every array has its full K-cycle length, K = ``horizon_cycles_for``:
+    the eight-term decomposition (``phis``) and ``couple`` read the jump
+    times and the cycles past t.  The sup-only runs (``rate``, ``tail`` and
+    the embedding check) call :func:`sup_inputs` instead.
     """
+    return _build(model, greeks, t, mode, rng, full=True)
+
+
+def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
+               rng: RngStream) -> tuple[RegenerativePath, AssembledW]:
+    """The path and the assembled W of :func:`build_bundle`, built only as
+    far as :func:`sup_deviation` reads them on [0, t].
+
+    The same stream draws, the same three horizon checks and the same W.
+    In ``shared-innovations`` mode the path stops at the first cycle whose
+    renewal time reaches t, and no Poisson jump is placed: the jump-count
+    check needs only the per-unit counts.  Every value on [0, t] keeps its
+    bits, so ``sup_deviation`` returns what it returns on the full bundle,
+    and a replication fails here exactly when it fails there.
+    """
+    return _build(model, greeks, t, mode, rng, full=False)
+
+
+def _build(model: Model, greeks: Greeks, t: float, mode: str,
+           rng: RngStream, full: bool):
+    """The stages both builders share, in their fixed order: drivers and
+    cycles, the path's reach, the jump count and level checks, the Wiener
+    surrogates and W."""
     if t <= 0:
         raise ValueError(f"horizon must be positive, got {t}")
     k = horizon_cycles_for(t, greeks.mu)
-    path, driver = drive_gaussians(model, k, mode, rng)
+    driver = _draw_drivers(model, k, mode, rng)
+    tau = None
+    if not full and mode != INDEPENDENT:
+        tau = _durations_past(model, driver.unit_increments_btilde, greeks, t)
+    path = _cycle_path(model, driver, rng, tau)
     if path.horizon < t:
         raise HorizonExceededError(
             f"{k} cycles reach only {path.horizon:g} < t={t:g}")
     b = driver.b_path()
     btilde = driver.btilde_path()
-    n_path = build_poisson_from_brownian(btilde, greeks, horizon=k)
+    if full:
+        n_path = build_poisson_from_brownian(btilde, greeks, horizon=k)
+        n_jumps = n_path.n_jumps
+    else:
+        n_jumps = int(_unit_jump_counts(btilde, greeks.lam, k)[1].sum())
     needed_jumps = int(math.floor(t / greeks.gamma)) + 1
-    if n_path.n_jumps < needed_jumps:
+    if n_jumps < needed_jumps:
         raise HorizonExceededError(
-            f"counting process has {n_path.n_jumps} jumps, "
+            f"counting process has {n_jumps} jumps, "
             f"needs {needed_jumps} to cover t={t:g}")
     if needed_jumps / greeks.lam > k:
         raise HorizonExceededError(
@@ -394,6 +504,8 @@ def build_bundle(model: Model, greeks: Greeks, t: float, mode: str,
     wcirc = ScaledPath(base=UnitGridPath.from_increments(circ_incs),
                        value_scale=1.0, time_scale=1.0)
     w = assemble_W(wstar, wtilde, wcirc, greeks)
+    if not full:
+        return path, w
     bundle = CouplingBundle(driver=driver, b=b, btilde=btilde, n_path=n_path,
                             wtilde=wtilde, wstar=wstar, wcirc=wcirc, w=w,
                             greeks=greeks, horizon_cycles=k)

@@ -37,7 +37,7 @@ from .bounds import (TailMoments, block_maximal_tail,
                      validity_region)
 from .config import ExperimentConfig
 from .coupling import (PoissonQuantile, build_bundle, phi_decomposition,
-                       sup_deviation)
+                       sup_deviation, sup_inputs)
 from .greeks import Greeks
 from .models import eta_moment, reference_greeks
 from .rng import RngStream
@@ -121,8 +121,8 @@ def _replicate(rep_fn: Callable, cfg: ExperimentConfig, greeks: Greeks | None,
 
 
 def _deviation(model, greeks, cfg, t, rng) -> float:
-    path, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
-    return sup_deviation(path, bundle.w, greeks, t, cfg.grid_step)
+    path, w = sup_inputs(model, greeks, t, cfg.mode, rng)
+    return sup_deviation(path, w, greeks, t, cfg.grid_step)
 
 
 # -- rate experiment --------------------------------------------------------
@@ -662,7 +662,7 @@ def certify_bound(name: str, params: dict | None = None) -> CertificationRecord:
 
 
 def _w_at_horizon(model, greeks, cfg, t, rng) -> np.ndarray:
-    return build_bundle(model, greeks, t, cfg.mode, rng)[1].w.at(t)
+    return sup_inputs(model, greeks, t, cfg.mode, rng)[1].at(t)
 
 
 def run_embedding_check(root_seed: int = 0, n_units: int = 100_000,

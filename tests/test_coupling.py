@@ -7,6 +7,8 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
+from regenlab import coupling
+from regenlab.cli import main
 from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
                                IdentityViolationError, ModeUnsupportedError,
                                PoissonQuantile, ScaledPath, UnitGridPath,
@@ -16,7 +18,7 @@ from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
                                build_timechange_wiener,
                                drive_gaussians, evaluation_grid,
                                horizon_cycles_for, phi_decomposition,
-                               sup_deviation)
+                               sup_deviation, sup_inputs)
 from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
                              IidSumModel, MM1BusyCycleModel, ParetoCycleModel,
                              reference_greeks)
@@ -494,3 +496,120 @@ class TestDriveGaussians:
                                        _stream(91))
         expected = gg1_model.tau_from_gaussian(driver.unit_increments_btilde)
         np.testing.assert_array_equal(path.tau, expected)
+
+
+def _gamma_gaussian(d):
+    """A d-dimensional gamma-gaussian model with correlated noise."""
+    cov = np.eye(d) + 0.3 * (np.ones((d, d)) - np.eye(d))
+    return GammaGaussianModel(tau_shape=2.0, tau_scale=1.0,
+                              beta=np.linspace(0.3, -0.2, d),
+                              kappa=np.linspace(0.1, 0.2, d),
+                              noise_cov=cov, dim=d)
+
+
+SUP_CASES = [
+    *[(_gamma_gaussian(d), mode) for d in (1, 2, 3)
+      for mode in ("shared-innovations", "independent")],
+    (ParetoCycleModel(tail_index=3.5), "shared-innovations"),
+    (MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0), "independent"),
+    (CompoundJumpModel(dim=2), "independent"),
+]
+
+
+def _sups(model, mode, t, index):
+    """The sup of one replication through build_bundle and sup_inputs, and
+    the path sup_inputs built."""
+    g = reference_greeks(model, 3.0)
+    path, bundle = build_bundle(model, g, t, mode, _stream(index))
+    full = sup_deviation(path, bundle.w, g, t)
+    short_path, w = sup_inputs(model, g, t, mode, _stream(index))
+    return full, sup_deviation(short_path, w, g, t), short_path
+
+
+class TestSupInputs:
+    """sup_inputs builds only what the sup reads, bit for bit."""
+
+    @pytest.mark.parametrize("t", [37.5, 1024.0, 8192.0])
+    @pytest.mark.parametrize("case", range(len(SUP_CASES)),
+                             ids=[f"{m.family}-d{m.d}-{mode}"
+                                  for m, mode in SUP_CASES])
+    def test_sup_equals_the_full_bundle_sup(self, case, t):
+        model, mode = SUP_CASES[case]
+        for rep in range(3):
+            full, short, path = _sups(model, mode, t, 200 + rep)
+            assert short == full
+            k = horizon_cycles_for(t, reference_greeks(model, 3.0).mu)
+            if mode == "independent":
+                assert path.n_cycles == k
+            elif t > 100:
+                assert path.n_cycles < k
+
+    @pytest.mark.parametrize("t", [37.5, 1024.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_cycle_blocks(self, monkeypatch, d, t):
+        # blocks of one cycle: the extension loop runs once per cycle
+        calls = []
+
+        def one_cycle(span, greeks):
+            calls.append(span)
+            return 1
+
+        monkeypatch.setattr(coupling, "_cycles_to_cover", one_cycle)
+        for rep in range(3):
+            full, short, path = _sups(_gamma_gaussian(d),
+                                      "shared-innovations", t, 210 + rep)
+            assert short == full
+            # the path ends with the first cycle whose renewal reaches t
+            assert path.renewal_times[-2] < t <= path.horizon
+        assert len(calls) > t / 4
+
+
+class TestSupInputsFailures:
+    """sup_inputs fails exactly when build_bundle fails, with its message."""
+
+    @staticmethod
+    def _same_failure(model, mode, t=64.0):
+        g = reference_greeks(model, 3.0)
+        with pytest.raises(HorizonExceededError) as full:
+            build_bundle(model, g, t, mode, _stream(220))
+        with pytest.raises(HorizonExceededError) as short:
+            sup_inputs(model, g, t, mode, _stream(220))
+        assert str(short.value) == str(full.value)
+        return str(full.value)
+
+    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
+    def test_too_few_cycles(self, monkeypatch, mode):
+        monkeypatch.setattr(coupling, "horizon_cycles_for",
+                            lambda t, mu: 10)
+        message = self._same_failure(_gamma_gaussian(2), mode)
+        assert message.startswith("10 cycles reach only ")
+
+    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
+    def test_too_few_jumps(self, monkeypatch, mode):
+        # shifted driver increments: a tenth of the jumps the units need
+        monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
+        message = self._same_failure(_gamma_gaussian(2), mode)
+        assert message.startswith("counting process has ")
+        assert "needs 65 to cover t=64" in message
+
+    @pytest.mark.parametrize("patch", ["cycles", "jumps"])
+    def test_tail_run_exits_3_at_its_stream_address(self, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    patch):
+        if patch == "cycles":
+            monkeypatch.setattr(coupling, "horizon_cycles_for",
+                                lambda t, mu: 10)
+        else:
+            monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text("experiment.t_grid = 64.0\n"
+                       "experiment.replications = 50\n"
+                       "coupling.mode = shared-innovations\n"
+                       "rng.root_seed = 5\n")
+        out = tmp_path / "out"
+        assert main(["tail", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "internal error: HorizonExceededError: replication root_seed=5 "
+            "kind=tail t_index=0 rep=0: ")
+        assert not out.exists()
