@@ -11,7 +11,8 @@ The pipeline builds, from one replication's randomness:
 * Wiener surrogates ``W_tilde`` (time-rescaled from ``B_tilde``) and
   ``W_star`` (time-rescaled from ``B``), plus an independent ``W_circ``;
 * the assembled d-dimensional Wiener path ``W`` combining the surrogates
-  through the pseudo-inverse of the asymptotic covariance root;
+  through the pseudo-inverse of the asymptotic covariance root, and
+  ``W_circ`` through the null-space projector;
 * the eight-term error decomposition ``phi[1..8]`` whose sum telescopes to
   ``S(u) - kappa*u - sigma*W_u`` exactly — the pipeline's central algebraic
   identity, verified on every run.
@@ -27,8 +28,14 @@ all K cycles, the cycles, the three horizon checks, the surrogates and W.
 Poisson jumps; the eight-term decomposition (``phis``) and ``couple`` read
 them.  :func:`sup_inputs` builds only what the sup over [0, t] reads: the
 cycles up to the first renewal past t, and the jump count without the jump
-times.  The ``rate`` and ``tail`` replications and the embedding check use
-it, and their sups keep every bit.
+times, and no ``W_circ`` where the null-space projector is zero.  The
+``rate`` and ``tail`` replications and the embedding check use it, and
+their sups keep every bit.
+
+Both the sup and the decomposition evaluate at the same breakpoints of
+[0, t] (:func:`_breakpoints`).  :func:`sup_deviation` takes its max over
+them as they come, duplicates and all; only the decomposition, whose rows
+are ordered in time, sorts them (:func:`evaluation_grid`).
 
 Time axes: cycle index (``B``, ``B_tilde``, ``N`` and its first-passage
 inverse live here) versus physical time (the path ``S``, ``W_tilde``,
@@ -292,6 +299,24 @@ def _unit_jump_counts(btilde: UnitGridPath, rate: float,
     return increments, PoissonQuantile(rate).ppf(ndtr(increments))
 
 
+def _jump_count(btilde: UnitGridPath, rate: float, n_units: int,
+                needed: int) -> int:
+    """The jump count over the first ``n_units`` units when it is below
+    ``needed``; otherwise some count of at least ``needed``.
+
+    The counts are nonnegative, so a prefix holding ``needed`` jumps settles
+    the check.  The prefix is the mean number of units ``needed`` jumps take
+    plus three standard deviations of its jump count; only a short prefix
+    widens to all units, whose count a failure reports.
+    """
+    prefix = min(n_units, int(math.ceil(
+        (needed + 3.0 * math.sqrt(needed)) / rate + 1.0)))
+    count = int(_unit_jump_counts(btilde, rate, prefix)[1].sum())
+    if count < needed and prefix < n_units:
+        count = int(_unit_jump_counts(btilde, rate, n_units)[1].sum())
+    return count
+
+
 def build_poisson_from_brownian(btilde: UnitGridPath, greeks: Greeks,
                                 horizon: float) -> CountingPath:
     """Counting process on [0, horizon] derived measurably from the driver.
@@ -345,6 +370,13 @@ def build_timechange_wiener(b: UnitGridPath, greeks: Greeks) -> ScaledPath:
                       time_scale=greeks.lam)
 
 
+def _null_projector(greeks: Greeks) -> np.ndarray:
+    """The symmetrised null-space projector 0.5 (P + P^T), P = I - pinv(sigma)
+    sigma, through which W_circ enters W."""
+    proj = np.eye(greeks.d) - greeks.sigma_pinv @ greeks.sigma
+    return 0.5 * (proj + proj.T)
+
+
 @dataclass(frozen=True)
 class AssembledW:
     """The assembled d-dimensional Wiener path.
@@ -354,19 +386,18 @@ class AssembledW:
                + (I - pinv(sigma) sigma) @ Wc(t)
 
     with W* the level-axis surrogate, Wt the scalar surrogate and Wc an
-    independent Wiener path carrying the null-space component.
+    independent Wiener path carrying the null-space component.  Without Wc
+    (``wcirc=None``, where the projector is zero) the last term is left out.
     """
 
     wstar: ScaledPath
     wtilde: ScaledPath
-    wcirc: ScaledPath
+    wcirc: ScaledPath | None
     greeks: Greeks
     _null_proj: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        g = self.greeks
-        proj = np.eye(g.d) - g.sigma_pinv @ g.sigma
-        object.__setattr__(self, "_null_proj", 0.5 * (proj + proj.T))
+        object.__setattr__(self, "_null_proj", _null_projector(self.greeks))
 
     def at(self, t) -> np.ndarray:
         """W(t) for scalar or array t; rows are time points."""
@@ -376,27 +407,31 @@ class AssembledW:
         t = np.atleast_1d(t)
         star = np.atleast_2d(self.wstar.at(t / g.gamma))
         tilde = np.atleast_1d(self.wtilde.at(t))
-        circ = np.atleast_2d(self.wcirc.at(t))
         core = (star @ g.v) / math.sqrt(g.lam) \
             - np.outer(tilde, g.alpha) * (g.mu / (g.lam * math.sqrt(g.gamma)))
-        out = core @ g.sigma_pinv + circ @ self._null_proj
+        out = core @ g.sigma_pinv
+        if self.wcirc is not None:
+            out += np.atleast_2d(self.wcirc.at(t)) @ self._null_proj
         return out[0] if scalar else out
 
 
-def assemble_W(wstar: ScaledPath, wtilde: ScaledPath, wcirc: ScaledPath,
-               greeks: Greeks) -> AssembledW:
+def assemble_W(wstar: ScaledPath, wtilde: ScaledPath,
+               wcirc: ScaledPath | None, greeks: Greeks) -> AssembledW:
     """Combine the surrogates into the assembled Wiener path.
 
-    Requires the independent path to be d-dimensional and all horizons to
-    cover a common positive physical-time span.
+    Requires the independent path, when given, to be d-dimensional and all
+    horizons to cover a common positive physical-time span.
     """
-    if wcirc.base.d != greeks.d:
+    if wcirc is not None and wcirc.base.d != greeks.d:
         raise GridMismatchError(
             f"independent path has d={wcirc.base.d}, parameters say {greeks.d}")
     if wstar.base.d != greeks.d:
         raise GridMismatchError(
             f"level-axis surrogate has d={wstar.base.d}, parameters say {greeks.d}")
-    if min(wstar.horizon * greeks.gamma, wtilde.horizon, wcirc.horizon) <= 0:
+    spans = [wstar.horizon * greeks.gamma, wtilde.horizon]
+    if wcirc is not None:
+        spans.append(wcirc.horizon)
+    if min(spans) <= 0:
         raise GridMismatchError("assembled path would cover an empty time span")
     return AssembledW(wstar=wstar, wtilde=wtilde, wcirc=wcirc, greeks=greeks)
 
@@ -459,9 +494,12 @@ def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
     The same stream draws, the same three horizon checks and the same W.
     In ``shared-innovations`` mode the path stops at the first cycle whose
     renewal time reaches t, and no Poisson jump is placed: the jump-count
-    check needs only the per-unit counts.  Every value on [0, t] keeps its
-    bits, so ``sup_deviation`` returns what it returns on the full bundle,
-    and a replication fails here exactly when it fails there.
+    check needs only the per-unit counts, summed over a prefix of the units
+    that usually holds enough jumps.  Where the null-space projector is
+    zero, W_circ carries no weight and W is built without it, so child(3) is
+    not drawn.  Every value on [0, t] keeps its bits, so ``sup_deviation``
+    returns what it returns on the full bundle, and a replication fails here
+    exactly when it fails there.
     """
     return _build(model, greeks, t, mode, rng, full=False)
 
@@ -484,12 +522,12 @@ def _build(model: Model, greeks: Greeks, t: float, mode: str,
             f"{k} cycles reach only {path.horizon:g} < t={t:g}")
     b = driver.b_path()
     btilde = driver.btilde_path()
+    needed_jumps = int(math.floor(t / greeks.gamma)) + 1
     if full:
         n_path = build_poisson_from_brownian(btilde, greeks, horizon=k)
         n_jumps = n_path.n_jumps
     else:
-        n_jumps = int(_unit_jump_counts(btilde, greeks.lam, k)[1].sum())
-    needed_jumps = int(math.floor(t / greeks.gamma)) + 1
+        n_jumps = _jump_count(btilde, greeks.lam, k, needed_jumps)
     if n_jumps < needed_jumps:
         raise HorizonExceededError(
             f"counting process has {n_jumps} jumps, "
@@ -499,10 +537,12 @@ def _build(model: Model, greeks: Greeks, t: float, mode: str,
             f"level {needed_jumps} lies beyond the driver grid of {k} units")
     wtilde = build_inverse_wiener(btilde, greeks)
     wstar = build_timechange_wiener(b, greeks)
-    circ_incs = rng.child(3).generator().standard_normal(
-        (int(math.ceil(t)) + 2, greeks.d))
-    wcirc = ScaledPath(base=UnitGridPath.from_increments(circ_incs),
-                       value_scale=1.0, time_scale=1.0)
+    wcirc = None
+    if full or np.any(_null_projector(greeks)):
+        circ_incs = rng.child(3).generator().standard_normal(
+            (int(math.ceil(t)) + 2, greeks.d))
+        wcirc = ScaledPath(base=UnitGridPath.from_increments(circ_incs),
+                           value_scale=1.0, time_scale=1.0)
     w = assemble_W(wstar, wtilde, wcirc, greeks)
     if not full:
         return path, w
@@ -529,6 +569,27 @@ def grid_points_per_unit(grid_step: float) -> int:
     return n
 
 
+def _breakpoints(path: RegenerativePath, t: float, grid_step: float,
+                 lattices: Sequence[float] = ()) -> list[np.ndarray]:
+    """The evaluation points of [0, t] in pieces, in this order: 0 and t,
+    the multiples of grid_step below t, the path events up to t, and the
+    multiples up to t of each lattice spacing.
+
+    A piece may repeat points of another.  An integer spacing is left out:
+    its multiples up to t are integers, which the uniform part already
+    holds (:func:`grid_points_per_unit`).
+    """
+    n = grid_points_per_unit(grid_step)
+    pieces = [np.array([0.0, t]),
+              np.arange(math.ceil(t * n)) / n,
+              path.event_times[path.event_times <= t]]
+    for spacing in lattices:
+        if spacing > 0 and not float(spacing).is_integer():
+            multiples = _multiples(spacing, t)
+            pieces.append(multiples[multiples <= t])
+    return pieces
+
+
 def evaluation_grid(path: RegenerativePath, t: float, grid_step: float,
                     lattices: Sequence[float] = ()) -> np.ndarray:
     """Sorted unique points of [0, t]: 0, t, the path events, the multiples
@@ -542,15 +603,12 @@ def evaluation_grid(path: RegenerativePath, t: float, grid_step: float,
     A finer grid_step therefore adds points but cannot raise a sup; the
     default 1.0 is the coarsest step that keeps the integers.  Only the jumps
     at events and lattice points are missing, and :func:`sup_deviation` and
-    :func:`phi_decomposition` add their left limits.
+    :func:`phi_decomposition` add their left limits.  Only the
+    decomposition, whose rows are in time order, needs the points sorted;
+    :func:`sup_deviation` takes the same breakpoints unsorted.
     """
-    n = grid_points_per_unit(grid_step)
-    pieces = [np.array([0.0, t]),
-              np.arange(math.ceil(t * n)) / n,
-              path.event_times[path.event_times <= t]]
-    pieces += [_multiples(spacing, t) for spacing in lattices if spacing > 0]
-    grid = np.unique(np.concatenate(pieces))
-    return grid[(grid >= 0.0) & (grid <= t)]
+    return np.unique(np.concatenate(_breakpoints(path, t, grid_step,
+                                                 lattices)))
 
 
 def _multiples(spacing: float, t: float) -> np.ndarray:
@@ -743,22 +801,22 @@ def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
     the sup for piecewise-linear paths.  A piecewise-constant path jumps at
     its events, so the max also runs over the left limits
     ``S(e-) - kappa*e - sigma*W(e)`` at the events ``e <= t`` (W is
-    continuous).
+    continuous).  A max needs no order: the points are the breakpoint
+    pieces as they come, unsorted and with repeats, and each point's value
+    has the bits it has on the sorted grid.
     """
     if t > path.horizon:
         raise HorizonExceededError(
             f"t={t:g} beyond simulated horizon {path.horizon:g}")
-    grid = evaluation_grid(path, t, grid_step, lattices=(greeks.mu,))
-    s_u = path.evaluate(grid)
-    w_u = np.atleast_2d(w.at(grid))
-    dev = s_u - np.outer(grid, greeks.kappa) - w_u @ greeks.sigma
+    pieces = _breakpoints(path, t, grid_step, lattices=(greeks.mu,))
+    points = np.concatenate(pieces)
+    w_sigma = np.atleast_2d(w.at(points)) @ greeks.sigma
+    dev = path.evaluate(points) - np.outer(points, greeks.kappa) - w_sigma
     sup = float(np.max(np.abs(dev)))
-    if path.interpolation != PIECEWISE_CONSTANT:
+    events = pieces[2]
+    if path.interpolation != PIECEWISE_CONSTANT or not events.size:
         return sup
-    events = path.event_times[path.event_times <= t]
-    if events.size:
-        w_e = np.atleast_2d(w.at(events))
-        dev = path.evaluate(events, side="left") \
-            - np.outer(events, greeks.kappa) - w_e @ greeks.sigma
-        sup = max(sup, float(np.max(np.abs(dev))))
-    return sup
+    start = pieces[0].size + pieces[1].size
+    dev = path.evaluate(events, side="left") \
+        - np.outer(events, greeks.kappa) - w_sigma[start:start + events.size]
+    return max(sup, float(np.max(np.abs(dev))))

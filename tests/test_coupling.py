@@ -1,6 +1,7 @@
 """Coupled construction: Poisson embedding, Wiener assembly, the eight terms."""
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import ndtr
 
 from regenlab import coupling
 from regenlab.cli import main
+from regenlab.config import parse_config
 from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
                                IdentityViolationError, ModeUnsupportedError,
                                PoissonQuantile, ScaledPath, UnitGridPath,
@@ -25,6 +27,9 @@ from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
 from regenlab.models import single_event_path
 from regenlab.paths import PIECEWISE_CONSTANT, HorizonExceededError
 from regenlab.rng import RngStream
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def _stream(index=0, root=0):
@@ -613,3 +618,145 @@ class TestSupInputsFailures:
             "internal error: HorizonExceededError: replication root_seed=5 "
             "kind=tail t_index=0 rep=0: ")
         assert not out.exists()
+
+    @pytest.fixture
+    def counted_units(self, monkeypatch):
+        """The unit counts ``_unit_jump_counts`` is called with."""
+        units = []
+        real = coupling._unit_jump_counts
+
+        def counted(btilde, rate, n_units):
+            units.append(n_units)
+            return real(btilde, rate, n_units)
+
+        monkeypatch.setattr(coupling, "_unit_jump_counts", counted)
+        return units
+
+    def test_short_prefix_widens_to_all_units(self, monkeypatch,
+                                              counted_units):
+        # about half the jumps per unit: the prefix falls short, all k units
+        # hold enough, and the sup is the full bundle's
+        monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 0.8))
+        full, short, _ = _sups(_gamma_gaussian(2), "shared-innovations",
+                               64.0, 221)
+        assert short == full
+        k = horizon_cycles_for(64.0, 2.0)
+        assert counted_units[-1] == k and counted_units[-2] < k
+
+    def test_shortfall_reports_the_count_over_all_units(self, monkeypatch,
+                                                        counted_units):
+        monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
+        message = self._same_failure(_gamma_gaussian(2), "shared-innovations")
+        assert message.startswith("counting process has ")
+        k = horizon_cycles_for(64.0, 2.0)
+        assert counted_units[-1] == k and counted_units[-2] < k
+
+    def test_full_prefix_reads_no_further(self, counted_units):
+        g = reference_greeks(_gamma_gaussian(2), 3.0)
+        sup_inputs(_gamma_gaussian(2), g, 1024.0, "shared-innovations",
+                   _stream(222))
+        assert len(counted_units) == 1
+        assert counted_units[0] < horizon_cycles_for(1024.0, g.mu)
+
+
+def _sorted_grid(path, t, grid_step, lattices):
+    """The evaluation grid as one sorted unique array, every lattice
+    included: the reference for the breakpoint pieces."""
+    n = round(1.0 / grid_step)
+    grid = np.unique(np.concatenate(
+        [np.array([0.0, t]), np.arange(math.ceil(t * n)) / n,
+         path.event_times[path.event_times <= t]]
+        + [s * np.arange(0.0, math.floor(t / s) + 2.0) for s in lattices]))
+    return grid[(grid >= 0.0) & (grid <= t)]
+
+
+def _sorted_grid_sup(path, w, g, t, grid_step):
+    """The sup over the sorted grid, with W evaluated a second time at the
+    events for the left limits: the reference sup_deviation must match bit
+    for bit."""
+    grid = _sorted_grid(path, t, grid_step, (g.mu,))
+    dev = path.evaluate(grid) - np.outer(grid, g.kappa) \
+        - np.atleast_2d(w.at(grid)) @ g.sigma
+    sup = float(np.max(np.abs(dev)))
+    events = path.event_times[path.event_times <= t]
+    if path.interpolation == PIECEWISE_CONSTANT and events.size:
+        dev = path.evaluate(events, side="left") - np.outer(events, g.kappa) \
+            - np.atleast_2d(w.at(events)) @ g.sigma
+        sup = max(sup, float(np.max(np.abs(dev))))
+    return sup
+
+
+BREAKPOINT_CASES = SUP_CASES + [
+    # a projector that is not exactly zero: W keeps its W_circ term
+    (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=[0.3, -0.1],
+                        kappa=[0.1, 0.2], noise_cov=[[1.0, 0.3], [0.3, 0.5]],
+                        dim=2), "shared-innovations"),
+]
+
+
+class TestSupBreakpoints:
+    """The sup over the unsorted breakpoint pieces is the sorted-grid sup."""
+
+    @pytest.mark.parametrize("grid_step", [1.0, 0.5])
+    @pytest.mark.parametrize("t", [37.5, 1024.0])
+    @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
+                             ids=[f"{m.family}-d{m.d}-{mode}"
+                                  for m, mode in BREAKPOINT_CASES])
+    def test_sup_equals_the_sorted_grid_sup(self, case, t, grid_step):
+        model, mode = BREAKPOINT_CASES[case]
+        g = reference_greeks(model, 3.0)
+        for rep in range(3):
+            path, bundle = build_bundle(model, g, t, mode, _stream(230 + rep))
+            expected = _sorted_grid_sup(path, bundle.w, g, t, grid_step)
+            assert sup_deviation(path, bundle.w, g, t, grid_step) == expected
+            short_path, w = sup_inputs(model, g, t, mode, _stream(230 + rep))
+            assert sup_deviation(short_path, w, g, t, grid_step) == expected
+
+    @pytest.mark.parametrize("grid_step", [1.0, 0.5, 1.0 / 3.0])
+    @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
+                             ids=[f"{m.family}-d{m.d}-{mode}"
+                                  for m, mode in BREAKPOINT_CASES])
+    def test_evaluation_grid_keeps_its_points(self, case, grid_step):
+        # integer lattices are left out of the pieces, not out of the grid
+        model, mode = BREAKPOINT_CASES[case]
+        g = reference_greeks(model, 3.0)
+        for t in (37.5, 64.0):
+            path, _ = build_bundle(model, g, t, mode, _stream(240))
+            lattices = (g.mu, g.gamma)
+            np.testing.assert_array_equal(
+                evaluation_grid(path, t, grid_step, lattices),
+                _sorted_grid(path, t, grid_step, lattices))
+
+    @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
+                             ids=[f"{m.family}-d{m.d}-{mode}"
+                                  for m, mode in BREAKPOINT_CASES])
+    def test_child3_only_where_the_projector_is_nonzero(self, monkeypatch,
+                                                         case):
+        model, mode = BREAKPOINT_CASES[case]
+        g = reference_greeks(model, 3.0)
+        wcirc_stream = _stream(250).child(3)
+        children = []
+        real = RngStream.child
+
+        def recorded(self, offset):
+            children.append(real(self, offset))
+            return children[-1]
+
+        monkeypatch.setattr(RngStream, "child", recorded)
+        _, w = sup_inputs(model, g, 37.5, mode, _stream(250))
+        weighted = bool(np.any(coupling._null_projector(g)))
+        assert (wcirc_stream in children) == weighted == (w.wcirc is not None)
+        children.clear()
+        build_bundle(model, g, 37.5, mode, _stream(250))
+        assert wcirc_stream in children
+
+    @pytest.mark.parametrize("name, kind", [
+        ("rate_gamma", "rate"), ("rate_independent_null", "rate"),
+        ("tail_gamma", "tail")])
+    def test_shipped_sup_configs_build_no_wcirc(self, name, kind):
+        cfg = parse_config(CONFIGS / f"{name}.cfg", kind)
+        model = cfg.build_model()
+        g = reference_greeks(model, cfg.p)
+        assert not np.any(coupling._null_projector(g))
+        _, w = sup_inputs(model, g, 37.5, cfg.mode, _stream(251))
+        assert w.wcirc is None
