@@ -26,7 +26,6 @@ REGION_LARGE_DEVIATION = "large-deviation"
 _B_SEARCH_MAX = 60.0
 _SERIES_FLOOR = 1e-300
 _SERIES_MAX_TERMS = 2_000_000
-_FMIN_MAXFUN = 500
 
 
 class RegionViolationError(ValueError):
@@ -168,7 +167,7 @@ def renewal_count_tail(t: float, x: float, mu: float,
     def log_t_form(b: float) -> float:
         return b * t + count * math.log(laplace_tau(b))
 
-    b_star = _fminbound(log_t_form, 1e-9, hi, 1e-10)
+    b_star = _golden_min(log_t_form, 1e-9, hi, 1e-10)
     lap = laplace_tau(b_star)
     raw = math.exp(log_t_form(b_star))
     log_x_form = -math.log(lap) \
@@ -178,79 +177,25 @@ def renewal_count_tail(t: float, x: float, mu: float,
         "t_form": raw, "x_form": math.exp(log_x_form)})
 
 
-def _fminbound(func: Callable[[float], float], a: float, b: float,
-               xatol: float) -> float:
-    """The minimizer of ``func`` on [a, b] by Brent's bounded method.
-
-    A step-for-step port of scipy's ``minimize_scalar(method="bounded")``
-    (``scipy.optimize._optimize._minimize_scalar_bounded``, BSD-3; Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 5): golden
-    sections with parabolic steps when the parabola is acceptable, stopping
-    once the bracket is within ``xatol`` (plus a relative term) of the best
-    point or after ``_FMIN_MAXFUN`` evaluations.  It returns the same bits,
-    without importing ``scipy.optimize``.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:        # try a parabola through the three points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+def _golden_min(func: Callable[[float], float], a: float, b: float,
+                xatol: float) -> float:
+    """The minimizer of a unimodal ``func`` on [a, b] by golden-section search
+    (Kiefer 1953): each step keeps the part of the bracket that holds the
+    lower of two interior points, until the bracket is narrower than
+    ``xatol``."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = func(c), func(d)
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = func(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _FMIN_MAXFUN:
-            break
-    return xf
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = func(d)
+    return c if fc <= fd else d
 
 
 def brownian_grid_increment_tail(t: float, x: float) -> BoundResult:

@@ -194,6 +194,8 @@ def _cmd_greeks(args) -> int:
 
 
 def _cmd_couple(args) -> int:
+    if args.t is not None and not 0 < args.t < math.inf:
+        raise ValueError(f"--t must be a finite positive horizon, got {args.t}")
     cfg = _load_config(args.config, args.kind)
     # the phis experiment runs its first horizon only
     horizons = cfg.t_grid[:1] if args.kind == "phis" else cfg.t_grid

@@ -245,10 +245,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigValidationError(
             f"replications={cfg.replications} < 50: too few for any "
             "confidence-interval-bearing output")
-    if not cfg.t_grid or any(t <= 0 for t in cfg.t_grid) \
+    if not cfg.t_grid or not all(0 < t < math.inf for t in cfg.t_grid) \
             or list(cfg.t_grid) != sorted(cfg.t_grid):
         raise ConfigValidationError(
-            f"t_grid must be positive and ascending, got {cfg.t_grid}")
+            f"t_grid must be finite, positive and ascending, got {cfg.t_grid}")
     if cfg.kind == "rate" and len(cfg.t_grid) < 4:
         raise ConfigValidationError(
             f"rate fits need at least 4 horizons, got {len(cfg.t_grid)}")

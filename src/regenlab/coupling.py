@@ -46,23 +46,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
 from .greeks import Greeks
-from .models import INDEPENDENT, Model, single_event_path
+from .models import (INDEPENDENT, Model, ModeUnsupportedError,
+                     single_event_path)
 from .paths import (PIECEWISE_CONSTANT, CountingPath, HorizonExceededError,
                     RegenerativePath, invert_counting)
 from .rng import RngStream, bytes_generator
 
 _MAX_TABLE_RATE = 500.0
-
-
-class ModeUnsupportedError(ValueError):
-    """The model family cannot be driven in the requested coupling mode."""
 
 
 class GridMismatchError(ValueError):
@@ -370,34 +367,24 @@ def build_timechange_wiener(b: UnitGridPath, greeks: Greeks) -> ScaledPath:
                       time_scale=greeks.lam)
 
 
-def _null_projector(greeks: Greeks) -> np.ndarray:
-    """The symmetrised null-space projector 0.5 (P + P^T), P = I - pinv(sigma)
-    sigma, through which W_circ enters W."""
-    proj = np.eye(greeks.d) - greeks.sigma_pinv @ greeks.sigma
-    return 0.5 * (proj + proj.T)
-
-
 @dataclass(frozen=True)
 class AssembledW:
     """The assembled d-dimensional Wiener path.
 
         W(t) = pinv(sigma) @ (v W*(t/gamma) / sqrt(lambda)
                               - mu alpha Wt(t) / (lambda sqrt(gamma)))
-               + (I - pinv(sigma) sigma) @ Wc(t)
+               + P0 @ Wc(t)
 
-    with W* the level-axis surrogate, Wt the scalar surrogate and Wc an
-    independent Wiener path carrying the null-space component.  Without Wc
-    (``wcirc=None``, where the projector is zero) the last term is left out.
+    with W* the level-axis surrogate, Wt the scalar surrogate, and Wc an
+    independent Wiener path carrying the null-space component through
+    ``P0 = greeks.null_projector``.  Without Wc (``wcirc=None``, where the
+    projector is zero) the last term is left out.
     """
 
     wstar: ScaledPath
     wtilde: ScaledPath
     wcirc: ScaledPath | None
     greeks: Greeks
-    _null_proj: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_null_proj", _null_projector(self.greeks))
 
     def at(self, t) -> np.ndarray:
         """W(t) for scalar or array t; rows are time points."""
@@ -411,7 +398,7 @@ class AssembledW:
             - np.outer(tilde, g.alpha) * (g.mu / (g.lam * math.sqrt(g.gamma)))
         out = core @ g.sigma_pinv
         if self.wcirc is not None:
-            out += np.atleast_2d(self.wcirc.at(t)) @ self._null_proj
+            out += np.atleast_2d(self.wcirc.at(t)) @ g.null_projector
         return out[0] if scalar else out
 
 
@@ -538,7 +525,7 @@ def _build(model: Model, greeks: Greeks, t: float, mode: str,
     wtilde = build_inverse_wiener(btilde, greeks)
     wstar = build_timechange_wiener(b, greeks)
     wcirc = None
-    if full or np.any(_null_projector(greeks)):
+    if full or np.any(greeks.null_projector):
         circ_incs = rng.child(3).generator().standard_normal(
             (int(math.ceil(t)) + 2, greeks.d))
         wcirc = ScaledPath(base=UnitGridPath.from_increments(circ_incs),

@@ -11,14 +11,17 @@ the library derives every constant the coupling pipeline needs:
     gamma   = Var tau / mu,   lam = mu^2 / Var tau   (so gamma * lam = mu)
     sigma2  = Var(xi - kappa tau) / mu        (asymptotic covariance rate)
     sigma   = psd square root of sigma2,  sigma_pinv = its pseudo-inverse
+    null_projector = I - sigma_pinv sigma     (projector onto sigma's null space)
 
 All derived fields come from a single moment routine, which keeps the exact
 identity  mu * sigma2 = v2 + Var(tau) * alpha alpha^T  at floating precision
 for estimated moments as well as for closed-form ones.
 
-Eigenwork is done by a cyclic Jacobi sweep: the dimensions here are tiny
-(d <= 8), the iteration is deterministic, and it converges to machine
-precision in a handful of sweeps.
+sigma, sigma_pinv and null_projector come from one ``numpy.linalg.eigh`` of
+sigma2.  Eigenvalues below 1e-12 of the largest count as zero, so the rank
+is decided once: at full rank the null projector is exactly zero, and a
+rank-deficient sigma gets an exact orthogonal projector from the null
+eigenvectors rather than the rounding residue of I - sigma_pinv sigma.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 
 
 _SQRT_CLAMP_REL = 1e-12   # eigenvalues below this (relative) are treated as 0
-_PINV_ZERO_REL = 1e-10    # pseudo-inverse zeroing threshold (relative)
 _SYMMETRY_REL = 1e-10
 
 
@@ -49,50 +51,6 @@ class InsufficientDataError(ValueError):
     """Too few cycles to estimate second moments."""
 
 
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (w, V) with matrix == V @ diag(w) @ V.T to machine precision and
-    eigenvalues sorted ascending.  Deterministic; intended for d <= 8.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    v = np.eye(n)
-    if n == 1:
-        return a[0].copy(), v
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= 1e-15 * norm:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if abs(a[i, j]) <= 1e-18 * norm:
-                    continue
-                theta = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_i, rot_j = a[:, i].copy(), a[:, j].copy()
-                a[:, i] = c * rot_i - s * rot_j
-                a[:, j] = s * rot_i + c * rot_j
-                row_i, row_j = a[i, :].copy(), a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                vi, vj = v[:, i].copy(), v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -100,7 +58,25 @@ def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
     scale = float(np.max(np.abs(m), initial=0.0))
     if scale and float(np.max(np.abs(m - m.T))) > _SYMMETRY_REL * scale:
         raise NotSymmetricError(f"{what} is not symmetric within {_SYMMETRY_REL:g} relative")
+    return _symmetric(m)
+
+
+def _symmetric(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def _clamped_eigh(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric PSD matrix.
+
+    Eigenvalues within 1e-12 (relative to the largest) of zero are set to
+    exactly zero, which decides the rank once; a genuinely negative
+    eigenvalue raises IndefiniteError.
+    """
+    w, vecs = np.linalg.eigh(_require_symmetric(matrix, what))
+    top = max(float(w[-1]), 0.0)
+    if w[0] < -_SQRT_CLAMP_REL * (top or 1.0):
+        raise IndefiniteError(f"eigenvalue {w[0]:g} below -{_SQRT_CLAMP_REL:g} * max")
+    return np.where(w > _SQRT_CLAMP_REL * top, w, 0.0), vecs
 
 
 def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
@@ -110,36 +86,8 @@ def matrix_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     so exact rank deficiency survives the round trip; a genuinely negative
     eigenvalue raises IndefiniteError.
     """
-    m = _require_symmetric(matrix, "matrix_sqrt_psd argument")
-    w, vecs = jacobi_eigh(m)
-    top = float(w[-1]) if w.size else 0.0
-    if top <= 0.0:
-        if w.size and w[0] < -_SQRT_CLAMP_REL * max(1.0, abs(top)):
-            raise IndefiniteError(f"eigenvalue {w[0]:g} is negative")
-        return np.zeros_like(m)
-    if w[0] < -_SQRT_CLAMP_REL * top:
-        raise IndefiniteError(f"eigenvalue {w[0]:g} below -{_SQRT_CLAMP_REL:g} * max")
-    w = np.where(w < _SQRT_CLAMP_REL * top, 0.0, w)
-    root = (vecs * np.sqrt(w)) @ vecs.T
-    return 0.5 * (root + root.T)
-
-
-def pseudo_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
-
-    Eigenvalues below 1e-10 * (max eigenvalue) are treated as exactly zero;
-    the zero matrix maps to the zero matrix.
-    """
-    m = _require_symmetric(matrix, "pseudo_inverse argument")
-    w, vecs = jacobi_eigh(m)
-    top = float(w[-1]) if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(m)
-    if w[0] < -_PINV_ZERO_REL * top:
-        raise IndefiniteError(f"eigenvalue {w[0]:g} is negative")
-    inv = np.where(w > _PINV_ZERO_REL * top, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    out = (vecs * inv) @ vecs.T
-    return 0.5 * (out + out.T)
+    w, vecs = _clamped_eigh(matrix, "matrix_sqrt_psd argument")
+    return _symmetric((vecs * np.sqrt(w)) @ vecs.T)
 
 
 @dataclass(frozen=True)
@@ -160,6 +108,7 @@ class Greeks:
     sigma2: np.ndarray
     sigma: np.ndarray
     sigma_pinv: np.ndarray
+    null_projector: np.ndarray
     p: float
 
     @property
@@ -199,12 +148,20 @@ class Greeks:
         sigma2 = (var_xi - outer_kc - outer_kc.T
                   + np.outer(kappa, kappa) * var_tau) / mu
         sigma2 = 0.5 * (sigma2 + sigma2.T)
-        sigma = matrix_sqrt_psd(sigma2)
+        # sigma, its pseudo-inverse and the projector onto its null space
+        # share one eigendecomposition of sigma2, whose clamp fixes the rank
+        w, vecs = _clamped_eigh(sigma2, "sigma2")
+        kept = w > 0.0
+        root = np.sqrt(w)
+        inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=kept)
+        null = vecs[:, ~kept]
         return cls(
             mu=mu, kappa=kappa, var_tau=var_tau, var_xi=0.5 * (var_xi + var_xi.T),
             cov_xi_tau=cov_xi_tau, beta=beta, v2=v2, v=matrix_sqrt_psd(v2),
             gamma=var_tau / mu, lam=mu * mu / var_tau, alpha=beta - kappa,
-            sigma2=sigma2, sigma=sigma, sigma_pinv=pseudo_inverse(sigma), p=float(p),
+            sigma2=sigma2, sigma=_symmetric((vecs * root) @ vecs.T),
+            sigma_pinv=_symmetric((vecs * inv_root) @ vecs.T),
+            null_projector=_symmetric(null @ null.T), p=float(p),
         )
 
 

@@ -28,12 +28,13 @@ reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, hyp2f1, ndtr
+from scipy.special import gammainccinv, gammaincinv, gammaln, hyp2f1, ndtr
 
 from .greeks import DegenerateTauError, Greeks, matrix_sqrt_psd
 from .paths import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath
@@ -43,6 +44,8 @@ SHARED_INNOVATIONS = "shared-innovations"
 INDEPENDENT = "independent"
 COUPLING_MODES = (SHARED_INNOVATIONS, INDEPENDENT)
 
+_ETA_BLOCK = 4096   # terms per block of the M/M/1 E eta^p series
+
 FAMILIES = ("iid-sums", "gamma-gaussian", "pareto-cycle", "mm1-busy-cycle",
             "compound-jump")
 
@@ -51,8 +54,8 @@ class InvalidParameterError(ValueError):
     """Nonsensical family parameters (nonpositive rate, bad dimension, ...)."""
 
 
-class ModeUnsupportedHookError(NotImplementedError):
-    """A coupling hook was called on a family that does not provide it."""
+class ModeUnsupportedError(ValueError):
+    """The model family cannot be driven in the requested coupling mode."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class Model:
 
         Only the families supporting ``shared-innovations`` implement it.
         """
-        raise ModeUnsupportedHookError(
+        raise ModeUnsupportedError(
             f"{self.family} has no duration quantile coupling")
 
     def increments_from(self, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -148,7 +151,7 @@ class Model:
 
         Only the families supporting ``shared-innovations`` implement it.
         """
-        raise ModeUnsupportedHookError(
+        raise ModeUnsupportedError(
             f"{self.family} has no increment coupling hook")
 
     def _check_p(self, p: float) -> None:
@@ -441,6 +444,23 @@ class MM1BusyCycleModel(Model):
             var_tau=var_tau, var_xi=np.array([[var_n]]),
             cov_xi_tau=np.array([2.0 * var_n / rate]), p=p)
 
+    def eta_moment(self, p: float) -> float | None:
+        # eta = N, whose law is P(N = n) = C(2n-2, n-1)/n rho^(n-1)
+        # (1+rho)^(1-2n) (Takacs).  The terms n^p P(N = n) decay like
+        # (4 rho / (1+rho)^2)^n; add them in blocks, in log space, until a
+        # block no longer changes the sum.
+        rho = self.arrival_rate / self.service_rate
+        total = 0.0
+        for start in itertools.count(1, _ETA_BLOCK):
+            n = np.arange(start, start + _ETA_BLOCK, dtype=float)
+            log_terms = (gammaln(2.0 * n - 1.0) - gammaln(n) - gammaln(n + 1.0)
+                         + (n - 1.0) * math.log(rho)
+                         + (1.0 - 2.0 * n) * math.log1p(rho) + p * np.log(n))
+            block = float(np.sum(np.exp(log_terms)))
+            if total + block == total:
+                return total
+            total += block
+
     def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
         """Vectorized batch: walk all busy periods forward in lockstep rounds.
 
@@ -633,13 +653,11 @@ def reference_greeks(model: Model, p: float) -> Greeks:
     return model.true_greeks(p)
 
 
-def eta_moment(model: Model, p: float, n: int = 200_000,
-               rng: RngStream | None = None) -> float:
-    """E eta^p: closed form when the family has one, else a plug-in estimate."""
+def eta_moment(model: Model, p: float, n: int = 200_000) -> float:
+    """E eta^p: closed form when the family has one, else a plug-in estimate
+    from ``n`` cycles on a fixed stream."""
     closed = model.eta_moment(p)
     if closed is not None:
         return closed
-    if rng is None:
-        rng = RngStream(0, 2 ** 62 + 211)
-    batch = model.sample_cycles(n, rng)
+    batch = model.sample_cycles(n, RngStream(0, 2 ** 62 + 211))
     return float(np.mean(batch.eta ** p))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from regenlab.bounds import (NoFeasibleBError, RegionViolationError,
-                             TailMoments, _fminbound, block_maximal_tail,
+                             TailMoments, _golden_min, block_maximal_tail,
                              brownian_grid_increment_tail, brownian_sup_tail,
                              exp_to_power, nagaev_tail, poisson_inverse_tail,
                              random_sum_M0, random_sum_nagaev_tail,
@@ -85,49 +85,35 @@ class TestRenewalCountTail:
         assert exact <= res.value
 
 
-class TestFminbound:
-    """The Brent bounded-method port against scipy's implementation."""
+class TestTiltSearch:
+    """The renewal-count tilt against the analytic minimiser.
 
-    LAPLACE = {
-        "exp:1": lambda b: 1.0 / (1.0 + b),
-        "exp:0.4": lambda b: 0.4 / (0.4 + b),
-        "gamma:2,0.5": lambda b: (1.0 + 0.5 * b) ** -2.0,
-        "gamma:0.5,3": lambda b: (1.0 + 3.0 * b) ** -0.5,
-        "point:1": lambda b: math.exp(-b),
-        "point:2.5": lambda b: math.exp(-2.5 * b),
-    }
+    For Gamma(k, s) durations, L(b) = (1 + s b)^-k, the objective
+    b t + count log L(b) is least where t = count k s / (1 + s b), that is
+    at b = count k / t - 1/s; for Exp(1) and mu = 1, floor(2t/mu)/t - 1.
+    Rounding in the objective limits any derivative-free search to about
+    1e-8 (relative) in b.
+    """
 
-    @pytest.mark.parametrize("name", sorted(LAPLACE))
-    def test_bits_equal_scipy_bounded(self, name):
-        from scipy.optimize import minimize_scalar
-        laplace = self.LAPLACE[name]
-        for t in (5.0, 20.0, 100.0, 1000.0):
-            for mu in (0.5, 1.0, 2.5):
-                count = math.floor(2.0 * t / mu)
-
-                def log_t_form(b):
-                    return b * t + count * math.log(laplace(b))
-
-                for hi in (1e-3, 0.3, 2.0, 60.0):
-                    ref = minimize_scalar(log_t_form, bounds=(1e-9, hi),
-                                          method="bounded",
-                                          options={"xatol": 1e-10}).x
-                    ours = _fminbound(log_t_form, 1e-9, hi, 1e-10)
-                    assert ours == float(ref), (name, t, mu, hi)
+    @pytest.mark.parametrize("shape, scale", [(1.0, 1.0), (2.0, 0.5),
+                                              (0.5, 3.0), (3.0, 0.2),
+                                              (5.0, 0.2)])
+    @pytest.mark.parametrize("t", [5.0, 20.0, 100.0, 1000.0])
+    def test_b_star_is_the_analytic_minimiser(self, shape, scale, t):
+        mu = shape * scale
+        exact = math.floor(2.0 * t / mu) * shape / t - 1.0 / scale
+        res = renewal_count_tail(t, 1.0, mu,
+                                 lambda b: (1.0 + scale * b) ** -shape)
+        b_star = res.constants_used["b_star"]
+        assert abs(b_star - exact) <= 1e-7 * max(1.0, exact)
 
     @pytest.mark.parametrize("func, argmin", [
-        (lambda b: (b - 0.3) ** 2, 0.3),      # smooth: parabolic steps
-        (lambda b: abs(b - 0.7), 0.7),        # kinked: golden sections
+        (lambda b: (b - 0.3) ** 2, 0.3),      # smooth
+        (lambda b: abs(b - 0.7), 0.7),        # kinked
         (lambda b: -b, 1.0),                  # minimum on the bracket end
     ])
-    def test_other_shapes(self, func, argmin):
-        from scipy.optimize import minimize_scalar
-        ours = _fminbound(func, 0.0, 1.0, 1e-10)
-        ref = minimize_scalar(func, bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-10}).x
-        assert ours == float(ref)
-        # within the stopping tolerance 2 (sqrt(2.2e-16) |x| + xatol / 3)
-        assert abs(ours - argmin) <= 3e-8
+    def test_golden_section_other_shapes(self, func, argmin):
+        assert abs(_golden_min(func, 0.0, 1.0, 1e-10) - argmin) <= 1e-9
 
 
 class TestBrownianGridIncrement:

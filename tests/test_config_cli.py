@@ -236,6 +236,35 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
 
 
+    @pytest.mark.parametrize("kind, grid", [
+        ("rate", "1024.0, 2048.0, 4096.0, inf"),
+        ("rate", "1024.0, 2048.0, 4096.0, nan"),
+        ("tail", "1024.0, inf"), ("phis", "nan"), ("maxima", "inf")])
+    def test_non_finite_horizon_is_exit_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, kind, grid):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "_replicate", no_work)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment.t_grid = {grid}\n")
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "t_grid must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+    def test_couple_non_finite_t_is_exit_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, t):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(cli, "build_bundle", no_work)
+        out = tmp_path / "out"
+        assert main(["couple", f"--t={t}", "--out", str(out)]) == 2
+        assert "--t must be a finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault", [IdentityViolationError, RuntimeError,
                                        HorizonExceededError])
     def test_internal_fault_is_exit_3(self, tmp_path, monkeypatch, capsys,

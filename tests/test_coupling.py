@@ -12,7 +12,7 @@ from regenlab import coupling
 from regenlab.cli import main
 from regenlab.config import parse_config
 from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
-                               IdentityViolationError, ModeUnsupportedError,
+                               IdentityViolationError,
                                PoissonQuantile, ScaledPath, UnitGridPath,
                                build_bundle, build_inverse_wiener,
                                build_poisson_from_brownian,
@@ -22,7 +22,8 @@ from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
                                horizon_cycles_for, phi_decomposition,
                                sup_deviation, sup_inputs)
 from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
-                             IidSumModel, MM1BusyCycleModel, ParetoCycleModel,
+                             IidSumModel, MM1BusyCycleModel,
+                             ModeUnsupportedError, ParetoCycleModel,
                              reference_greeks)
 from regenlab.models import single_event_path
 from regenlab.paths import PIECEWISE_CONSTANT, HorizonExceededError
@@ -687,9 +688,10 @@ def _sorted_grid_sup(path, w, g, t, grid_step):
 
 
 BREAKPOINT_CASES = SUP_CASES + [
-    # a projector that is not exactly zero: W keeps its W_circ term
-    (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=[0.3, -0.1],
-                        kappa=[0.1, 0.2], noise_cov=[[1.0, 0.3], [0.3, 0.5]],
+    # a rank-1 sigma: the noise and beta - kappa both lie along (1, 1), so
+    # the projector onto (1, -1) is nonzero and W keeps its W_circ term
+    (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=[0.3, 0.3],
+                        kappa=[0.1, 0.1], noise_cov=[[1.0, 1.0], [1.0, 1.0]],
                         dim=2), "shared-innovations"),
 ]
 
@@ -744,11 +746,31 @@ class TestSupBreakpoints:
 
         monkeypatch.setattr(RngStream, "child", recorded)
         _, w = sup_inputs(model, g, 37.5, mode, _stream(250))
-        weighted = bool(np.any(coupling._null_projector(g)))
+        weighted = bool(np.any(g.null_projector))
         assert (wcirc_stream in children) == weighted == (w.wcirc is not None)
         children.clear()
         build_bundle(model, g, 37.5, mode, _stream(250))
         assert wcirc_stream in children
+
+    @pytest.mark.parametrize("case", [i for i, (m, _) in enumerate(SUP_CASES)
+                                      if m.d > 1],
+                             ids=[f"{m.family}-d{m.d}-{mode}"
+                                  for m, mode in SUP_CASES if m.d > 1])
+    def test_full_rank_projector_is_exactly_zero(self, case):
+        # the rank is decided on the eigenvalues, so no rounding residue of
+        # I - pinv(sigma) sigma gives W_circ a weight, and
+        # test_child3_only_where_the_projector_is_nonzero sees no child(3)
+        model, _ = SUP_CASES[case]
+        g = reference_greeks(model, 3.0)
+        assert np.linalg.matrix_rank(g.sigma) == g.d
+        assert not np.any(g.null_projector)
+
+    def test_rank_deficient_projector(self):
+        model, _ = BREAKPOINT_CASES[-1]
+        g = reference_greeks(model, 3.0)
+        assert np.linalg.matrix_rank(g.sigma) == 1
+        np.testing.assert_allclose(g.null_projector,
+                                   [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
     @pytest.mark.parametrize("name, kind", [
         ("rate_gamma", "rate"), ("rate_independent_null", "rate"),
@@ -757,6 +779,6 @@ class TestSupBreakpoints:
         cfg = parse_config(CONFIGS / f"{name}.cfg", kind)
         model = cfg.build_model()
         g = reference_greeks(model, cfg.p)
-        assert not np.any(coupling._null_projector(g))
+        assert not np.any(g.null_projector)
         _, w = sup_inputs(model, g, 37.5, cfg.mode, _stream(251))
         assert w.wcirc is None

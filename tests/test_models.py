@@ -10,7 +10,7 @@ from scipy import stats
 from regenlab.greeks import DegenerateTauError
 from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
                              IidSumModel, InvalidParameterError,
-                             MM1BusyCycleModel, ModeUnsupportedHookError,
+                             MM1BusyCycleModel, ModeUnsupportedError,
                              ParetoCycleModel, eta_moment, reference_greeks)
 from regenlab.rng import RngStream
 
@@ -34,7 +34,7 @@ class TestIidSums:
     def test_no_coupling_modes(self):
         model = IidSumModel(xi_mean=np.array([0.0]), xi_cov=np.array([[1.0]]))
         assert model.coupling_modes == ()
-        with pytest.raises(ModeUnsupportedHookError):
+        with pytest.raises(ModeUnsupportedError):
             model.tau_from_gaussian(np.zeros(3))
 
     def test_sample_mean_and_cov(self):
@@ -239,6 +239,26 @@ class TestMM1BusyCycle:
         model = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0)
         path = model.sample_path(200, RngStream(0, 51))
         assert path.event_times.size > path.n_cycles  # busy periods add events
+
+    @pytest.mark.parametrize("arrival, second", [(0.5, 10.0), (0.8, 205.0),
+                                                 (0.9, 1810.0)])
+    def test_eta_moment_p2_is_var_plus_squared_mean(self, arrival, second):
+        # eta = N: E N^2 = Var N + (E N)^2, read off the closed-form greeks
+        model = MM1BusyCycleModel(arrival_rate=arrival, service_rate=1.0)
+        g = model.true_greeks(3.0)
+        mean_n = float(g.kappa[0] * g.mu)
+        assert g.var_xi[0, 0] + mean_n ** 2 == pytest.approx(second, rel=1e-12)
+        assert model.eta_moment(2.0) == pytest.approx(second, rel=1e-11)
+
+    def test_eta_moment_p3_at_the_defaults(self):
+        assert MM1BusyCycleModel().eta_moment(3.0) == pytest.approx(
+            122.0, rel=1e-14)
+
+    def test_eta_moment_fractional_p_matches_sampling(self):
+        model = MM1BusyCycleModel()
+        eta = _batch(model, 200_000).eta ** 2.5
+        se = eta.std() / math.sqrt(eta.size)
+        assert abs(model.eta_moment(2.5) - eta.mean()) <= 4.0 * se
 
 
 class TestCompoundJump:

@@ -1,9 +1,9 @@
 """Byte identity of the trajectory samplers.
 
 The sha256 values pin every array of ``sample_path`` (plus ``eta()``) for the
-two families with a genuine intra-cycle trajectory.  They were recorded with
-the per-cycle object sampler these flat samplers replaced, so a change in
-draw order or in summation order shows here first.
+two families with a genuine intra-cycle trajectory.  A change in draw order,
+in summation order or in the covariance root (``matrix_sqrt_psd``, which
+scales the d > 1 jumps) shows here first.
 """
 import hashlib
 
@@ -28,7 +28,7 @@ DIGESTS = {
     "compound-jump-d1-n1":
         "5ceb71148919ae5159de0e012cd605c3e8fdc72bcf696232f05aeb889b16a501",
     "compound-jump-d2":
-        "228422d60f86717694cafdaa913e47e62c697a3085b5d5b9bc537059b870d6dd",
+        "92427be4c6c43e43750dcc78447a3f326e755c3543ec0c6544132b77b09c4007",
     "compound-jump-d3":
         "9c52d0f9d0eee894221f1221db2b331049feefcb65921ded164301555d7aea11",
     "mm1-rho0.5":

@@ -6,7 +6,8 @@ path.  ``scipy.stats`` (about half a second on its own), ``scipy.integrate``
 and ``scipy.optimize`` (which bring ``scipy.sparse`` and ``scipy.linalg``
 with them) stay out: the exact binomial and chi-square quantities come from
 ``scipy.special`` and integer arithmetic, the Pareto moment from
-``hyp2f1`` and the renewal-count tilt from a port of Brent's bounded method.
+``hyp2f1``, the renewal-count tilt from a golden-section search, and the
+square roots and pseudo-inverse from ``numpy.linalg.eigh``.
 The run-path test keeps the cost from moving from the import into the run.
 """
 import json
