@@ -2,7 +2,8 @@
 
 The on-disk format is plain text, one ``section.key = value`` pair per line
 (``#`` starts a comment line).  Sections: ``model.*`` selects and
-parameterizes the family, ``coupling.mode`` the driver construction,
+parameterizes the family (its keys are the fields of the family's model
+class in ``models.MODELS``), ``coupling.mode`` the driver construction,
 ``experiment.*`` the grids and budgets, ``rng.root_seed`` the randomness.
 
 Parsing fills kind-specific defaults and *echoes every effective value* into
@@ -14,40 +15,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .coupling import grid_points_per_unit
-from .models import (COUPLING_MODES, FAMILIES, INDEPENDENT,
-                     SHARED_INNOVATIONS, CompoundJumpModel,
-                     GammaGaussianModel, IidSumModel, InvalidParameterError,
-                     MM1BusyCycleModel, Model, ParetoCycleModel)
+from .models import (COUPLING_MODES, FAMILIES, INDEPENDENT, MODELS,
+                     SHARED_INNOVATIONS, InvalidParameterError, Model)
 
 EXPERIMENT_KINDS = ("rate", "tail", "phis", "maxima")
-
-_FLOAT, _INT, _VECTOR, _MATRIX = "float", "int", "vector", "matrix"
-
-_MODEL_PARAMS: dict[str, dict[str, str]] = {
-    "iid-sums": {"xi_mean": _VECTOR, "xi_cov": _MATRIX, "tau_const": _FLOAT,
-                 "dim": _INT},
-    "gamma-gaussian": {"tau_shape": _FLOAT, "tau_scale": _FLOAT,
-                       "beta": _VECTOR, "kappa": _VECTOR,
-                       "noise_cov": _MATRIX, "dim": _INT},
-    "pareto-cycle": {"tail_index": _FLOAT},
-    "mm1-busy-cycle": {"arrival_rate": _FLOAT, "service_rate": _FLOAT},
-    "compound-jump": {"cycle_rate": _FLOAT, "jump_rate": _FLOAT,
-                      "jump_mean": _VECTOR, "jump_cov": _MATRIX, "dim": _INT},
-}
-
-_MODEL_CLASSES: dict[str, type[Model]] = {
-    "iid-sums": IidSumModel,
-    "gamma-gaussian": GammaGaussianModel,
-    "pareto-cycle": ParetoCycleModel,
-    "mm1-busy-cycle": MM1BusyCycleModel,
-    "compound-jump": CompoundJumpModel,
-}
 
 _KIND_DEFAULTS: dict[str, dict[str, object]] = {
     "rate": {"t_grid": tuple(float(2 ** k) for k in range(10, 17)),
@@ -87,26 +64,35 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([_parse_float(p) for p in text.split(",") if p.strip()])
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [[_parse_float(c) for c in row.split(",") if c.strip()]
-            for row in text.split(";") if row.strip()]
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+def _model_defaults(family: str) -> dict[str, object]:
+    """The family's config parameters: its model fields and their defaults."""
+    return {f.name: f.default for f in fields(MODELS[family])}
+
+
+def _parse_param(default: object, text: str):
+    """A model parameter, read as the type of its field's default.  A field
+    without one (default None: a vector or a covariance) reads a number,
+    ``a,b`` or ``a,b;c,d``, and the family checks the shape."""
+    if isinstance(default, int):
+        return _parse_int(text)
+    if isinstance(default, float):
+        return _parse_float(text)
+    if ";" not in text:
+        return _parse_vector(text) if "," in text else _parse_float(text)
+    rows = [_parse_vector(row) for row in text.split(";") if row.strip()]
+    if len({row.size for row in rows}) != 1:
         raise ValueError(f"ragged matrix rows in {text!r}")
     return np.array(rows)
 
 
-_PARSERS = {_FLOAT: _parse_float, _INT: _parse_int, _VECTOR: _parse_vector,
-            _MATRIX: _parse_matrix}
-
-
-def _render_vector(values: np.ndarray) -> str:
-    return ",".join(repr(float(v)) for v in np.atleast_1d(values))
-
-
-def _render_matrix(matrix: np.ndarray) -> str:
-    matrix = np.atleast_2d(matrix)
-    return ";".join(",".join(repr(float(v)) for v in row) for row in matrix)
+def _render_param(default: object, value) -> str:
+    """Canonical text of a normalized model parameter."""
+    if isinstance(default, int):
+        return str(int(value))
+    if isinstance(value, np.ndarray):
+        return ";".join(",".join(repr(float(v)) for v in row)
+                        for row in np.atleast_2d(value))
+    return repr(float(value))
 
 
 @dataclass(frozen=True)
@@ -130,10 +116,10 @@ class ExperimentConfig:
     c_factor: float
 
     def build_model(self) -> Model:
-        schema = _MODEL_PARAMS[self.family]
-        kwargs = {key: _PARSERS[schema[key]](raw)
-                  for key, raw in self.model_params}
-        return _MODEL_CLASSES[self.family](**kwargs)
+        params = _model_defaults(self.family)
+        return MODELS[self.family](**{
+            key: _parse_param(params[key], raw)
+            for key, raw in self.model_params})
 
     def x_grid_for(self, t: float) -> tuple[float, ...]:
         """Per-horizon thresholds c t^{1/p} * factor, kept inside the pair
@@ -158,27 +144,6 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-def _canonical_model_params(model: Model) -> tuple[tuple[str, str], ...]:
-    """Effective family parameters, read back from the built instance."""
-    schema = _MODEL_PARAMS[model.family]
-    out = []
-    for key in sorted(schema):
-        value = getattr(model, key)
-        ptype = schema[key]
-        if ptype == _FLOAT:
-            raw = repr(float(value))
-        elif ptype == _INT:
-            raw = str(int(value))
-        elif ptype == _VECTOR:
-            vec = np.broadcast_to(np.atleast_1d(np.asarray(value, float)),
-                                  (model.d,))
-            raw = _render_vector(vec)
-        else:
-            raw = _render_matrix(np.asarray(value, float))
-        out.append((key, raw))
-    return tuple(out)
-
-
 def build_config(kind: str, family: str = "gamma-gaussian",
                  model_params: dict[str, object] | None = None,
                  p: float = 3.0, mode: str | None = None,
@@ -190,20 +155,20 @@ def build_config(kind: str, family: str = "gamma-gaussian",
         raise ConfigValidationError(
             f"unknown experiment kind {kind!r}; choose from "
             f"{EXPERIMENT_KINDS}")
-    if family not in _MODEL_CLASSES:
+    if family not in MODELS:
         raise ConfigValidationError(
             f"unknown model family {family!r}; choose from {FAMILIES}")
-    schema = _MODEL_PARAMS[family]
+    params = _model_defaults(family)
     kwargs = {}
     for key, value in (model_params or {}).items():
-        if key not in schema:
+        if key not in params:
             raise ConfigValidationError(
                 f"family {family} has no parameter {key!r}; "
-                f"valid: {sorted(schema)}")
-        kwargs[key] = _PARSERS[schema[key]](value) \
+                f"valid: {sorted(params)}")
+        kwargs[key] = _parse_param(params[key], value) \
             if isinstance(value, str) else value
     try:
-        model = _MODEL_CLASSES[family](**kwargs)
+        model = MODELS[family](**kwargs)
     except InvalidParameterError as exc:
         raise ConfigValidationError(str(exc)) from exc
     defaults = _KIND_DEFAULTS[kind]
@@ -213,7 +178,10 @@ def build_config(kind: str, family: str = "gamma-gaussian",
         mode = SHARED_INNOVATIONS
     cfg = ExperimentConfig(
         kind=kind, family=family,
-        model_params=_canonical_model_params(model), p=float(p), mode=mode,
+        # the effective parameters, read back from the built model
+        model_params=tuple((key, _render_param(default, getattr(model, key)))
+                           for key, default in sorted(params.items())),
+        p=float(p), mode=mode,
         t_grid=tuple(float(t) for t in (t_grid if t_grid is not None
                                         else defaults["t_grid"])),
         x_factors=tuple(float(f) for f in (x_factors if x_factors is not None
@@ -252,19 +220,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind == "rate" and len(cfg.t_grid) < 4:
         raise ConfigValidationError(
             f"rate fits need at least 4 horizons, got {len(cfg.t_grid)}")
-    if cfg.c_factor <= 0:
+    if not 0 < cfg.c_factor < math.inf:
         raise ConfigValidationError(
-            f"c_factor must be positive, got {cfg.c_factor}")
+            f"c_factor must be finite and positive, got {cfg.c_factor}")
     try:
         grid_points_per_unit(cfg.grid_step)
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
-    if not cfg.x_factors or any(f <= 0 for f in cfg.x_factors):
+    if not cfg.x_factors \
+            or not all(0 < f < math.inf for f in cfg.x_factors):
         raise ConfigValidationError(
-            f"x_factors must be positive, got {cfg.x_factors}")
-    if cfg.root_seed < 0:
+            f"x_factors must be finite and positive, got {cfg.x_factors}")
+    if not 0 <= cfg.root_seed < 2 ** 64:
         raise ConfigValidationError(
-            f"root_seed must be nonnegative, got {cfg.root_seed}")
+            f"root_seed must lie in [0, 2^64), got {cfg.root_seed}")
     if cfg.mode not in COUPLING_MODES:
         raise ConfigValidationError(f"unknown coupling mode {cfg.mode!r}; "
                                     f"choose from {COUPLING_MODES}")
@@ -275,11 +244,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigValidationError(
             f"coupling mode {cfg.mode!r} unsupported by {cfg.family} "
             f"(supported: {supported})")
-    if cfg.kind == "tail":
+    if cfg.kind == "maxima":
         for t in cfg.t_grid:
+            if t < 1 or t != int(t):
+                raise ConfigValidationError(
+                    f"maxima horizons are cycle counts and must be whole "
+                    f"numbers >= 1, got t={t:g}")
+    if cfg.kind in ("tail", "phis"):
+        for t in cfg.t_grid:
+            # both tabulate thresholds up to t / log t
             if t < math.e:
                 raise ConfigValidationError(
-                    f"tail horizons must be at least e, got t={t:g}")
+                    f"{cfg.kind} horizons must be at least e, got t={t:g}")
             if not cfg.x_grid_for(t):
                 raise ConfigValidationError(
                     f"empty threshold grid at t={t:g}: c t^(1/p) = "
@@ -312,24 +288,24 @@ def parse_config_text(text: str, kind: str) -> ExperimentConfig:
 
     family_entry = take("model.family")
     family = family_entry[0] if family_entry else "gamma-gaussian"
-    if family not in _MODEL_CLASSES:
+    if family not in MODELS:
         lineno = family_entry[1] if family_entry else 0
         raise ConfigParseError(
             f"line {lineno}: unknown model family {family!r}; "
             f"choose from {FAMILIES}")
-    schema = _MODEL_PARAMS[family]
+    params = _model_defaults(family)
     kwargs: dict[str, object] = {}
     for key in list(pairs):
         if not key.startswith("model."):
             continue
         value, lineno = pairs.pop(key)
         param = key[len("model."):]
-        if param not in schema:
+        if param not in params:
             raise ConfigParseError(
                 f"line {lineno}: family {family} has no parameter "
-                f"{param!r}; valid: {sorted(schema)}")
+                f"{param!r}; valid: {sorted(params)}")
         try:
-            kwargs[param] = _PARSERS[schema[param]](value)
+            kwargs[param] = _parse_param(params[param], value)
         except ValueError as exc:
             raise ConfigParseError(f"line {lineno}: bad value for {key}: "
                                    f"{exc}") from exc

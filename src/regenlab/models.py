@@ -17,9 +17,10 @@ Five families, each producing i.i.d. cycles ``(tau, xi, trajectory)``:
 * ``compound-jump``     -- exponential durations with Gaussian jumps at
                            Poisson times, dimension up to 3.
 
-Every family declares ``p_max``, the supremum of finite moment orders of the
-cycle duration and the cycle maximum; configurations requesting ``p >= p_max``
-are rejected by the config layer.
+Each family is declared once, as a frozen dataclass listed in ``MODELS``:
+its fields are its ``model.*`` config keys.  Every family has ``p_max``, the
+supremum of finite moment orders of the cycle duration and the cycle maximum;
+configurations requesting ``p >= p_max`` are rejected by the config layer.
 
 All samplers are pure functions of an :class:`~regenlab.rng.RngStream`
 position, so parallel replications on disjoint stream indices are exactly
@@ -45,9 +46,7 @@ INDEPENDENT = "independent"
 COUPLING_MODES = (SHARED_INNOVATIONS, INDEPENDENT)
 
 _ETA_BLOCK = 4096   # terms per block of the M/M/1 E eta^p series
-
-FAMILIES = ("iid-sums", "gamma-gaussian", "pareto-cycle", "mm1-busy-cycle",
-            "compound-jump")
+_ETA_CYCLES = 200_000   # cycles of the plug-in E eta^p estimate
 
 
 class InvalidParameterError(ValueError):
@@ -56,6 +55,32 @@ class InvalidParameterError(ValueError):
 
 class ModeUnsupportedError(ValueError):
     """The model family cannot be driven in the requested coupling mode."""
+
+
+def _dimension(dim: int, most: float) -> None:
+    if not 1 <= dim <= most:
+        raise InvalidParameterError(
+            f"dimension must lie in 1..{most:g}, got {dim}")
+
+
+def _vector(name: str, value, dim: int) -> np.ndarray:
+    """A length-``dim`` vector; a scalar is repeated and None means 0."""
+    vec = np.asarray(0.0 if value is None else value, dtype=float)
+    if vec.shape not in ((), (1,), (dim,)):
+        raise InvalidParameterError(
+            f"{name} shape {vec.shape} does not match dimension {dim}")
+    return np.broadcast_to(vec, (dim,)).copy()
+
+
+def _covariance(name: str, value, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ``dim`` x ``dim`` covariance (None means the identity) and its PSD
+    square root."""
+    cov = np.eye(dim) if value is None \
+        else np.atleast_2d(np.asarray(value, dtype=float))
+    if cov.shape != (dim, dim):
+        raise InvalidParameterError(
+            f"{name} shape {cov.shape} does not match dimension {dim}")
+    return cov, matrix_sqrt_psd(cov)
 
 
 @dataclass(frozen=True)
@@ -105,14 +130,12 @@ class Model:
     family: ClassVar[str]
     interpolation: ClassVar[str]
     coupling_modes: ClassVar[tuple[str, ...]] = (INDEPENDENT,)
+    dim: ClassVar[int] = 1
+    p_max: ClassVar[float] = math.inf
 
     @property
     def d(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def p_max(self) -> float:
-        raise NotImplementedError
+        return self.dim
 
     def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
         raise NotImplementedError
@@ -134,9 +157,11 @@ class Model:
         """E exp(-b tau) for one cycle duration."""
         raise NotImplementedError
 
-    def eta_moment(self, p: float) -> float | None:
-        """Closed-form E eta^p when available, else None (use the MC estimate)."""
-        return None
+    def eta_moment(self, p: float) -> float:
+        """E eta^p; families without a closed form take the plug-in mean over
+        ``_ETA_CYCLES`` cycles on a fixed stream."""
+        batch = self.sample_cycles(_ETA_CYCLES, RngStream(0, 2 ** 62 + 211))
+        return float(np.mean(batch.eta ** p))
 
     def tau_from_gaussian(self, g: np.ndarray) -> np.ndarray:
         """Duration from a standard normal variate via the inverse CDF.
@@ -174,32 +199,21 @@ class IidSumModel(Model):
     interpolation: ClassVar[str] = PIECEWISE_CONSTANT
     coupling_modes: ClassVar[tuple[str, ...]] = ()
 
-    xi_mean: np.ndarray = 0.0
+    xi_mean: np.ndarray | None = None
     xi_cov: np.ndarray | None = None
     tau_const: float = 1.0
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InvalidParameterError(f"dimension must be >= 1, got {self.dim}")
+        _dimension(self.dim, math.inf)
         if not self.tau_const > 0:
             raise InvalidParameterError(
                 f"cycle duration must be positive, got {self.tau_const}")
-        mean = np.broadcast_to(np.asarray(self.xi_mean, dtype=float),
-                               (self.dim,)).copy()
-        cov = np.eye(self.dim) if self.xi_cov is None \
-            else np.asarray(self.xi_cov, dtype=float)
-        object.__setattr__(self, "xi_mean", mean)
+        cov, root = _covariance("xi_cov", self.xi_cov, self.dim)
+        object.__setattr__(self, "xi_mean",
+                           _vector("xi_mean", self.xi_mean, self.dim))
         object.__setattr__(self, "xi_cov", cov)
-        object.__setattr__(self, "_xi_root", matrix_sqrt_psd(cov))
-
-    @property
-    def d(self) -> int:
-        return self.dim
-
-    @property
-    def p_max(self) -> float:
-        return math.inf
+        object.__setattr__(self, "_xi_root", root)
 
     def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
         g = rng.generator().standard_normal((n, self.dim))
@@ -238,39 +252,23 @@ class GammaGaussianModel(Model):
 
     tau_shape: float = 2.0
     tau_scale: float = 1.0
-    beta: np.ndarray = 0.0
-    kappa: np.ndarray = 0.0
+    beta: np.ndarray | None = None
+    kappa: np.ndarray | None = None
     noise_cov: np.ndarray | None = None
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InvalidParameterError(f"dimension must be >= 1, got {self.dim}")
+        _dimension(self.dim, math.inf)
         if not (self.tau_shape > 0 and self.tau_scale > 0):
             raise InvalidParameterError(
                 f"Gamma duration needs positive shape and scale, got "
                 f"shape={self.tau_shape}, scale={self.tau_scale}")
-        beta = np.broadcast_to(np.asarray(self.beta, dtype=float),
-                               (self.dim,)).copy()
-        kappa = np.broadcast_to(np.asarray(self.kappa, dtype=float),
-                                (self.dim,)).copy()
-        cov = np.eye(self.dim) if self.noise_cov is None \
-            else np.asarray(self.noise_cov, dtype=float)
-        if cov.shape != (self.dim, self.dim):
-            raise InvalidParameterError(
-                f"noise_cov shape {cov.shape} does not match dimension {self.dim}")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "kappa", kappa)
+        cov, root = _covariance("noise_cov", self.noise_cov, self.dim)
+        object.__setattr__(self, "beta", _vector("beta", self.beta, self.dim))
+        object.__setattr__(self, "kappa",
+                           _vector("kappa", self.kappa, self.dim))
         object.__setattr__(self, "noise_cov", cov)
-        object.__setattr__(self, "_noise_root", matrix_sqrt_psd(cov))
-
-    @property
-    def d(self) -> int:
-        return self.dim
-
-    @property
-    def p_max(self) -> float:
-        return math.inf
+        object.__setattr__(self, "_noise_root", root)
 
     @property
     def mu(self) -> float:
@@ -343,10 +341,6 @@ class ParetoCycleModel(Model):
                 f"got {self.tail_index}")
 
     @property
-    def d(self) -> int:
-        return 1
-
-    @property
     def p_max(self) -> float:
         return float(self.tail_index)
 
@@ -375,9 +369,9 @@ class ParetoCycleModel(Model):
                                    var_tau=var_tau, var_xi=var,
                                    cov_xi_tau=np.array([var_tau]), p=p)
 
-    def eta_moment(self, p: float) -> float | None:
+    def eta_moment(self, p: float) -> float:
         if p >= self.tail_index:
-            return None
+            return math.inf
         # E(1+X)^p with X ~ Pareto(th) on [1, inf): s = 1/x turns the
         # integral into th * int_0^1 s^(th-p-1) (1+s)^p ds, Euler's integral
         # of 2F1(-p, th-p; th-p+1; -1) / (th-p).
@@ -419,15 +413,8 @@ class MM1BusyCycleModel(Model):
                 f"need 0 < arrival_rate < service_rate for stability, got "
                 f"arrival={self.arrival_rate}, service={self.service_rate}")
 
-    @property
-    def d(self) -> int:
-        return 1
-
-    @property
-    def p_max(self) -> float:
-        # The busy period has a finite exponential moment, hence all
-        # polynomial moments; so does the departure count.
-        return math.inf
+    # p_max is infinite: the busy period has a finite exponential moment,
+    # hence all polynomial moments; so does the departure count.
 
     def true_greeks(self, p: float) -> Greeks:
         self._check_p(p)
@@ -444,7 +431,7 @@ class MM1BusyCycleModel(Model):
             var_tau=var_tau, var_xi=np.array([[var_n]]),
             cov_xi_tau=np.array([2.0 * var_n / rate]), p=p)
 
-    def eta_moment(self, p: float) -> float | None:
+    def eta_moment(self, p: float) -> float:
         # eta = N, whose law is P(N = n) = C(2n-2, n-1)/n rho^(n-1)
         # (1+rho)^(1-2n) (Takacs).  The terms n^p P(N = n) decay like
         # (4 rho / (1+rho)^2)^n; add them in blocks, in log space, until a
@@ -547,33 +534,21 @@ class CompoundJumpModel(Model):
 
     cycle_rate: float = 1.0
     jump_rate: float = 1.0
-    jump_mean: np.ndarray = 0.0
+    jump_mean: np.ndarray | None = None
     jump_cov: np.ndarray | None = None
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= 3:
-            raise InvalidParameterError(
-                f"compound-jump supports dimensions 1..3, got {self.dim}")
+        _dimension(self.dim, 3)
         if not (self.cycle_rate > 0 and self.jump_rate > 0):
             raise InvalidParameterError(
                 f"rates must be positive, got cycle_rate={self.cycle_rate}, "
                 f"jump_rate={self.jump_rate}")
-        mean = np.broadcast_to(np.asarray(self.jump_mean, dtype=float),
-                               (self.dim,)).copy()
-        cov = np.eye(self.dim) if self.jump_cov is None \
-            else np.asarray(self.jump_cov, dtype=float)
-        object.__setattr__(self, "jump_mean", mean)
+        cov, root = _covariance("jump_cov", self.jump_cov, self.dim)
+        object.__setattr__(self, "jump_mean",
+                           _vector("jump_mean", self.jump_mean, self.dim))
         object.__setattr__(self, "jump_cov", cov)
-        object.__setattr__(self, "_jump_root", matrix_sqrt_psd(cov))
-
-    @property
-    def d(self) -> int:
-        return self.dim
-
-    @property
-    def p_max(self) -> float:
-        return math.inf
+        object.__setattr__(self, "_jump_root", root)
 
     def _draw(self, n: int, gen: np.random.Generator):
         tau = gen.exponential(1.0 / self.cycle_rate, size=n)
@@ -645,6 +620,12 @@ class CompoundJumpModel(Model):
         return self.cycle_rate / (self.cycle_rate + float(b))
 
 
+MODELS: dict[str, type[Model]] = {cls.family: cls for cls in (
+    IidSumModel, GammaGaussianModel, ParetoCycleModel, MM1BusyCycleModel,
+    CompoundJumpModel)}
+FAMILIES = tuple(MODELS)
+
+
 # -- module-level operations ------------------------------------------------
 
 
@@ -653,11 +634,6 @@ def reference_greeks(model: Model, p: float) -> Greeks:
     return model.true_greeks(p)
 
 
-def eta_moment(model: Model, p: float, n: int = 200_000) -> float:
-    """E eta^p: closed form when the family has one, else a plug-in estimate
-    from ``n`` cycles on a fixed stream."""
-    closed = model.eta_moment(p)
-    if closed is not None:
-        return closed
-    batch = model.sample_cycles(n, RngStream(0, 2 ** 62 + 211))
-    return float(np.mean(batch.eta ** p))
+def eta_moment(model: Model, p: float) -> float:
+    """E eta^p of the cycle maximum, see ``Model.eta_moment``."""
+    return model.eta_moment(p)

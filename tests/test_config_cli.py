@@ -47,6 +47,32 @@ class TestConfigRoundTrip:
         again = parse_config_text(cfg.render(), "rate")
         assert again.render() == cfg.render()
 
+    @pytest.mark.parametrize("family, params", [
+        ("iid-sums", {"dim": 3, "xi_mean": "0.5,-1.0,2.0", "tau_const": 1.5,
+                      "xi_cov": "2.0,0.1,0.0;0.1,1.0,0.2;0.0,0.2,0.5"}),
+        ("gamma-gaussian", {"dim": 3, "beta": "0.3,0.0,-0.3", "tau_scale": 0.5,
+                            "noise_cov": "1.0,0.5,0.0;0.5,1.0,0.0;0.0,0.0,2.0"}),
+        ("pareto-cycle", {"tail_index": 4.5}),
+        ("mm1-busy-cycle", {"arrival_rate": 0.3, "service_rate": "2.0"}),
+        ("compound-jump", {"dim": 2, "cycle_rate": 2.0, "jump_rate": 0.5,
+                           "jump_mean": "0.2,-0.4",
+                           "jump_cov": "1.0,0.3;0.3,0.8"})])
+    def test_every_family_round_trips(self, family, params):
+        cfg = build_config("maxima", family=family, model_params=params)
+        assert parse_config_text(cfg.render(), "maxima") == cfg
+        assert cfg.build_model().d == params.get("dim", 1)
+        snapshot = dict(cfg.model_params)
+        for key, value in params.items():
+            assert snapshot[key] == str(value)
+
+    @pytest.mark.parametrize("name, kind", [
+        ("greeks_mm1", "maxima"), ("maxima_pareto", "maxima"),
+        ("phis_gamma", "phis"), ("rate_gamma", "rate"),
+        ("rate_independent_null", "rate"), ("tail_gamma", "tail")])
+    def test_shipped_configs_round_trip(self, name, kind):
+        cfg = parse_config(ROOT / "scripts" / "configs" / f"{name}.cfg", kind)
+        assert parse_config_text(cfg.render(), kind) == cfg
+
 
 class TestConfigErrors:
     def test_unknown_key_with_line_number(self):
@@ -94,6 +120,19 @@ class TestConfigErrors:
     def test_rate_needs_four_horizons(self):
         with pytest.raises(ConfigValidationError):
             build_config("rate", t_grid=(64.0, 128.0))
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("gamma-gaussian", {"noise_cov": "1,0;0,1"}, "noise_cov"),
+        ("gamma-gaussian", {"dim": 3, "beta": "0.1,0.2"}, "beta"),
+        ("iid-sums", {"dim": 2, "xi_mean": "1,0;0,1"}, "xi_mean")])
+    def test_shape_mismatch_names_the_parameter(self, family, params, name):
+        with pytest.raises(ConfigValidationError,
+                           match=f"{name} shape .* does not match dimension"):
+            build_config("maxima", family=family, model_params=params)
+
+    def test_scalar_parameter_rejects_a_vector(self):
+        with pytest.raises(ConfigParseError, match="model.tau_shape"):
+            parse_config_text("model.tau_shape = 1.0, 2.0\n", "rate")
 
     def test_grid_step_must_divide_the_unit(self):
         # 1/grid_step must be a positive integer so the grid keeps the
@@ -236,21 +275,40 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
 
 
-    @pytest.mark.parametrize("kind, grid", [
-        ("rate", "1024.0, 2048.0, 4096.0, inf"),
-        ("rate", "1024.0, 2048.0, 4096.0, nan"),
-        ("tail", "1024.0, inf"), ("phis", "nan"), ("maxima", "inf")])
-    def test_non_finite_horizon_is_exit_2_before_any_work(
-            self, tmp_path, monkeypatch, capsys, kind, grid):
+    @pytest.mark.parametrize("kind, lines, message", [
+        ("rate", "experiment.t_grid = 1024.0, 2048.0, 4096.0, inf\n",
+         "t_grid must be finite"),
+        ("rate", "experiment.t_grid = 1024.0, 2048.0, 4096.0, nan\n",
+         "t_grid must be finite"),
+        ("tail", "experiment.t_grid = 1024.0, inf\n", "t_grid must be finite"),
+        ("phis", "experiment.t_grid = nan\n", "t_grid must be finite"),
+        ("maxima", "experiment.t_grid = inf\n", "t_grid must be finite"),
+        ("maxima", "model.family = iid-sums\nmodel.xi_cov = 1,0;0,1\n",
+         "xi_cov shape"),
+        ("maxima", "model.family = compound-jump\nmodel.jump_cov = 1,0;0,1\n",
+         "jump_cov shape"),
+        ("maxima", "model.family = compound-jump\nmodel.dim = 3\n"
+         "model.jump_mean = 1,2\n", "jump_mean shape"),
+        ("phis", "experiment.t_grid = 1.0\n", "at least e"),
+        ("phis", "experiment.t_grid = 2.0\n", "at least e"),
+        ("maxima", "experiment.t_grid = 1024.5, 2048.0\n", "whole numbers"),
+        ("maxima", "experiment.t_grid = 0.5, 1024.0\n", "whole numbers"),
+        ("phis", "experiment.c_factor = nan\n", "c_factor"),
+        ("phis", "experiment.c_factor = 100.0\n", "empty threshold grid"),
+        ("tail", "experiment.c_factor = inf\n", "c_factor"),
+        ("phis", "experiment.x_factors = nan, 1.0\n", "x_factors"),
+        ("tail", f"rng.root_seed = {2 ** 64}\n", "root_seed")])
+    def test_invalid_config_is_exit_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, kind, lines, message):
         def no_work(*args, **kwargs):
             raise AssertionError("a replication ran")
 
         monkeypatch.setattr(harness, "_replicate", no_work)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"experiment.t_grid = {grid}\n")
+        cfg.write_text(lines)
         out = tmp_path / "out"
         assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
-        assert "t_grid must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
