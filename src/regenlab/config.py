@@ -71,8 +71,8 @@ def _model_defaults(family: str) -> dict[str, object]:
 
 def _parse_param(default: object, text: str):
     """A model parameter, read as the type of its field's default.  A field
-    without one (default None: a vector or a covariance) reads a number,
-    ``a,b`` or ``a,b;c,d``, and the family checks the shape."""
+    defaulting to None (a vector or a covariance) reads a number, ``a,b`` or
+    ``a,b;c,d``, and the family checks the shape."""
     if isinstance(default, int):
         return _parse_int(text)
     if isinstance(default, float):
