@@ -11,7 +11,10 @@ Subcommands fall into three groups:
 * closed-form calculators -- ``bounds`` evaluates a single named tail bound
   and prints one CSV row, ``certify`` checks a named bound against its exact
   oracle and reports PASS or FAIL (no oracle draws a random number, so its
-  ``--seed`` and ``--workers`` are accepted and have no effect);
+  ``--seed`` and ``--workers`` are accepted and have no effect).  Their
+  ``--key value`` flags are the keyword parameters of the named function in
+  :data:`BOUND_CALCULATORS` or :data:`harness.CERTIFIERS`, read by
+  :func:`_arguments`;
 * experiments -- ``rate``, ``tail``, ``phis``, ``maxima`` parse a config file
   (or use the kind's defaults), run the experiment, and persist results, a
   canonical config snapshot, a report, and a manifest line under ``--out``.
@@ -29,6 +32,7 @@ that a crash never reads as a FAIL verdict.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -277,158 +281,131 @@ def _parse_laplace(text: str):
         "or point:TAU")
 
 
-def _need(params: dict, key: str) -> str:
-    if key not in params:
-        raise ValueError(f"missing required parameter --{key.replace('_', '-')}")
-    return params[key]
+def _laplace_at_1(laplace_at_1: float | None, laplace: str | None) -> float:
+    """The duration Laplace transform at 1, from exactly one of
+    ``--laplace-at-1 VALUE`` and ``--laplace DESC``."""
+    if (laplace_at_1 is None) == (laplace is None):
+        raise ValueError("give exactly one duration transform: "
+                         "--laplace-at-1 VALUE or --laplace DESC")
+    if laplace is None:
+        return laplace_at_1
+    return float(_parse_laplace(laplace)(1.0))
 
 
-def _f(params: dict, key: str, default: float | None = None) -> float:
-    if key not in params and default is not None:
-        return default
-    return _finite(key, _need(params, key))
+def _moments(n, p, abs_moment, variance,
+             laplace_at_1=None) -> bounds_mod.TailMoments:
+    return bounds_mod.TailMoments(n=_whole("n", n), p=p, abs_moment=abs_moment,
+                                  variance=variance, laplace_at_1=laplace_at_1)
 
 
-def _moments(params: dict, need_laplace: bool = False) -> bounds_mod.TailMoments:
-    laplace_at_1 = None
-    if "laplace_at_1" in params:
-        laplace_at_1 = _f(params, "laplace_at_1")
-    elif "laplace" in params:
-        laplace_at_1 = float(_parse_laplace(params["laplace"])(1.0))
-    elif need_laplace:
-        raise ValueError(
-            "missing duration transform: give --laplace-at-1 VALUE or "
-            "--laplace DESC")
-    return bounds_mod.TailMoments(
-        n=_whole("n", _f(params, "n")), p=_f(params, "p"),
-        abs_moment=_f(params, "abs_moment"), variance=_f(params, "variance"),
-        laplace_at_1=laplace_at_1)
+def _bound_poisson_inverse(t, x, gamma):
+    return bounds_mod.poisson_inverse_tail(t, x, gamma)
 
 
-def _bound_poisson_inverse(params):
-    return bounds_mod.poisson_inverse_tail(
-        _f(params, "t"), _f(params, "x"), _f(params, "gamma"))
+def _bound_renewal_count(t, x, mu, laplace: str):
+    return bounds_mod.renewal_count_tail(t, x, mu, _parse_laplace(laplace))
 
 
-def _bound_renewal_count(params):
-    return bounds_mod.renewal_count_tail(
-        _f(params, "t"), _f(params, "x"), _f(params, "mu"),
-        _parse_laplace(_need(params, "laplace")))
+def _bound_nagaev(n, p, abs_moment, variance, x):
+    return bounds_mod.nagaev_tail(_moments(n, p, abs_moment, variance), x)
 
 
-def _bound_grid_increment(params):
-    return bounds_mod.brownian_grid_increment_tail(_f(params, "t"),
-                                                   _f(params, "x"))
+def _bound_block_maximal(n, p, abs_moment, variance, x, c=1.0):
+    return bounds_mod.block_maximal_tail(
+        _moments(n, p, abs_moment, variance), x, c=c)
 
 
-def _bound_nagaev(params):
-    return bounds_mod.nagaev_tail(_moments(params), _f(params, "x"))
-
-
-def _bound_block_maximal(params):
-    return bounds_mod.block_maximal_tail(_moments(params), _f(params, "x"),
-                                         c=_f(params, "c", 1.0))
-
-
-def _bound_random_sum_m0(params):
-    if "laplace_at_1" in params:
-        value = _f(params, "laplace_at_1")
-        laplace = lambda b: value  # noqa: E731
-    else:
-        laplace = _parse_laplace(_need(params, "laplace"))
-    m0 = bounds_mod.random_sum_M0(laplace)
+def _bound_random_sum_m0(laplace_at_1: float | None = None,
+                         laplace: str | None = None):
+    value = _laplace_at_1(laplace_at_1, laplace)
+    m0 = bounds_mod.random_sum_M0(lambda b: value)
     return bounds_mod.BoundResult(float(m0), None, {"M0": m0})
 
 
-def _bound_random_sum_nagaev(params):
-    return bounds_mod.random_sum_nagaev_tail(
-        _f(params, "t"), _f(params, "x"), _moments(params, need_laplace=True))
+def _bound_random_sum_nagaev(t, x, n, p, abs_moment, variance,
+                             laplace_at_1: float | None = None,
+                             laplace: str | None = None):
+    return bounds_mod.random_sum_nagaev_tail(t, x, _moments(
+        n, p, abs_moment, variance, _laplace_at_1(laplace_at_1, laplace)))
 
 
-def _bound_brownian_sup(params):
-    return bounds_mod.brownian_sup_tail(_f(params, "t"), _f(params, "x"),
-                                        _whole("d", _f(params, "d", 1.0)))
+def _bound_brownian_sup(t, x, d=1):
+    return bounds_mod.brownian_sup_tail(t, x, _whole("d", d))
 
 
-def _bound_exp_to_power(params):
-    c, a0 = bounds_mod.exp_to_power(_f(params, "A"), _f(params, "B"),
-                                    _f(params, "C"), _f(params, "p"))
+def _bound_exp_to_power(A, B, C, p):
+    c, a0 = bounds_mod.exp_to_power(A, B, C, p)
     return bounds_mod.BoundResult(a0, None, {"c": c, "a0": a0})
 
 
-_MOMENT_KEYS = ("n", "p", "abs_moment", "variance")
-_LAPLACE_KEYS = ("laplace_at_1", "laplace")
-
-# name: (calculator, the parameters it reads)
+# name: calculator; its keyword parameters, with their defaults, are the
+# parameters of ``regenlab bounds NAME``
 BOUND_CALCULATORS = {
-    "poisson-inverse-tail": (_bound_poisson_inverse, ("t", "x", "gamma")),
-    "renewal-count-tail": (_bound_renewal_count, ("t", "x", "mu", "laplace")),
-    "brownian-grid-increment-tail": (_bound_grid_increment, ("t", "x")),
-    "nagaev-tail": (_bound_nagaev, (*_MOMENT_KEYS, "x")),
-    "block-maximal-tail": (_bound_block_maximal, (*_MOMENT_KEYS, "x", "c")),
-    "random-sum-m0": (_bound_random_sum_m0, _LAPLACE_KEYS),
-    "random-sum-nagaev-tail": (_bound_random_sum_nagaev,
-                               ("t", "x", *_MOMENT_KEYS, *_LAPLACE_KEYS)),
-    "brownian-sup-tail": (_bound_brownian_sup, ("t", "x", "d")),
-    "exp-to-power": (_bound_exp_to_power, ("A", "B", "C", "p")),
+    "poisson-inverse-tail": _bound_poisson_inverse,
+    "renewal-count-tail": _bound_renewal_count,
+    "brownian-grid-increment-tail": bounds_mod.brownian_grid_increment_tail,
+    "nagaev-tail": _bound_nagaev,
+    "block-maximal-tail": _bound_block_maximal,
+    "random-sum-m0": _bound_random_sum_m0,
+    "random-sum-nagaev-tail": _bound_random_sum_nagaev,
+    "brownian-sup-tail": _bound_brownian_sup,
+    "exp-to-power": _bound_exp_to_power,
 }
-
-
-def _collect_params(pairs: list[str], extra: list[str]) -> dict:
-    """Parameters from repeated ``--param k=v`` plus free ``--key value``."""
-    params: dict[str, str] = {}
-
-    def put(key: str, value: str) -> None:
-        key = key.replace("-", "_")
-        if key in params:
-            raise ValueError(f"duplicate parameter {key!r}")
-        params[key] = value
-
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--param needs KEY=VALUE, got {pair!r}")
-        put(key, value)
-    i = 0
-    while i < len(extra):
-        token = extra[i]
-        if not token.startswith("--") or len(token) <= 2:
-            raise ValueError(f"unexpected argument {token!r}")
-        body = token[2:]
-        if "=" in body:
-            key, _, value = body.partition("=")
-            put(key, value)
-            i += 1
-            continue
-        if i + 1 >= len(extra):
-            raise ValueError(f"flag --{body} is missing a value")
-        put(body, extra[i + 1])
-        i += 2
-    return params
 
 
 def _flags(keys) -> str:
     return ", ".join(f"--{key.replace('_', '-')}" for key in keys)
 
 
-def _check_request(registry: dict, name: str, what: str,
-                   params: dict) -> None:
-    """A ``name`` missing from the registry of ``what``, or a parameter its
-    entry does not read, is a usage error raised before any computation."""
+def _arguments(registry: dict, name: str, what: str,
+               extra: list[str]) -> dict:
+    """The keyword arguments of ``registry[name]`` from its ``--key value``
+    and ``--key=value`` flags, read by its signature: a tuple default takes
+    comma-separated finite numbers, a ``str`` (or ``str | None``) annotation
+    text, anything else one finite number, and a parameter without a
+    default is required.  An unknown ``name``, an unknown, repeated or
+    missing flag and a bad number are usage errors raised before any
+    computation."""
+    raw: dict[str, str] = {}
+    tokens = iter(extra)
+    for token in tokens:
+        if not token.startswith("--") or len(token) <= 2:
+            raise ValueError(f"unexpected argument {token!r}")
+        key, sep, value = token[2:].partition("=")
+        if not sep:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"flag --{key} is missing a value")
+        key = key.replace("-", "_")
+        if key in raw:
+            raise ValueError(f"duplicate parameter {key!r}")
+        raw[key] = value
     if name not in registry:
         raise ValueError(f"unknown {what} {name!r}; known {what}s: "
                          f"{', '.join(sorted(registry))}")
-    accepted = registry[name][1]
-    unknown = [key for key in params if key not in accepted]
+    params = inspect.signature(registry[name]).parameters
+    unknown = [key for key in raw if key not in params]
     if unknown:
         raise ValueError(f"{what} {name} does not take {_flags(unknown)}; "
-                         f"accepted: {_flags(accepted)}")
+                         f"accepted: {_flags(params)}")
+    for key, param in params.items():
+        if param.default is param.empty and key not in raw:
+            raise ValueError(f"missing required parameter {_flags([key])}")
+    args = {}
+    for key, text in raw.items():
+        param = params[key]
+        if isinstance(param.default, tuple):
+            args[key] = tuple(_finite(key, item) for item in text.split(","))
+        elif param.annotation in ("str", "str | None"):
+            args[key] = text
+        else:
+            args[key] = _finite(key, text)
+    return args
 
 
 def _cmd_bounds(args, extra: list[str]) -> int:
-    params = _collect_params(args.param, extra)
-    _check_request(BOUND_CALCULATORS, args.name, "bound", params)
-    res = BOUND_CALCULATORS[args.name][0](params)
+    params = _arguments(BOUND_CALCULATORS, args.name, "bound", extra)
+    res = BOUND_CALCULATORS[args.name](**params)
     constant_text = ";".join(
         f"{key}={format_value(val)}" for key, val in res.constants_used.items())
     print(f"{args.name},{format_value(res.value)},{res.region or 'none'},"
@@ -440,22 +417,10 @@ def _cmd_bounds(args, extra: list[str]) -> int:
 # certify
 # ---------------------------------------------------------------------------
 
-# certifier parameters that take a comma-separated list of numbers
-_CERTIFY_LIST_KEYS = ("t_values", "x_values", "factors")
-
-
 def _cmd_certify(args, extra: list[str]) -> int:
-    raw = _collect_params(args.param, extra)
-    _check_request(CERTIFIERS, args.name, "certification", raw)
-    params = {}
-    for key, value in raw.items():
-        if key in _CERTIFY_LIST_KEYS:
-            params[key] = tuple(_finite(key, item)
-                                for item in value.split(","))
-        else:
-            params[key] = _finite(key, value)
-    record = certify_bound(args.name, params=params or None)
-    width = max((len(row.label) for row in record.rows), default=8)
+    params = _arguments(CERTIFIERS, args.name, "certification", extra)
+    record = certify_bound(args.name, params)
+    width = max(len(row.label) for row in record.rows)
     for row in record.rows:
         print(f"  {row.label:<{width}}  lhs={row.lhs:.6g}  se={row.se:.3g}  "
               f"bound={row.bound:.6g}  {_verdict(row.passed)}")
@@ -636,16 +601,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bnd = sub.add_parser("bounds", allow_abbrev=False, help="evaluate one closed-form tail bound")
     bnd.add_argument("name")
-    bnd.add_argument("--param", action="append", default=[],
-                     metavar="KEY=VALUE")
     bnd.set_defaults(handler=_cmd_bounds, takes_extra=True)
 
     crt = sub.add_parser("certify", allow_abbrev=False,
                          help="cross-check one bound against its exact "
                               "oracle")
     crt.add_argument("name")
-    crt.add_argument("--param", action="append", default=[],
-                     metavar="KEY=VALUE")
     crt.add_argument("--seed", type=int, default=0,
                      help="accepted and ignored: no oracle draws")
     crt.add_argument("--workers", type=int, default=1,

@@ -400,10 +400,10 @@ def _whole(key: str, value) -> int:
     return int(value)
 
 
-def _certify_poisson_inverse(params) -> CertificationRecord:
+def _certify_poisson_inverse(t_values=(64.0, 256.0, 1024.0)
+                             ) -> CertificationRecord:
     """Exact Gamma-CDF oracle: P(unit-rate level-t passage time >= 2t)."""
-    t_values = tuple(_above_one("t_values", float(t)) for t in params.get(
-        "t_values", (64.0, 256.0, 1024.0)))
+    t_values = tuple(_above_one("t_values", t) for t in t_values)
     rows = []
     for t in t_values:
         bound = poisson_inverse_tail(t, t / math.log(t), 1.0)
@@ -428,12 +428,12 @@ def _poisson_sf(n: int, t: float) -> float:
     return math.fsum(terms)
 
 
-def _certify_renewal_count(params) -> CertificationRecord:
+def _certify_renewal_count(t=20.0) -> CertificationRecord:
     """Two exact oracles for P(more than 2t renewals of unit exponentials by
     time t) = P(S_n <= t), S_n the sum of n = floor(2t) + 1 of them: the
     Poisson tail P(N(t) >= n), since S_n <= t exactly when the Poisson
     count N(t) reaches n, and the Gamma CDF gammainc(n, t)."""
-    t = _above_one("t", float(params.get("t", 20.0)))
+    t = _above_one("t", t)
     count = int(math.floor(2.0 * t)) + 1
     bound = renewal_count_tail(t, t / math.log(t), 1.0,
                                lambda b: 1.0 / (1.0 + b))
@@ -469,14 +469,12 @@ def _run_tail(n: int, x: float) -> float:
     return (2 ** n - counts[-1]) / 2 ** n
 
 
-def _certify_block_maximal(params) -> CertificationRecord:
+def _certify_block_maximal(n=16, x=4.0, p=3.0, c=1.0) -> CertificationRecord:
     """Exact oracle: the +-1 walk's short-window maximum is a run of +1
     steps, counted by ``_run_tail``."""
-    n = _whole("n", params.get("n", 16))
-    x = float(params.get("x", 4.0))
-    p = float(params.get("p", 3.0))
+    n = _whole("n", n)
     moments = TailMoments(n=n, p=p, abs_moment=1.0, variance=1.0)
-    bound = block_maximal_tail(moments, x, c=float(params.get("c", 1.0)))
+    bound = block_maximal_tail(moments, x, c=c)
     rows = (_row(f"runs n={n} x={x:g}", _run_tail(n, x), bound.value),)
     return CertificationRecord(
         "block-maximal", rows, rows[0].passed,
@@ -520,12 +518,13 @@ def _random_sum_tail(t: float, x: float) -> float:
 _RANDOM_SUM_MAX_X = 256.0
 
 
-def _certify_random_sum(params) -> CertificationRecord:
+def _certify_random_sum(t=10.0, x=None) -> CertificationRecord:
     """Exact oracle for the running-maximum tail of a renewal-counted
     Gaussian sum (unit-exponential durations, so N(t) is Poisson), plus the
-    exact pivot constant."""
-    t = _above_one("t", float(params.get("t", 10.0)))
-    x = float(params.get("x", t / math.log(t)))
+    exact pivot constant.  ``x=None`` means t / log t."""
+    t = _above_one("t", t)
+    if x is None:
+        x = t / math.log(t)
     moments = TailMoments(n=1, p=3.0, abs_moment=2.0 * math.sqrt(2.0 / math.pi),
                           variance=1.0, laplace_at_1=0.5)
     bound = random_sum_nagaev_tail(t, x, moments)
@@ -560,16 +559,19 @@ def _log_below(x: float, span: float) -> float:
     return math.log1p(-q) if q < 1.0 else -math.inf
 
 
-def _certify_grid_increment(params) -> CertificationRecord:
+def _certify_grid_increment(t_values=(1.0, 2.0, 3.0, 5.0, 10.0),
+                            x_values=(2.6, 2.9, 3.2, 3.6, 4.0)
+                            ) -> CertificationRecord:
     """Exact oracle for the within-unit Wiener oscillation sup against the
     union/reflection bound: the units of [0, t], the last one partial when
     t is not an integer, are independent, so P(sup_{u<=t} |B(u) -
     B(floor(u))| >= x) = 1 - (1 - q(x))^floor(t) (1 - q(x / sqrt(t -
-    floor(t)))), with q the reflection-series tail."""
-    t_values = tuple(float(t) for t in params.get("t_values",
-                                                  (1.0, 2.0, 3.0, 5.0, 10.0)))
-    x_values = tuple(float(x) for x in params.get("x_values",
-                                                  (2.6, 2.9, 3.2, 3.6, 4.0)))
+    floor(t)))), with q the reflection-series tail.  The series never
+    settles at x <= 0, so such an x is a usage error raised first."""
+    for x in x_values:
+        if not x > 0:
+            raise ValueError(f"parameter --x-values must be positive, "
+                             f"got {x:g}")
     rows = []
     for t in t_values:
         units = math.floor(t)
@@ -582,13 +584,13 @@ def _certify_grid_increment(params) -> CertificationRecord:
                                all(r.passed for r in rows), {})
 
 
-def _certify_brownian_sup(params) -> CertificationRecord:
+def _certify_brownian_sup(t_values=(4.0, 16.0, 64.0, 256.0, 1024.0),
+                          factors=(1.05, 1.5, 2.5, 4.0, 8.0)
+                          ) -> CertificationRecord:
     """Exact oracle P(sup_{u<=t} |W(u)| >= x/2) = q(x / (2 sqrt t)), the
-    reflection-series tail by Brownian scaling, below the envelope."""
-    t_values = tuple(_above_one("t_values", float(t)) for t in params.get(
-        "t_values", (4.0, 16.0, 64.0, 256.0, 1024.0)))
-    factors = tuple(float(f) for f in params.get(
-        "factors", (1.05, 1.5, 2.5, 4.0, 8.0)))
+    reflection-series tail by Brownian scaling, below the envelope, at
+    x = f t / log t for each factor f; a pair with x <= e is skipped."""
+    t_values = tuple(_above_one("t_values", t) for t in t_values)
     rows = []
     for t in t_values:
         for f in factors:
@@ -615,11 +617,9 @@ def _symmetric_binomial_sf(k: int, n: int) -> float:
     return upper / 2 ** n
 
 
-def _certify_nagaev(params) -> CertificationRecord:
+def _certify_nagaev(n=100, x=50.0, p=3.0) -> CertificationRecord:
     """Exact oracles: symmetric binomial tail and a single normal term."""
-    n = _whole("n", params.get("n", 100))
-    x = float(params.get("x", 50.0))
-    p = float(params.get("p", 3.0))
+    n = _whole("n", n)
     lhs_binom = 2.0 * _symmetric_binomial_sf(math.ceil((n + x) / 2.0) - 1, n)
     two_point = TailMoments(n=n, p=p, abs_moment=1.0, variance=1.0)
     bound_binom = nagaev_tail(two_point, x)
@@ -636,26 +636,32 @@ def _certify_nagaev(params) -> CertificationRecord:
          "C2": bound_binom.constants_used["C2"]})
 
 
-# name: (certifier, the parameters it reads)
-CERTIFIERS: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "poisson-inverse": (_certify_poisson_inverse, ("t_values",)),
-    "renewal-count": (_certify_renewal_count, ("t",)),
-    "block-maximal": (_certify_block_maximal, ("n", "x", "p", "c")),
-    "random-sum": (_certify_random_sum, ("t", "x")),
-    "grid-increment": (_certify_grid_increment, ("t_values", "x_values")),
-    "brownian-sup": (_certify_brownian_sup, ("t_values", "factors")),
-    "nagaev": (_certify_nagaev, ("n", "x", "p")),
+# name: certifier; its keyword parameters, with their defaults, are the
+# parameters of ``regenlab certify NAME``
+CERTIFIERS: dict[str, Callable[..., CertificationRecord]] = {
+    "poisson-inverse": _certify_poisson_inverse,
+    "renewal-count": _certify_renewal_count,
+    "block-maximal": _certify_block_maximal,
+    "random-sum": _certify_random_sum,
+    "grid-increment": _certify_grid_increment,
+    "brownian-sup": _certify_brownian_sup,
+    "nagaev": _certify_nagaev,
 }
 
 
 def certify_bound(name: str, params: dict | None = None) -> CertificationRecord:
     """Check one inequality against its exact oracle; PASS means every
-    oracle left-hand side is at most its bound.  No oracle draws a random
-    number or opens a process pool."""
+    oracle left-hand side is at most its bound, and parameters that leave
+    no row to check are a usage error, never a vacuous PASS.  No oracle
+    draws a random number or opens a process pool."""
     if name not in CERTIFIERS:
         raise KeyError(
             f"unknown bound {name!r}; registry: {sorted(CERTIFIERS)}")
-    return CERTIFIERS[name][0](params or {})
+    record = CERTIFIERS[name](**(params or {}))
+    if not record.rows:
+        raise ValueError(f"certification {name} has no row to check at "
+                         f"these parameters")
+    return record
 
 
 # -- embedding sanity check -------------------------------------------------

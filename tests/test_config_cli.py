@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line surface."""
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -17,6 +18,44 @@ from regenlab.paths import HorizonExceededError, read_cycle_csv
 from regenlab.reporting import read_manifest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# one valid argv per bound calculator: (required flags, optional flags)
+BOUND_ARGV = {
+    "poisson-inverse-tail": (["--t", "100", "--x", "10", "--gamma", "1"], []),
+    "renewal-count-tail": (["--t", "20", "--x", "6.67", "--mu", "1",
+                            "--laplace", "exp:1"], []),
+    "brownian-grid-increment-tail": (["--t", "10", "--x", "3"], []),
+    "nagaev-tail": (["--n", "100", "--p", "3", "--abs-moment", "1",
+                     "--variance", "1", "--x", "50"], []),
+    "block-maximal-tail": (["--n", "16", "--p", "3", "--abs-moment", "1",
+                            "--variance", "1", "--x", "8"], ["--c", "2"]),
+    "random-sum-m0": ([], ["--laplace", "exp:1"]),
+    "random-sum-nagaev-tail": (["--t", "10", "--x", "5", "--n", "1",
+                                "--p", "3", "--abs-moment", "1.6",
+                                "--variance", "1"],
+                               ["--laplace-at-1", "0.5"]),
+    "brownian-sup-tail": (["--t", "100", "--x", "40"], ["--d", "1"]),
+    "exp-to-power": (["--A", "1", "--B", "2", "--C", "0.5", "--p", "3"], []),
+}
+
+
+def _documented_lines() -> list[list[str]]:
+    """The ``regenlab bounds`` and ``regenlab certify`` lines of
+    scripts/run_all.sh and README.md as argument lists; ``$name`` expands
+    over run_all.sh's ``for name in`` loop."""
+    lines = []
+    for doc in ("scripts/run_all.sh", "README.md"):
+        text = (ROOT / doc).read_text().replace("\\\n", " ")
+        loop = re.search(r"for name in ([^;]*); do", text)
+        for line in text.splitlines():
+            if not line.strip().startswith(("regenlab bounds ",
+                                            "regenlab certify ")):
+                continue
+            argv = shlex.split(line)[1:]
+            names = loop.group(1).split() if "$name" in line else [""]
+            lines += [[arg.replace("$name", name) for arg in argv]
+                      for name in names]
+    return lines
 
 
 def _failing_fit() -> RateFit:
@@ -225,6 +264,25 @@ class TestCliExitCodes:
          "parameter --n must be a whole number"),
         (["bounds", "brownian-sup-tail", "--t", "100", "--x", "40",
           "--d", "1.7"], "parameter --d must be a whole number"),
+        # the reflection series never settles at x <= 0: the oracle never
+        # returned
+        (["certify", "grid-increment", "--x-values", "0"],
+         "parameter --x-values must be positive"),
+        (["certify", "grid-increment", "--x-values", "-1"],
+         "parameter --x-values must be positive"),
+        # x = 0.5 * 4 / log 4 < e skips the only pair: no vacuous PASS
+        (["certify", "brownian-sup", "--t-values", "4", "--factors", "0.5"],
+         "certification brownian-sup has no row to check"),
+        # both transforms used to read --laplace-at-1 and drop --laplace
+        (["bounds", "random-sum-m0", "--laplace-at-1", "0.5",
+          "--laplace", "exp:9"], "give exactly one duration transform"),
+        (["bounds", "random-sum-m0"], "give exactly one duration transform"),
+        (["bounds", "random-sum-nagaev-tail",
+          *BOUND_ARGV["random-sum-nagaev-tail"][0], "--laplace-at-1", "0.5",
+          "--laplace", "exp:9"], "give exactly one duration transform"),
+        (["bounds", "random-sum-nagaev-tail",
+          *BOUND_ARGV["random-sum-nagaev-tail"][0]],
+         "give exactly one duration transform"),
     ])
     def test_parameter_out_of_range_is_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -240,6 +298,9 @@ class TestCliExitCodes:
          "--t-values, --x-values"),
         (["certify", "renewal-count", "--reps", "2000"], "--reps", "--t"),
         (["certify", "random-sum", "--reps", "2000"], "--reps", "--t, --x"),
+        # --param KEY=VALUE is gone: only --key value and --key=value remain
+        (["bounds", "poisson-inverse-tail", "--t", "100", "--x", "20",
+          "--param", "gamma=1"], "--param", "--t, --x, --gamma"),
     ])
     def test_unknown_parameter_is_exit_2(self, capsys, argv, key, accepted):
         assert main(argv) == 2
@@ -247,13 +308,28 @@ class TestCliExitCodes:
         assert f"does not take {key}; accepted: {accepted}" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv", [
-        shlex.split(line)[1:]
-        for doc in ("scripts/run_all.sh", "README.md")
-        for line in (ROOT / doc).read_text().splitlines()
-        if line.startswith("regenlab bounds ")], ids=" ".join)
-    def test_documented_bounds_lines_run(self, capsys, argv):
-        assert main(argv) == 0
+    def test_every_calculator_has_a_valid_argv(self, capsys):
+        assert set(BOUND_ARGV) == set(cli.BOUND_CALCULATORS)
+        for name, (required, optional) in BOUND_ARGV.items():
+            assert main(["bounds", name, *required, *optional]) == 0, name
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, (required, _) in BOUND_ARGV.items()
+        for flag in required[::2]])
+    def test_missing_required_flag_is_exit_2(self, capsys, name, flag):
+        required, optional = BOUND_ARGV[name]
+        index = required.index(flag)
+        argv = [*required[:index], *required[index + 2:], *optional]
+        assert main(["bounds", name, *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"missing required parameter {flag}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", _documented_lines(), ids=" ".join)
+    def test_documented_bounds_lines_run(self, tmp_path, capsys, argv):
+        # a documented line that spells a removed flag fails here
+        assert main([arg.replace("$runs", str(tmp_path))
+                     for arg in argv]) == 0
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
