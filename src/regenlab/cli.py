@@ -560,6 +560,19 @@ def _cmd_maxima(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """A ``--workers`` count: a positive integer, or a usage error (exit 2)
+    rather than a silent serial run at 0 or below."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regenlab",
@@ -609,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crt.add_argument("name")
     crt.add_argument("--seed", type=int, default=0,
                      help="accepted and ignored: no oracle draws")
-    crt.add_argument("--workers", type=int, default=1,
+    crt.add_argument("--workers", type=_positive_int, default=1,
                      help="accepted and ignored: no oracle opens a pool")
     crt.add_argument("--out", default=None)
     crt.set_defaults(handler=_cmd_certify, takes_extra=True)
@@ -626,7 +639,9 @@ def _build_parser() -> argparse.ArgumentParser:
         exp = sub.add_parser(kind, allow_abbrev=False, help=description)
         exp.add_argument("--config", default=None)
         exp.add_argument("--out", required=True)
-        exp.add_argument("--workers", type=int, default=1)
+        exp.add_argument("--workers", type=_positive_int, default=1,
+                         help="most processes to run replications in "
+                              "(default: 1)")
         exp.set_defaults(handler=handler)
 
     return parser

@@ -32,10 +32,11 @@ times, and no ``W_circ`` where the null-space projector is zero.  The
 ``rate`` and ``tail`` replications and the embedding check use it, and
 their sups keep every bit.
 
-Both the sup and the decomposition evaluate at the same breakpoints of
-[0, t] (:func:`_breakpoints`).  :func:`sup_deviation` takes its max over
-them as they come, duplicates and all; only the decomposition, whose rows
-are ordered in time, sorts them (:func:`evaluation_grid`).
+Both the sup and the decomposition evaluate at breakpoints of [0, t]
+(:func:`_breakpoints`).  :func:`sup_deviation` takes its max over the
+deviation's kinks as they come, duplicates and all; the decomposition,
+whose rows are ordered in time, sorts its points and adds the integers and
+the multiples of gamma (:func:`evaluation_grid`).
 
 Time axes: cycle index (``B``, ``B_tilde``, ``N`` and its first-passage
 inverse live here) versus physical time (the path ``S``, ``W_tilde``,
@@ -116,9 +117,12 @@ class UnitGridPath:
                 raise HorizonExceededError(
                     f"path covers [0, {self.horizon}], asked for "
                     f"[{lo:g}, {hi:g}]")
-        out = np.empty((x.size, self.d))
-        for j in range(self.d):
-            out[:, j] = np.interp(x, self._grid, self._matrix[:, j])
+        if self.d == 1:
+            out = np.interp(x, self._grid, self._matrix[:, 0])[:, None]
+        else:
+            out = np.empty((x.size, self.d))
+            for j in range(self.d):
+                out[:, j] = np.interp(x, self._grid, self._matrix[:, j])
         if self._flat:
             return out[0, 0] if scalar else out[:, 0]
         return out[0] if scalar else out
@@ -223,11 +227,14 @@ def _cycle_path(model: Model, driver: GaussianDriver, rng: RngStream,
 
 
 def _cycles_to_cover(span: float, greeks: Greeks) -> int:
-    """Cycles whose renewal time likely passes ``span``: the mean renewal
-    count plus three of its standard deviations, sqrt(span*gamma)/mu."""
+    """Cycles whose renewal time often passes ``span``: the mean renewal
+    count plus one of its standard deviations, sqrt(span*gamma)/mu.
+
+    A block that falls short is extended by :func:`_durations_past`, so a
+    tight block trades an occasional short second block for fewer
+    quantiles past t."""
     return int(math.ceil(span / greeks.mu
-                         + 3.0 * math.sqrt(span * greeks.gamma) / greeks.mu
-                         + 1.0))
+                         + math.sqrt(span * greeks.gamma) / greeks.mu + 1.0))
 
 
 def _durations_past(model: Model, g_dur: np.ndarray, greeks: Greeks,
@@ -236,11 +243,12 @@ def _durations_past(model: Model, g_dur: np.ndarray, greeks: Greeks,
     renewal time reaches t, or of all K when none does.
 
     The quantile is elementwise, so each duration has the bits it has in
-    the full K-cycle array.  A first block sized from mu and gamma usually
-    suffices; otherwise the block grows from the same ``g_dur`` until the
-    renewal time reaches t.  The running renewal time continues
-    ``np.cumsum`` from its last value, so it equals, bit for bit, the last
-    renewal time of the path these durations build.
+    the full K-cycle array.  A first block sized from mu and gamma
+    (:func:`_cycles_to_cover`) often suffices; otherwise short blocks extend
+    it from the same ``g_dur`` until the renewal time reaches t.  The
+    running renewal time continues ``np.cumsum`` from its last value, so it
+    equals, bit for bit, the last renewal time of the path these durations
+    build.
     """
     k = g_dur.size
     blocks, n, reach = [], 0, 0.0
@@ -379,6 +387,9 @@ class AssembledW:
     independent Wiener path carrying the null-space component through
     ``P0 = greeks.null_projector``.  Without Wc (``wcirc=None``, where the
     projector is zero) the last term is left out.
+
+    At d = 1 every product is a scalar multiply (:func:`_times`), and a
+    final ``+ 0.0`` turns a zero into the +0.0 the matmuls give.
     """
 
     wstar: ScaledPath
@@ -394,12 +405,24 @@ class AssembledW:
         t = np.atleast_1d(t)
         star = np.atleast_2d(self.wstar.at(t / g.gamma))
         tilde = np.atleast_1d(self.wtilde.at(t))
-        core = (star @ g.v) / math.sqrt(g.lam) \
+        core = _times(star, g.v) / math.sqrt(g.lam) \
             - np.outer(tilde, g.alpha) * (g.mu / (g.lam * math.sqrt(g.gamma)))
-        out = core @ g.sigma_pinv
+        out = _times(core, g.sigma_pinv)
         if self.wcirc is not None:
-            out += np.atleast_2d(self.wcirc.at(t)) @ g.null_projector
+            out += _times(np.atleast_2d(self.wcirc.at(t)), g.null_projector)
+        if g.d == 1:
+            out += 0.0
         return out[0] if scalar else out
+
+
+def _times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix``; a 1x1 matrix multiplies as a scalar.
+
+    A one-term product is rounded once either way, so the bits agree, but
+    for the sign of a zero: the matmul sums the product onto +0.0, the
+    scalar multiply keeps ``0.0 * -0.5 == -0.0``.
+    """
+    return rows * matrix[0, 0] if matrix.shape == (1, 1) else rows @ matrix
 
 
 def assemble_W(wstar: ScaledPath, wtilde: ScaledPath,
@@ -557,21 +580,22 @@ def grid_points_per_unit(grid_step: float) -> int:
 
 
 def _breakpoints(path: RegenerativePath, t: float, grid_step: float,
-                 lattices: Sequence[float] = ()) -> list[np.ndarray]:
-    """The evaluation points of [0, t] in pieces, in this order: 0 and t,
-    the multiples of grid_step below t, the path events up to t, and the
-    multiples up to t of each lattice spacing.
+                 lattices: Sequence[float] = (),
+                 uniform: bool = True) -> list[np.ndarray]:
+    """The evaluation points of [0, t] in pieces, in this order: the path
+    events up to t, 0 and t, the multiples of grid_step below t when
+    ``uniform``, and the multiples up to t of each lattice spacing.
 
-    A piece may repeat points of another.  An integer spacing is left out:
-    its multiples up to t are integers, which the uniform part already
-    holds (:func:`grid_points_per_unit`).
+    A piece may repeat points of another.  With the uniform part, an
+    integer spacing is left out: its multiples up to t are integers, which
+    the uniform part already holds (:func:`grid_points_per_unit`).
     """
     n = grid_points_per_unit(grid_step)
-    pieces = [np.array([0.0, t]),
-              np.arange(math.ceil(t * n)) / n,
-              path.event_times[path.event_times <= t]]
+    pieces = [path.event_times[path.event_times <= t], np.array([0.0, t])]
+    if uniform:
+        pieces.append(np.arange(math.ceil(t * n)) / n)
     for spacing in lattices:
-        if spacing > 0 and not float(spacing).is_integer():
+        if spacing > 0 and not (uniform and float(spacing).is_integer()):
             multiples = _multiples(spacing, t)
             pieces.append(multiples[multiples <= t])
     return pieces
@@ -783,27 +807,36 @@ def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
                   t: float, grid_step: float = 1.0) -> float:
     """The exact sup over [0, t] of |S(u) - kappa*u - sigma*W(u)|.
 
-    The deviation is linear between consecutive points of the evaluation
-    grid (with the mean-duration lattice), so the max over those points is
-    the sup for piecewise-linear paths.  A piecewise-constant path jumps at
-    its events, so the max also runs over the left limits
-    ``S(e-) - kappa*e - sigma*W(e)`` at the events ``e <= t`` (W is
-    continuous).  A max needs no order: the points are the breakpoint
-    pieces as they come, unsorted and with repeats, and each point's value
-    has the bits it has on the sorted grid.
+    ``W_tilde`` and ``W_star`` are unit-grid interpolants read at ``u/mu``
+    and ``(u/gamma)/lambda``, and gamma*lambda = mu, so they bend only at
+    the multiples of mu; S bends or jumps only at its events; kappa*u is
+    linear.  Where the null-space projector is zero, ``W_circ`` carries no
+    weight and the deviation is linear between consecutive points of
+    {0, t}, the events up to t and the multiples of mu up to t: the max over
+    those kinks is the sup.  Where the projector has weight, ``W_circ``
+    bends at the integers, and the uniform grid of ``grid_step`` joins the
+    points.  The projector decides, not whether ``w`` holds ``W_circ``, so
+    :func:`build_bundle` and :func:`sup_inputs` give the same sup from the
+    same points.
+
+    A piecewise-constant path jumps at its events, so the max also runs over
+    the left limits ``S(e-) - kappa*e - sigma*W(e)`` at the events
+    ``e <= t`` (W is continuous).  A max needs no order: the points are the
+    breakpoint pieces as they come, unsorted and with repeats, and each
+    point's value has the bits it has on the sorted grid.
     """
     if t > path.horizon:
         raise HorizonExceededError(
             f"t={t:g} beyond simulated horizon {path.horizon:g}")
-    pieces = _breakpoints(path, t, grid_step, lattices=(greeks.mu,))
+    pieces = _breakpoints(path, t, grid_step, lattices=(greeks.mu,),
+                          uniform=bool(np.any(greeks.null_projector)))
     points = np.concatenate(pieces)
-    w_sigma = np.atleast_2d(w.at(points)) @ greeks.sigma
+    w_sigma = _times(np.atleast_2d(w.at(points)), greeks.sigma)
     dev = path.evaluate(points) - np.outer(points, greeks.kappa) - w_sigma
     sup = float(np.max(np.abs(dev)))
-    events = pieces[2]
+    events = pieces[0]
     if path.interpolation != PIECEWISE_CONSTANT or not events.size:
         return sup
-    start = pieces[0].size + pieces[1].size
     dev = path.evaluate(events, side="left") \
-        - np.outer(events, greeks.kappa) - w_sigma[start:start + events.size]
+        - np.outer(events, greeks.kappa) - w_sigma[:events.size]
     return max(sup, float(np.max(np.abs(dev))))

@@ -15,8 +15,9 @@ Reproducibility contract: every random draw descends from the config's
 ``root_seed`` through an arithmetic stream index — replication ``r`` of
 horizon ``i`` always gets the same stream — so results are bit-identical
 for any ``workers`` count.  Chunk boundaries are fixed (``_CHUNK``
-replications) and never depend on scheduling; the parent concatenates chunk
-results in submission order.
+replications) and never depend on scheduling; the pool runs the costliest
+chunks first, and the parent concatenates chunk results in canonical
+(horizon, replication) order.
 """
 
 from __future__ import annotations
@@ -72,11 +73,31 @@ def _chunk_ranges(total: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
 
 
-def _map_chunks(fn: Callable, args: list, workers: int) -> list:
-    if workers <= 1 or len(args) <= 1:
+def _map_chunks(fn: Callable, args: list, workers: int,
+                costs: Sequence[float]) -> list:
+    """``[fn(a) for a in args]``, through a pool of at most ``workers``
+    processes, and no more processes than chunks, when that is two or more.
+
+    The pool is given the chunks costliest first (``costs[i]`` is the cost
+    of ``args[i]``; ties keep their order), so that no long chunk starts
+    last while the other workers idle: largest-first scheduling (Graham
+    1969).  The results come back in the order of ``args``.  As with
+    ``Executor.map``, the first chunk in that order that raises raises
+    here, and the chunks not yet started are cancelled.
+    """
+    workers = min(workers, len(args))
+    if workers <= 1:
         return [fn(a) for a in args]
+    futures = [None] * len(args)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
+        for i in sorted(range(len(args)), key=costs.__getitem__,
+                        reverse=True):
+            futures[i] = pool.submit(fn, args[i])
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 # -- the replication primitive ---------------------------------------------
@@ -108,11 +129,13 @@ def _replicate(rep_fn: Callable, cfg: ExperimentConfig, greeks: Greeks | None,
                workers: int) -> list[list]:
     """``rep_fn(model, greeks, cfg, t, stream)`` for every replication of
     every horizon, grouped per horizon in replication order.  The chunks of
-    all horizons go through one ``_map_chunks`` call."""
+    all horizons go through one ``_map_chunks`` call, a chunk's cost being
+    its horizon times its replication count."""
     ranges = _chunk_ranges(cfg.replications)
     args = [(rep_fn, cfg, greeks, kind, t_index, float(t), lo, hi)
             for t_index, t in enumerate(horizons) for lo, hi in ranges]
-    chunks = _map_chunks(_replicate_chunk, args, workers)
+    chunks = _map_chunks(_replicate_chunk, args, workers,
+                         [t * (hi - lo) for *_, t, lo, hi in args])
     return [[r for c in chunks[i:i + len(ranges)] for r in c]
             for i in range(0, len(chunks), len(ranges))]
 
@@ -651,9 +674,10 @@ CERTIFIERS: dict[str, Callable[..., CertificationRecord]] = {
 
 def certify_bound(name: str, params: dict | None = None) -> CertificationRecord:
     """Check one inequality against its exact oracle; PASS means every
-    oracle left-hand side is at most its bound, and parameters that leave
-    no row to check are a usage error, never a vacuous PASS.  No oracle
-    draws a random number or opens a process pool."""
+    oracle left-hand side is at most its bound.  Parameters that leave no
+    row to check, or a row whose oracle and bound both underflow to 0, are
+    a usage error, never a vacuous PASS.  No oracle draws a random number
+    or opens a process pool."""
     if name not in CERTIFIERS:
         raise KeyError(
             f"unknown bound {name!r}; registry: {sorted(CERTIFIERS)}")
@@ -661,6 +685,11 @@ def certify_bound(name: str, params: dict | None = None) -> CertificationRecord:
     if not record.rows:
         raise ValueError(f"certification {name} has no row to check at "
                          f"these parameters")
+    for row in record.rows:
+        if row.lhs == row.bound == 0.0:
+            raise ValueError(f"certification {name} row {row.label!r} "
+                             f"compares 0 with 0 (both sides underflow), "
+                             f"which checks nothing")
     return record
 
 

@@ -273,6 +273,12 @@ class TestCliExitCodes:
         # x = 0.5 * 4 / log 4 < e skips the only pair: no vacuous PASS
         (["certify", "brownian-sup", "--t-values", "4", "--factors", "0.5"],
          "certification brownian-sup has no row to check"),
+        # oracle and bound both underflow to 0: "lhs=0 bound=0 PASS"
+        # checked nothing
+        (["certify", "renewal-count", "--t", "2000"],
+         "row 'exact-poisson-tail' compares 0 with 0"),
+        (["certify", "poisson-inverse", "--t-values", "64,100000"],
+         "row 'gamma-cdf t=100000' compares 0 with 0"),
         # both transforms used to read --laplace-at-1 and drop --laplace
         (["bounds", "random-sum-m0", "--laplace-at-1", "0.5",
           "--laplace", "exp:9"], "give exactly one duration transform"),
@@ -538,6 +544,20 @@ class TestCliArtifacts:
         assert main(["rate", "--out", str(out)]) == 3
         assert not (out / "results.csv").exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    @pytest.mark.parametrize("command", [["rate"], ["tail"], ["phis"],
+                                         ["maxima"], ["certify", "nagaev"]])
+    def test_workers_must_be_positive(self, tmp_path, capsys, command,
+                                      value):
+        # 0 and below ran serially and said nothing
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--out", str(tmp_path / "out"),
+                  "--workers", value])
+        assert err.value.code == 2
+        assert ("argument --workers: must be a positive integer"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -168,6 +168,35 @@ class TestAssembledW:
         expected = core @ pinv + circ @ ((proj + proj.T) / 2)
         np.testing.assert_allclose(ours, expected, atol=1e-10)
 
+    def test_one_dimensional_products_keep_the_matmul_bits(self, gg1_model):
+        # at d = 1 the products are scalar multiplies: every bit, the sign of
+        # a zero included, must be the matmul formula's
+        ws = []
+        for model in (gg1_model, ParetoCycleModel(tail_index=3.5)):
+            g = reference_greeks(model, 3.0)
+            ws.append(build_bundle(model, g, 32.0, "shared-innovations",
+                                   _stream(8))[1].w)
+        # beta < kappa and a -0.0 driver at the origin: the scalar products
+        # give W(0) = -0.0, where the matmuls give +0.0
+        g = reference_greeks(GammaGaussianModel(
+            tau_shape=2.0, tau_scale=1.0, beta=[0.1], kappa=[0.25],
+            noise_cov=[[0.9]], dim=1), 3.0)
+        ws.append(coupling.assemble_W(
+            build_timechange_wiener(UnitGridPath([[-0.0], [-0.0], [0.5]]), g),
+            build_inverse_wiener(UnitGridPath([0.0, 0.0, 0.3]), g), None, g))
+        for w in ws:
+            g = w.greeks
+            probe = np.linspace(0.0, 4.0, 17)
+            star = np.atleast_2d(w.wstar.at(probe / g.gamma))
+            tilde = np.atleast_1d(w.wtilde.at(probe))
+            core = (star @ g.v) / math.sqrt(g.lam) - np.outer(
+                tilde, g.alpha) * (g.mu / (g.lam * math.sqrt(g.gamma)))
+            expected = core @ g.sigma_pinv
+            if w.wcirc is not None:
+                expected += np.atleast_2d(w.wcirc.at(probe)) @ g.null_projector
+            assert w.at(probe).tobytes() == expected.tobytes()
+            assert w.at(0.0).tobytes() == expected[0].tobytes()
+
     def test_starts_at_zero(self, gg1_model):
         g = reference_greeks(gg1_model, 3.0)
         _, bundle = build_bundle(gg1_model, g, 16.0, "shared-innovations",
@@ -687,7 +716,15 @@ def _sorted_grid_sup(path, w, g, t, grid_step):
     return sup
 
 
+# mu = 2.5: the integers are no kinks of the deviation, and only the
+# multiples of mu join the events
+NON_INTEGER_MU = (GammaGaussianModel(tau_shape=2.5, tau_scale=1.0,
+                                     beta=[0.4], kappa=[0.25],
+                                     noise_cov=[[0.9]], dim=1),
+                  "shared-innovations")
+
 BREAKPOINT_CASES = SUP_CASES + [
+    NON_INTEGER_MU,
     # a rank-1 sigma: the noise and beta - kappa both lie along (1, 1), so
     # the projector onto (1, -1) is nonzero and W keeps its W_circ term
     (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, beta=[0.3, 0.3],
@@ -713,6 +750,46 @@ class TestSupBreakpoints:
             assert sup_deviation(path, bundle.w, g, t, grid_step) == expected
             short_path, w = sup_inputs(model, g, t, mode, _stream(230 + rep))
             assert sup_deviation(short_path, w, g, t, grid_step) == expected
+
+    def test_non_integer_mu_at_a_long_horizon(self):
+        model, mode = NON_INTEGER_MU
+        g = reference_greeks(model, 3.0)
+        assert not float(g.mu).is_integer()
+        t = 8192.0
+        for rep in range(3):
+            path, bundle = build_bundle(model, g, t, mode, _stream(235 + rep))
+            expected = _sorted_grid_sup(path, bundle.w, g, t, 1.0)
+            assert sup_deviation(path, bundle.w, g, t) == expected
+            short_path, w = sup_inputs(model, g, t, mode, _stream(235 + rep))
+            assert sup_deviation(short_path, w, g, t) == expected
+
+    @pytest.mark.parametrize("t", [37.5, 64.0])
+    @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
+                             ids=[f"{m.family}-d{m.d}-{mode}"
+                                  for m, mode in BREAKPOINT_CASES])
+    def test_sup_reads_only_the_kinks(self, monkeypatch, case, t):
+        # 0, t, the events and the multiples of mu; the integers only where
+        # W_circ has weight, for it bends there
+        model, mode = BREAKPOINT_CASES[case]
+        g = reference_greeks(model, 3.0)
+        path, w = sup_inputs(model, g, t, mode, _stream(245))
+        read = []
+        real = AssembledW.at
+
+        def recorded(self, u):
+            read.append(np.array(u, dtype=float))
+            return real(self, u)
+
+        monkeypatch.setattr(AssembledW, "at", recorded)
+        sup_deviation(path, w, g, t)
+        kinks = [np.array([0.0, t]), path.event_times,
+                 g.mu * np.arange(math.floor(t / g.mu) + 2.0)]
+        if np.any(g.null_projector):
+            kinks.append(np.arange(math.ceil(t), dtype=float))
+        expected = np.unique(np.concatenate(kinks))
+        assert len(read) == 1
+        np.testing.assert_array_equal(np.unique(read[0]),
+                                      expected[expected <= t])
 
     @pytest.mark.parametrize("grid_step", [1.0, 0.5, 1.0 / 3.0])
     @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),

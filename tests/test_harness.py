@@ -3,15 +3,19 @@ import dataclasses
 import math
 from fractions import Fraction
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from regenlab import harness
 from regenlab.config import build_config
 from regenlab.coupling import build_bundle, sup_deviation
 from scipy.special import gammainc
 
-from regenlab.harness import (TailEstimate, _poisson_sf, _random_sum_tail,
-                              _replicate, _run_tail, _symmetric_binomial_sf,
+from regenlab.harness import (TailEstimate, _map_chunks, _poisson_sf,
+                              _random_sum_tail, _replicate, _run_tail,
+                              _symmetric_binomial_sf,
                               _wiener_oscillation_tail, certify_bound,
                               fit_constant_a, maxima_scaling_experiment,
                               replication_stream, run_embedding_check,
@@ -74,6 +78,99 @@ class TestFailingReplication:
                        workers)
         assert str(err.value) == ("replication root_seed=5 kind=tail "
                                   "t_index=1 rep=7: cycles reach only 3.5")
+
+
+def _short_at_two_reps(model, greeks, cfg, t, stream):
+    """Replication 60 of horizon 0 and replication 7 of horizon 1 fall
+    short; horizon 1's chunks cost more, so they run first."""
+    for t_index, rep in ((0, 60), (1, 7)):
+        if stream.stream_index == replication_stream(
+                cfg.root_seed, "tail", t_index, cfg.replications,
+                rep).stream_index:
+            raise HorizonExceededError(f"cycles reach only {t_index}.5")
+    return float(t), stream.stream_index
+
+
+def _address(model, greeks, cfg, t, stream):
+    return float(t), stream.stream_index
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor: runs each chunk as it is
+    submitted, and records its size and the submission order."""
+
+    def __init__(self, pools, max_workers):
+        self.max_workers, self.submitted = max_workers, []
+        pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, arg):
+        self.submitted.append(arg)
+        future = Future()
+        try:
+            future.set_result(fn(arg))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    made = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(made, max_workers))
+    return made
+
+
+class TestChunkOrder:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_in_canonical_order_raises(self, workers):
+        cfg = build_config("tail", t_grid=(64.0, 128.0), replications=120,
+                           root_seed=5)
+        with pytest.raises(HorizonExceededError) as err:
+            _replicate(_short_at_two_reps, cfg, None, cfg.t_grid, "tail",
+                       workers)
+        assert str(err.value) == ("replication root_seed=5 kind=tail "
+                                  "t_index=0 rep=60: cycles reach only 0.5")
+
+    def test_pool_results_equal_the_sequential_ones(self):
+        cfg = build_config("tail", t_grid=(32.0, 64.0, 128.0),
+                           replications=120, root_seed=5)
+        runs = [_replicate(_address, cfg, None, cfg.t_grid, "tail", workers)
+                for workers in (1, 2)]
+        assert runs[0] == runs[1]
+        assert [len(per_t) for per_t in runs[0]] == [120, 120, 120]
+
+    def test_costliest_chunks_are_submitted_first(self, pools):
+        # chunks of 50, 50 and 20 replications; cost = t * replications
+        cfg = build_config("tail", t_grid=(64.0, 128.0), replications=120,
+                           root_seed=5)
+        per_t = _replicate(_address, cfg, None, cfg.t_grid, "tail", 2)
+        (pool,) = pools
+        assert [(a[4], a[6]) for a in pool.submitted] == [
+            (1, 0), (1, 50), (0, 0), (0, 50), (1, 100), (0, 100)]
+        assert per_t == _replicate(_address, cfg, None, cfg.t_grid, "tail", 1)
+
+    def test_ties_keep_canonical_order(self, pools):
+        costs = [1.0, 5.0, 5.0, 2.0, 9.0, 1.0]
+        assert _map_chunks(str, list(range(6)), 2, costs) == list("012345")
+        assert pools[0].submitted == [4, 1, 2, 3, 0, 5]
+
+    @pytest.mark.parametrize("workers, chunks, size", [
+        (64, 3, 3), (2, 6, 2), (8, 1, None), (1, 6, None), (0, 6, None),
+        (-3, 6, None)])
+    def test_pool_opens_at_most_one_process_per_chunk(self, pools, workers,
+                                                      chunks, size):
+        args = list(range(chunks))
+        assert _map_chunks(str, args, workers, [1.0] * chunks) \
+            == [str(a) for a in args]
+        assert [pool.max_workers for pool in pools] \
+            == ([] if size is None else [size])
 
 
 class TestTailFit:
