@@ -561,8 +561,9 @@ def _cmd_maxima(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _positive_int(text: str) -> int:
-    """A ``--workers`` count: a positive integer, or a usage error (exit 2)
-    rather than a silent serial run at 0 or below."""
+    """A ``--workers`` or ``--cycles`` count: a positive integer, or a usage
+    error (exit 2) that names the flag, rather than a silent serial run or an
+    empty sample at 0 or below."""
     try:
         value = int(text)
     except ValueError:
@@ -585,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", allow_abbrev=False, help="sample cycles and write CSV")
     sim.add_argument("--config", default=None)
-    sim.add_argument("--cycles", type=int, default=1000)
+    sim.add_argument("--cycles", type=_positive_int, default=1000)
     sim.add_argument("--out", required=True)
     sim.add_argument("--events", action="store_true",
                      help="also write intra-cycle events")
@@ -593,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     grk = sub.add_parser("greeks", allow_abbrev=False, help="print cycle parameters")
     grk.add_argument("--config", default=None)
-    grk.add_argument("--cycles", type=int, default=100_000)
+    grk.add_argument("--cycles", type=_positive_int, default=100_000)
     grk.set_defaults(handler=_cmd_greeks)
 
     cpl = sub.add_parser("couple", allow_abbrev=False,

@@ -124,7 +124,8 @@ class Model:
     Subclasses set ``family``, ``interpolation`` and ``coupling_modes`` and
     implement the sampling and moment methods.  ``sample_cycles`` returns only
     the per-cycle statistics (fast, vectorized); ``sample_path`` materializes
-    the full trajectory for path-level experiments.
+    the full trajectory for path-level experiments.  Both follow one draw
+    contract: on the same stream they give bit-identical ``tau`` and ``xi``.
     """
 
     family: ClassVar[str]
@@ -151,10 +152,6 @@ class Model:
 
         Raises DegenerateTauError when the durations carry no variance.
         """
-        raise NotImplementedError
-
-    def laplace_tau(self, b: float) -> float:
-        """E exp(-b tau) for one cycle duration."""
         raise NotImplementedError
 
     def eta_moment(self, p: float) -> float:
@@ -225,9 +222,6 @@ class IidSumModel(Model):
         self._check_p(p)
         raise DegenerateTauError(
             "iid-sums has Var(tau) = 0; the pipeline requires Var(tau) > 0")
-
-    def laplace_tau(self, b: float) -> float:
-        return math.exp(-b * self.tau_const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,9 +309,6 @@ class GammaGaussianModel(Model):
             mu=self.mu, mean_xi=self.kappa * self.mu, var_tau=var_tau,
             var_xi=var_xi, cov_xi_tau=self.beta * var_tau, p=p)
 
-    def laplace_tau(self, b: float) -> float:
-        return (1.0 + self.tau_scale * b) ** (-self.tau_shape)
-
 
 @dataclass(frozen=True, eq=False)
 class ParetoCycleModel(Model):
@@ -394,11 +385,11 @@ class MM1BusyCycleModel(Model):
     period has E N = 1/(1 - rho) and Var N = rho (1 + rho) / (1 - rho)^3
     with rho = arrival_rate / service_rate (Takacs 1962; Kleinrock 1975,
     Queueing Systems I, sec. 5.8).  A walk that empties the queue after N
-    departures takes 2N - 1 events, so given N the busy period is
-    Erlang(2N - 1, arrival_rate + service_rate), which is how both samplers
-    build it; the idle period is independent of it.  Conditioning on N gives
-    the duration moments and Cov(N, tau), and the drift is exactly the
-    arrival rate.
+    departures takes 2N - 1 events, so given N the busy period is the sum of
+    2N - 1 Exp(arrival_rate + service_rate) holding times, which is how the
+    one walk both samplers share builds it; the idle period is independent
+    of it.  Conditioning on N gives the duration moments and Cov(N, tau),
+    and the drift is exactly the arrival rate.
     """
 
     family: ClassVar[str] = "mm1-busy-cycle"
@@ -448,75 +439,62 @@ class MM1BusyCycleModel(Model):
                 return total
             total += block
 
-    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
-        """Vectorized batch: walk all busy periods forward in lockstep rounds.
+    def _walk(self, n: int, gen: np.random.Generator):
+        """Walk every cycle's busy period forward in lockstep rounds.
 
-        Each round advances every still-busy cycle by one event; the queue
-        length does a +/-1 random walk from 1 down to 0.  Only the heights
-        of the still-busy cycles are kept, compacted each round, and a cycle
-        records its event count in the round that empties the queue.  A walk
-        from 1 to 0 in ``steps`` events makes ``(steps + 1) // 2`` downward
-        moves, the departures.  Total event counts then determine the busy
-        duration as an Erlang sum.
+        The n idle periods are drawn first.  Then, each round, every cycle
+        still busy draws one Exp(arrival_rate + service_rate) holding time,
+        added to its own clock, and one uniform that makes the event an
+        arrival or a departure.  The queue, one customer at the start of the
+        busy period, is empty once the departures exceed the arrivals by
+        one, that is once ``2 * departures == events + 1``.  The busy
+        cycles' clocks and departure counts are compacted after each round in
+        cycle order, so a cycle's clock is the sequential sum of its idle
+        period and its holding times; at its last departure it is tau.
+
+        Returns tau, the departures per cycle, and one record per round: the
+        cycle, clock and departures so far of each departure in that round.
+        The records start with an empty round, so n = 0 walks no round and
+        records no departure.
         """
-        gen = rng.generator()
-        total_rate = self.arrival_rate + self.service_rate
-        p_up = self.arrival_rate / total_rate
-        steps = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        height = np.ones(n, dtype=np.int64)
-        rounds = 0
-        while active.size:
-            rounds += 1
-            height += np.where(gen.random(active.size) < p_up, 1, -1)
-            alive = height > 0
-            steps[active[~alive]] = rounds
-            active = active[alive]
-            height = height[alive]
-        departures = (steps + 1) // 2
-        busy = gen.gamma(shape=steps.astype(float)) / total_rate
-        idle = gen.exponential(1.0 / self.arrival_rate, size=n)
-        tau = idle + busy
+        rate = self.arrival_rate + self.service_rate
+        p_up = self.arrival_rate / rate
+        tau = gen.exponential(1.0 / self.arrival_rate, size=n)
+        departures = np.zeros(n, dtype=np.int64)
+        busy = np.arange(n)
+        clock = tau.copy()
+        count = np.zeros(n, dtype=np.int64)
+        rounds = [(busy[:0], clock[:0], count[:0])]
+        events = 0
+        while busy.size:
+            events += 1
+            clock += gen.exponential(1.0 / rate, size=busy.size)
+            down = gen.random(busy.size) >= p_up
+            count += down
+            rounds.append((busy[down], clock[down], count[down]))
+            empty = 2 * count == events + 1
+            tau[busy[empty]] = clock[empty]
+            departures[busy[empty]] = count[empty]
+            left = ~empty
+            busy, clock, count = busy[left], clock[left], count[left]
+        return tau, departures, rounds
+
+    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
+        """The walk's durations and departure counts (xi = eta = N)."""
+        tau, departures, _ = self._walk(n, rng.generator())
         xi = departures.astype(float)
         return CycleBatch(tau=tau, xi=xi, eta=xi)
 
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
-        """Full trajectories: one event per departure, cycle by cycle.
-
-        The scalar draw order (idle period, then one exponential and one
-        uniform per busy-period event) is part of the stream contract.
-        """
-        gen = rng.generator()
-        total_rate = self.arrival_rate + self.service_rate
-        p_up = self.arrival_rate / total_rate
-        offsets, values, ptr = [], [], [0]
-        for _ in range(n):
-            t = gen.exponential(1.0 / self.arrival_rate)
-            height = 1
-            count = 0
-            while height > 0:
-                t += gen.exponential(1.0 / total_rate)
-                if gen.random() < p_up:
-                    height += 1
-                else:
-                    height -= 1
-                    count += 1
-                    offsets.append(t)
-                    values.append(float(count))
-            ptr.append(len(offsets))
-        last = np.array(ptr[1:], dtype=np.int64) - 1
-        offsets, values = np.array(offsets), np.array(values)
+        """The walk's departures, one event each, sorted into cycle order."""
+        tau, departures, rounds = self._walk(n, rng.generator())
+        cycle, clock, count = (np.concatenate(column)
+                               for column in zip(*rounds))
+        order = np.argsort(cycle, kind="stable")
+        ptr = np.concatenate([[0], np.cumsum(departures)])
         return RegenerativePath.from_cycle_events(
-            offsets[last], values[last], offsets, values, ptr,
-            self.interpolation)
-
-    def laplace_tau(self, b: float) -> float:
-        """Closed form: Exp idle transform times the busy-period transform."""
-        b = float(b)
-        la, mu_s = self.arrival_rate, self.service_rate
-        s = mu_s + la + b
-        busy = (s - math.sqrt(s * s - 4.0 * la * mu_s)) / (2.0 * la)
-        return la / (la + b) * busy
+            tau, departures.astype(float), clock[order],
+            count[order].astype(float), ptr, self.interpolation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,50 +529,47 @@ class CompoundJumpModel(Model):
         object.__setattr__(self, "_jump_root", root)
 
     def _draw(self, n: int, gen: np.random.Generator):
+        """Durations, jump counts, running jump sums and increments.
+
+        The running sums restart at each cycle and are accumulated one
+        position at a time, so each cycle's sums have exactly the bits of its
+        own sequential cumsum; xi is a cycle's last running sum, 0 for a cycle
+        without jumps.
+        """
         tau = gen.exponential(1.0 / self.cycle_rate, size=n)
         counts = gen.poisson(self.jump_rate * tau)
-        total = int(counts.sum())
-        jumps = self.jump_mean + \
-            gen.standard_normal((total, self.dim)) @ self._jump_root
-        return tau, counts, jumps
+        running = self.jump_mean + gen.standard_normal(
+            (int(counts.sum()), self.dim)) @ self._jump_root
+        first = np.cumsum(counts) - counts
+        for j in range(1, int(counts.max(initial=0))):
+            at = first[counts > j] + j
+            running[at] += running[at - 1]
+        xi = np.zeros((n, self.dim))
+        nonempty = counts > 0
+        xi[nonempty] = running[first[nonempty] + counts[nonempty] - 1]
+        return tau, counts, running, xi
 
     def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
-        tau, counts, jumps = self._draw(n, rng.generator())
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        running = np.cumsum(jumps, axis=0)
-        base = np.concatenate([np.zeros((1, self.dim)), running])
-        xi = base[starts[1:]] - base[starts[:-1]]
+        tau, counts, running, xi = self._draw(n, rng.generator())
         eta = np.zeros(n)
         nonempty = counts > 0
         if np.any(nonempty):
-            rel = np.max(np.abs(running - np.repeat(
-                base[starts[:-1]], counts, axis=0)), axis=1)
+            first = np.cumsum(counts) - counts
             eta[nonempty] = np.maximum.reduceat(
-                rel, starts[:-1][nonempty])
+                np.max(np.abs(running), axis=1), first[nonempty])
         return CycleBatch(tau=tau, xi=xi, eta=eta)
 
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
         """Jump events plus a flat terminal event closing each cycle."""
         gen = rng.generator()
-        tau, counts, jumps = self._draw(n, gen)
-        total = jumps.shape[0]
+        tau, counts, running, xi = self._draw(n, gen)
+        total = running.shape[0]
         cycle = np.repeat(np.arange(n), counts)
         u = gen.random(total)
         jump_offsets = u[np.lexsort((u, cycle))] * tau[cycle]
-        # Within-cycle running sums, accumulated one position at a time so
-        # each cycle's sum has exactly the bits of its own sequential cumsum.
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        position = np.arange(total) - starts[cycle]
-        running = jumps.copy()
-        for j in range(1, int(counts.max(initial=0))):
-            at = np.flatnonzero(position == j)
-            running[at] += running[at - 1]
-        xi = np.zeros((n, self.dim))
-        nonempty = counts > 0
-        xi[nonempty] = running[starts[1:][nonempty] - 1]
         # Each cycle's events: its jumps, then the terminal event (tau, xi).
         slot = np.arange(total) + cycle
-        end = starts[1:] + np.arange(n)
+        end = np.cumsum(counts) + np.arange(n)
         offsets = np.empty(total + n)
         offsets[slot] = jump_offsets
         offsets[end] = tau
@@ -615,9 +590,6 @@ class CompoundJumpModel(Model):
         return Greeks.from_moments(
             mu=mu, mean_xi=nu * mu * m, var_tau=var_tau, var_xi=var_xi,
             cov_xi_tau=nu * m * var_tau, p=p)
-
-    def laplace_tau(self, b: float) -> float:
-        return self.cycle_rate / (self.cycle_rate + float(b))
 
 
 MODELS: dict[str, type[Model]] = {cls.family: cls for cls in (

@@ -546,16 +546,21 @@ class TestCliArtifacts:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
-    @pytest.mark.parametrize("command", [["rate"], ["tail"], ["phis"],
-                                         ["maxima"], ["certify", "nagaev"]])
-    def test_workers_must_be_positive(self, tmp_path, capsys, command,
-                                      value):
-        # 0 and below ran serially and said nothing
+    @pytest.mark.parametrize("command, flag", [
+        (["rate"], "--workers"), (["tail"], "--workers"),
+        (["phis"], "--workers"), (["maxima"], "--workers"),
+        (["certify", "nagaev"], "--workers"),
+        (["simulate"], "--cycles"), (["greeks"], "--cycles")])
+    def test_counts_must_be_positive(self, tmp_path, capsys, command, flag,
+                                     value):
+        # --workers 0 and below ran serially and said nothing; simulate
+        # --cycles 0 wrote a header-only cycles.csv, and a negative --cycles
+        # failed in numpy with "negative dimensions are not allowed"
+        out = [] if command == ["greeks"] else ["--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as err:
-            main([*command, "--out", str(tmp_path / "out"),
-                  "--workers", value])
+            main([*command, *out, flag, value])
         assert err.value.code == 2
-        assert ("argument --workers: must be a positive integer"
+        assert (f"argument {flag}: must be a positive integer"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 

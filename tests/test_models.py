@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from regenlab.greeks import DegenerateTauError
-from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
+from regenlab.models import (MODELS, CompoundJumpModel, GammaGaussianModel,
                              IidSumModel, InvalidParameterError,
                              MM1BusyCycleModel, ModeUnsupportedError,
                              ParetoCycleModel, eta_moment, reference_greeks)
@@ -17,6 +17,18 @@ from regenlab.rng import RngStream
 
 def _batch(model, n, seed=0, index=50):
     return model.sample_cycles(n, RngStream(seed, index))
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+def test_samplers_share_one_draw_contract(family):
+    # on one stream both samplers give the same cycles, bit for bit
+    model = MODELS[family]()
+    batch = model.sample_cycles(2000, RngStream(2024, 5))
+    path = model.sample_path(2000, RngStream(2024, 5))
+    assert batch.tau.tobytes() == path.tau.tobytes()
+    assert batch.xi.tobytes() == path.xi.tobytes()
+    # path.eta() subtracts the absolute prefix sums again
+    np.testing.assert_allclose(batch.eta, path.eta(), rtol=1e-12, atol=1e-12)
 
 
 class TestIidSums:
@@ -186,8 +198,8 @@ class TestMM1BusyCycle:
             array = np.ascontiguousarray(array)
             h.update(f"{array.dtype}{array.shape}".encode())
             h.update(array.tobytes())
-        assert h.hexdigest() == ("b06817bd72536e3e79692a1b2a82ec8b"
-                                 "1ac8304b0f8e7382bedb86617a3b2a72")
+        assert h.hexdigest() == ("649593135dbe074284850a8d48ee000c"
+                                 "78ec6b5a31774d2cc5ebf1fd8f028533")
 
     @pytest.mark.parametrize("arrival,service",
                              [(0.5, 1.0), (0.3, 2.0), (0.9, 1.0)])
@@ -197,7 +209,15 @@ class TestMM1BusyCycle:
         # differences well inside its radius of convergence
         model = MM1BusyCycleModel(arrival_rate=arrival, service_rate=service)
         g = model.true_greeks(3.0)
-        lap = model.laplace_tau
+
+        def lap(b):
+            # E exp(-b tau): the Exp idle transform times the busy-period
+            # transform (Kleinrock 1975, Queueing Systems I, sec. 5.8)
+            s = service + arrival + b
+            busy = (s - math.sqrt(s * s - 4.0 * arrival * service)) \
+                / (2.0 * arrival)
+            return arrival / (arrival + b) * busy
+
         radius = min(arrival, (math.sqrt(service) - math.sqrt(arrival)) ** 2)
         h = 0.01 * radius
 
