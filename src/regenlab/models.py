@@ -452,49 +452,45 @@ class MM1BusyCycleModel(Model):
         cycle order, so a cycle's clock is the sequential sum of its idle
         period and its holding times; at its last departure it is tau.
 
-        Returns tau, the departures per cycle, and one record per round: the
-        cycle, clock and departures so far of each departure in that round.
-        The records start with an empty round, so n = 0 walks no round and
-        records no departure.
+        Yields, round by round, the cycle, clock and departures so far of
+        each departure in that round.  The first round is empty, so a walk
+        of n = 0 cycles yields one empty round.
         """
         rate = self.arrival_rate + self.service_rate
         p_up = self.arrival_rate / rate
-        tau = gen.exponential(1.0 / self.arrival_rate, size=n)
-        departures = np.zeros(n, dtype=np.int64)
+        clock = gen.exponential(1.0 / self.arrival_rate, size=n)
         busy = np.arange(n)
-        clock = tau.copy()
         count = np.zeros(n, dtype=np.int64)
-        rounds = [(busy[:0], clock[:0], count[:0])]
+        yield busy[:0], clock[:0], count[:0]
         events = 0
         while busy.size:
             events += 1
             clock += gen.exponential(1.0 / rate, size=busy.size)
             down = gen.random(busy.size) >= p_up
             count += down
-            rounds.append((busy[down], clock[down], count[down]))
-            empty = 2 * count == events + 1
-            tau[busy[empty]] = clock[empty]
-            departures[busy[empty]] = count[empty]
-            left = ~empty
+            yield busy[down], clock[down], count[down]
+            left = 2 * count != events + 1
             busy, clock, count = busy[left], clock[left], count[left]
-        return tau, departures, rounds
 
     def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
-        """The walk's durations and departure counts (xi = eta = N)."""
-        tau, departures, _ = self._walk(n, rng.generator())
-        xi = departures.astype(float)
+        """Each cycle's last departure: tau is its clock, xi = eta = N."""
+        tau, xi = np.empty(n), np.empty(n)
+        for cycle, clock, count in self._walk(n, rng.generator()):
+            tau[cycle] = clock   # a later departure of a cycle overwrites
+            xi[cycle] = count
         return CycleBatch(tau=tau, xi=xi, eta=xi)
 
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
         """The walk's departures, one event each, sorted into cycle order."""
-        tau, departures, rounds = self._walk(n, rng.generator())
-        cycle, clock, count = (np.concatenate(column)
-                               for column in zip(*rounds))
+        cycle, clock, count = (np.concatenate(column) for column
+                               in zip(*self._walk(n, rng.generator())))
         order = np.argsort(cycle, kind="stable")
-        ptr = np.concatenate([[0], np.cumsum(departures)])
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(cycle, minlength=n))])
+        offsets, values = clock[order], count[order].astype(float)
+        last = ptr[1:] - 1
         return RegenerativePath.from_cycle_events(
-            tau, departures.astype(float), clock[order],
-            count[order].astype(float), ptr, self.interpolation)
+            offsets[last], values[last], offsets, values, ptr,
+            self.interpolation)
 
 
 @dataclass(frozen=True, eq=False)
