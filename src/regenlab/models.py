@@ -29,13 +29,15 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, gammaln, hyp2f1, ndtr
+from scipy.special import (erfcx, gammainccinv, gammaincinv, gammaln, hyp2f1,
+                           log_ndtr, ndtr)
 
 from .greeks import DegenerateTauError, Greeks, matrix_sqrt_psd
 from .paths import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath
@@ -224,6 +226,132 @@ class IidSumModel(Model):
             "iid-sums has Var(tau) = 0; the pipeline requires Var(tau) > 0")
 
 
+_ERLANG_SHAPES = range(1, 9)   # the shapes tests/erlang_quantiles.txt covers
+_ERLANG_TOLS = (2.0 ** -20, 2.0 ** -34, 2.0 ** -56)   # Halley, Halley, polish
+_SPLIT = 134217729.0   # 2^27 + 1: Dekker's split of a double into halves
+
+
+def _horner(coef: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients ``coef`` (highest power first)."""
+    out = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _erlang_series(k: int) -> tuple[tuple[float, ...], ...]:
+    """Horner coefficients of the two series behind the Gamma(k, 1) tails.
+
+    The lower tail is F(x) = x^k e^(-x) r(x) / (k-1)! with
+    r(x) = sum_{i>=0} (k-1)! x^i / (i+k)!, all terms positive.  There is one
+    truncation of r per entry of ``_ERLANG_TOLS``; the terms it drops sum to
+    less than the tolerance times r for every x up to k, which exceeds the
+    median.  The last entry is T(x) = sum_{j<k} x^j / j!, the upper tail
+    being Q(x) = e^(-x) T(x).
+    """
+    fact = math.factorial(k - 1)
+    out = []
+    for tol in _ERLANG_TOLS:
+        # term: the first dropped term over r(0) = 1/k, at x = k; the
+        # dropped tail is below twice that
+        n, term = 0, 1.0
+        while 2.0 * term >= tol:
+            n += 1
+            term *= k / (n + k)
+        out.append(tuple(fact / math.factorial(i + k)   # rounded once
+                         for i in reversed(range(n))))
+    out.append(tuple(1.0 / math.factorial(j) for j in reversed(range(k))))
+    return tuple(out)
+
+
+def _wilson_hilferty(k: int, g: np.ndarray) -> np.ndarray:
+    """The Wilson-Hilferty guess k (1 - c + g sqrt(c))^3, c = 1/(9k)."""
+    c = 1.0 / (9.0 * k)
+    y = g * math.sqrt(c) + (1.0 - c)
+    return k * (y * y * y)
+
+
+def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
+    """The Gamma(k, 1) quantile at Phi(g) for g <= 0.
+
+    log Phi(g) = log(erfcx(-g/sqrt 2) / 2) - g^2/2, with g^2 split exactly
+    into ``sq + err`` (Dekker); below -1 Phi(g) is taken from the same
+    pieces, because ``ndtr`` rounds g^2 inside its exponential there and
+    loses up to about 40 ulp at g = -8.5.  From the larger of the small-x
+    asymptote x^k/k! = Phi and the Wilson-Hilferty guess, two Halley steps
+    in u = log x solve log F = log Phi, on truncated series; log F is
+    concave in u with slope 1/r.  A last Newton step on F(x) - Phi in
+    linear space, where both keep full relative precision, removes the
+    log-space rounding (one ulp of log Phi is |log Phi|/k ulp of x).
+    """
+    halley1, halley2, full, _ = _erlang_series(k)
+    log_fact = math.lgamma(k)   # log (k-1)!
+    hi = _SPLIT * g
+    hi -= hi - g
+    lo = g - hi
+    sq = g * g
+    err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    scaled = 0.5 * erfcx(-math.sqrt(0.5) * g)
+    phi = np.where(g < -1.0, scaled * np.exp(-0.5 * sq) * (1.0 - 0.5 * err),
+                   ndtr(g))
+    # target = log Phi + log (k-1)!
+    target = np.log(scaled) - 0.5 * sq - 0.5 * err + log_fact
+    u0 = (target + math.log(k)) / k   # x^k / k! = Phi
+    u = np.fmax(u0, np.log(_wilson_hilferty(k, g)))
+    for coef in (halley1, halley2):
+        np.minimum(u, math.log(k), out=u)
+        x = np.exp(u)
+        r = _horner(coef, x)
+        h = k * u - x + np.log(r) - target
+        u -= 2.0 * h * r / (2.0 + h * (1.0 + r * (x - k)))
+    x = np.exp(u)
+    r = _horner(full, x)
+    ratio = phi * math.factorial(k - 1) / (x ** k * np.exp(-x) * r)
+    x += x * r * (ratio - 1.0)
+    # below the normal range Phi has lost bits; there x^k / k! = Phi holds
+    # to far below one ulp
+    return np.where(phi >= np.finfo(float).tiny, x, np.exp(u0))
+
+
+def _erlang_upper(k: int, g: np.ndarray) -> np.ndarray:
+    """The Gamma(k, 1) quantile at Phi(g) for g > 0.
+
+    Three Newton steps on log Q(x) = -x + log T(x) = log Phi(-g), from the
+    larger of the Wilson-Hilferty guess and one fixed-point step of
+    x = log T(x) - log Phi(-g).  log Q is concave, so after the first step
+    the iterates fall to the root from above.  Its slope grows with x, so
+    one ulp of log Phi(-g) moves x by about one ulp.
+    """
+    poly = _erlang_series(k)[-1]
+    log_q = log_ndtr(-g)
+    x = np.log(_horner(poly, -log_q)) - log_q
+    x = np.fmax(x, _wilson_hilferty(k, g))
+    for _ in range(3):
+        t = _horner(poly, x)
+        x += (np.log(t) - x - log_q) * (math.factorial(k - 1) * t
+                                         / x ** (k - 1))
+    return x
+
+
+def _erlang_quantile(k: int, g: np.ndarray) -> np.ndarray:
+    """Gamma(k, 1) quantile at Phi(g) for an integer shape k, in plain numpy.
+
+    Every step is elementwise with a fixed number of terms and iterations,
+    so any slice of ``g`` gives the same bits.
+    """
+    out = np.empty_like(g)
+    lower = np.flatnonzero(g <= 0)   # indices: cheaper than a random mask
+    upper = np.flatnonzero(~(g <= 0))
+    with np.errstate(all="ignore"):   # the far tails take their limits
+        out.put(lower, _erlang_lower(k, g.take(lower)))
+        out.put(upper, _erlang_upper(k, g.take(upper)))
+    infinite = np.isinf(g)
+    out[infinite] = np.where(g[infinite] > 0, np.inf, 0.0)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GammaGaussianModel(Model):
     """Gamma durations; increments linear in the duration plus Gaussian noise.
@@ -280,9 +408,13 @@ class GammaGaussianModel(Model):
         """Duration as an increasing function of a standard normal variate.
 
         Inverse-CDF transform tau = F^{-1}(Phi(g)), branch-split so both
-        tails keep full relative precision.
+        tails keep full relative precision.  Integer shapes in
+        ``_ERLANG_SHAPES`` take the plain-numpy Erlang quantile; every other
+        shape takes scipy's ``gammaincinv``/``gammainccinv``.
         """
         g = np.asarray(g, dtype=float)
+        if self.tau_shape in _ERLANG_SHAPES:
+            return self.tau_scale * _erlang_quantile(int(self.tau_shape), g)
         out = np.empty_like(g)
         lower = g <= 0
         out[lower] = gammaincinv(self.tau_shape, ndtr(g[lower]))

@@ -1,18 +1,33 @@
 """Cycle distribution families: moments, quantile hooks, parameter guards."""
+import functools
 import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammainccinv, gammaincinv, ndtr
 
 from regenlab.greeks import DegenerateTauError
-from regenlab.models import (MODELS, CompoundJumpModel, GammaGaussianModel,
-                             IidSumModel, InvalidParameterError,
-                             MM1BusyCycleModel, ModeUnsupportedError,
-                             ParetoCycleModel, eta_moment, reference_greeks)
+from regenlab.models import (_ERLANG_SHAPES, MODELS, CompoundJumpModel,
+                             GammaGaussianModel, IidSumModel,
+                             InvalidParameterError, MM1BusyCycleModel,
+                             ModeUnsupportedError, ParetoCycleModel,
+                             eta_moment, reference_greeks)
 from regenlab.rng import RngStream
+
+ERLANG_TABLE = Path(__file__).resolve().parent / "erlang_quantiles.txt"
+
+
+@functools.lru_cache(maxsize=None)
+def _erlang_table() -> tuple[np.ndarray, np.ndarray]:
+    """The grid g and, per integer shape, the Gamma quantile at Phi(g)."""
+    rows = [line.split() for line in ERLANG_TABLE.read_text().splitlines()
+            if not line.startswith("#")]
+    values = np.array([[float.fromhex(v) for v in row] for row in rows])
+    return values[:, 0], values[:, 1:]
 
 
 def _batch(model, n, seed=0, index=50):
@@ -77,6 +92,68 @@ class TestGammaGaussian:
         oracle = stats.gamma.ppf(stats.norm.cdf(g), a=gg1_model.tau_shape,
                                  scale=gg1_model.tau_scale)
         np.testing.assert_allclose(ours, oracle, rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", _ERLANG_SHAPES)
+    def test_erlang_quantile_against_the_reference_table(self, shape):
+        # 40-digit quantiles from scripts/erlang_reference.py: the fast path
+        # is at worst as far off as scipy's Gamma inverse, and typically
+        # within one ulp
+        g, table = _erlang_table()
+        ref = table[:, shape - 1]
+        ours = GammaGaussianModel(tau_shape=shape).tau_from_gaussian(g)
+        lower = g <= 0
+        theirs = np.where(lower, gammaincinv(shape, ndtr(g)),
+                          gammainccinv(shape, ndtr(-g)))
+        ours_ulp = np.abs(ours - ref) / np.spacing(ref)
+        theirs_ulp = np.abs(theirs - ref) / np.spacing(ref)
+        assert ours_ulp.max() <= theirs_ulp.max()
+        assert np.median(ours_ulp) <= 1.0
+
+    def test_erlang_table_covers_the_fast_path(self):
+        _, table = _erlang_table()
+        assert table.shape[1] == len(_ERLANG_SHAPES)
+        assert list(_ERLANG_SHAPES) == list(range(1, table.shape[1] + 1))
+
+    @pytest.mark.parametrize("shape", [1.0, 2.0, 5.0, 8.0])
+    def test_duration_quantile_is_slice_invariant(self, shape):
+        # coupling._durations_past quantiles the drivers block by block and
+        # the sup tests compare against one call: slices must not move a bit
+        model = GammaGaussianModel(tau_shape=shape, tau_scale=1.5)
+        g = 2.5 * RngStream(7, 3).generator().standard_normal(5000)
+        whole = model.tau_from_gaussian(g)
+        bounds = np.sort(RngStream(7, 4).generator().integers(0, g.size, 40))
+        for a, b in zip(bounds[::2], bounds[1::2]):
+            assert (model.tau_from_gaussian(g[a:b]).tobytes()
+                    == whole[a:b].tobytes())
+        for i in bounds:
+            assert (model.tau_from_gaussian(g[i:i + 1]).tobytes()
+                    == whole[i:i + 1].tobytes())
+            assert model.tau_from_gaussian(g[i]) == whole[i]
+
+    @pytest.mark.parametrize("shape", [1.0, 2.0, 8.0])
+    def test_duration_quantile_is_nondecreasing(self, shape):
+        g = np.sort(RngStream(8, 0).generator().standard_normal(200_000))
+        tau = GammaGaussianModel(tau_shape=shape).tau_from_gaussian(g)
+        assert np.all(np.diff(tau) >= 0)
+
+    def test_duration_quantile_far_tails(self):
+        g = np.array([-np.inf, -60.0, -38.0, -8.5, 0.0, 8.5, 38.0, 60.0,
+                      np.inf, np.nan])
+        tau = GammaGaussianModel(tau_shape=2.0).tau_from_gaussian(g)
+        # at g = -60 the quantile, about e^-902, is below the least double
+        assert tau[0] == tau[1] == 0.0
+        assert tau[-2] == np.inf and np.isnan(tau[-1])
+        assert np.all(np.isfinite(tau[2:-2])) and np.all(tau[2:-2] > 0)
+        assert np.all(np.diff(tau[1:-1]) > 0)
+
+    def test_non_integer_shape_keeps_scipy_bits(self):
+        # tau_shape = 2.5 (the coupling tests' NON_INTEGER_MU) stays on
+        # scipy's route, bit for bit
+        g = 3.0 * RngStream(9, 0).generator().standard_normal(20_000)
+        model = GammaGaussianModel(tau_shape=2.5, tau_scale=1.0)
+        expected = np.where(g <= 0, gammaincinv(2.5, ndtr(g)),
+                            gammainccinv(2.5, ndtr(-g)))
+        assert model.tau_from_gaussian(g).tobytes() == expected.tobytes()
 
     def test_increments_regression_structure(self, gg1_model):
         batch = _batch(gg1_model, 100_000)

@@ -122,6 +122,36 @@ class TestSlopes:
                                n_boot=100)
         assert a == b
 
+    @pytest.mark.parametrize("seed, sizes", [
+        (0, (200, 200, 200, 200, 200, 200, 200)),
+        (1, (100, 101, 102)),
+        (2, (7, 130, 64, 9)),
+        (3, (1, 2, 3, 50, 51)),
+    ])
+    def test_bootstrap_equals_the_per_resample_loop(self, seed, sizes):
+        # the reference draws, takes the medians and fits one resample at a
+        # time; the vectorised bootstrap must give the same bits
+        rng = np.random.default_rng(seed)
+        t_values = [2.0 ** (10 + j) for j in range(len(sizes))]
+        samples = [t ** 0.35 * rng.lognormal(0, 0.3, size=n)
+                   for t, n in zip(t_values, sizes)]
+
+        def loop(gen, n_boot=400):
+            slopes = np.empty(n_boot)
+            for b in range(n_boot):
+                medians = np.array([
+                    np.median(s[gen.integers(0, s.size, size=s.size)])
+                    for s in samples])
+                slopes[b] = np.polyfit(np.log(t_values), np.log(medians),
+                                       1)[0]
+            alpha = 1.0 - 0.95
+            lo, hi = np.quantile(slopes, [alpha / 2.0, 1.0 - alpha / 2.0])
+            return float(lo), float(hi)
+
+        ours = bootstrap_slope_ci(t_values, samples,
+                                  np.random.default_rng(seed + 10))
+        assert ours == loop(np.random.default_rng(seed + 10))
+
 
 class TestPoissonGof:
     def test_accepts_true_rate(self):
