@@ -1,4 +1,4 @@
-"""Reference table of Erlang quantiles for the duration-quantile accuracy test.
+"""Reference tables of duration quantiles for the quantile accuracy tests.
 
 For every integer Gamma shape k on the fast path of
 ``GammaGaussianModel.tau_from_gaussian`` and every g on a fixed grid in
@@ -6,6 +6,10 @@ For every integer Gamma shape k on the fast path of
 at 40 significant digits with mpmath.  It writes one row per g to
 ``tests/erlang_quantiles.txt``: g, then x for each shape, all as
 ``float.hex`` (x rounded to the nearest double).
+
+On the same grid it writes the ``ParetoCycleModel.tau_from_gaussian``
+quantile 1 + Phi(-g)^(-1/theta) at theta = 3.5, also at 40 digits, to
+``tests/pareto_quantiles.txt``: one row of g and the quantile per g.
 
 Run by hand, from the repository root, when the shapes or the grid change:
 
@@ -25,8 +29,11 @@ import numpy as np
 
 SHAPES = range(1, 9)          # the integer shapes of the fast path
 G_GRID = np.linspace(-8.5, 8.5, 841)
+PARETO_TAIL_INDEX = 3.5
 DIGITS = 40
-OUT = Path(__file__).resolve().parent.parent / "tests" / "erlang_quantiles.txt"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+OUT = TESTS / "erlang_quantiles.txt"
+PARETO_OUT = TESTS / "pareto_quantiles.txt"
 
 
 def _quantile(k: int, g: float) -> mp.mpf:
@@ -90,6 +97,21 @@ def main() -> int:
             for g in G_GRID]
     OUT.write_text("\n".join(header + rows) + "\n")
     print(f"wrote {len(rows)} rows of {len(SHAPES)} shapes to {OUT}")
+
+    header = [
+        "# Pareto-cycle duration quantiles 1 + Phi(-g)^(-1/theta) at theta ="
+        f" {PARETO_TAIL_INDEX}, one line",
+        "# per g: g, then the quantile, both as float.hex; computed at"
+        f" {DIGITS} digits with",
+        f"# mpmath {mp.__version__} by scripts/erlang_reference.py, then"
+        " rounded to the nearest double",
+    ]
+    power = -1 / mp.mpf(PARETO_TAIL_INDEX)
+    rows = [f"{float(g).hex()} "
+            f"{float(1 + mp.ncdf(-mp.mpf(float(g))) ** power).hex()}"
+            for g in G_GRID]
+    PARETO_OUT.write_text("\n".join(header + rows) + "\n")
+    print(f"wrote {len(rows)} rows to {PARETO_OUT}")
     return 0
 
 

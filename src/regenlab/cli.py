@@ -25,9 +25,9 @@ leaves no new file behind.
 
 Exit codes: 0 on success, 1 when a verdict-bearing subcommand (``certify``,
 ``maxima``, ``rate``) reports FAIL, 2 on usage, parse, or validation errors,
-3 on an internal fault (a violated telescoping identity, a ``RuntimeError``,
-or a path that falls short of its horizon: ``HorizonExceededError``), so
-that a crash never reads as a FAIL verdict.
+3 on an internal fault (a violated telescoping identity, a path that falls
+short of its horizon: ``HorizonExceededError``, or any other exception that
+is not a usage error), so that a crash never reads as a FAIL verdict.
 """
 from __future__ import annotations
 
@@ -40,17 +40,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import (ConfigParseError, ConfigValidationError, build_config,
-                     parse_config)
-from .coupling import (IdentityViolationError, build_bundle,
-                       phi_decomposition, sup_deviation)
-from .greeks import (DegenerateTauError, InsufficientDataError,
-                     check_greek_identities, estimate_greeks)
+from .config import build_config, parse_config
+from .coupling import build_bundle, phi_decomposition, sup_deviation
+from .greeks import (DegenerateTauError, check_greek_identities,
+                     estimate_greeks)
 from .harness import (CERTIFIERS, _whole, certify_bound, fit_constant_a,
                       maxima_scaling_experiment, replication_stream,
                       run_phi_diagnostics, run_rate_experiment,
                       run_tail_experiment)
-from .models import InvalidParameterError, reference_greeks
+from .models import reference_greeks
 from .paths import HorizonExceededError
 from .reporting import (append_manifest, atomic_write_text, csv_text,
                         format_value, render_report)
@@ -659,16 +657,19 @@ def main(argv: list[str] | None = None) -> int:
             return args.handler(args, extra)
         return args.handler(args)
     # HorizonExceededError is a ValueError, so this clause must come first
-    except (IdentityViolationError, HorizonExceededError,
-            RuntimeError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigParseError, ConfigValidationError, InvalidParameterError,
-            InsufficientDataError, DegenerateTauError, ValueError, KeyError,
-            OSError) as exc:
+    except HorizonExceededError as exc:
+        fault = exc
+    # the config, parameter and greeks errors all subclass ValueError
+    except (ValueError, KeyError, OSError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    # a violated identity, a RuntimeError or anything unexpected: a fault,
+    # never exit 1, the FAIL verdict
+    except Exception as exc:
+        fault = exc
+    print(f"internal error: {type(fault).__name__}: {fault}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

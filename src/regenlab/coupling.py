@@ -155,47 +155,20 @@ class GaussianDriver:
     ``unit_increments_b`` has shape (K, d) and drives the increment side;
     ``unit_increments_btilde`` has shape (K,) and drives the duration side.
     Under mode "independent" both are independent of the cycles; the other
-    modes couple them per the contracts in :func:`drive_gaussians`.
+    modes couple them per the contracts in :func:`_cycle_path`.
     """
 
     unit_increments_b: np.ndarray
     unit_increments_btilde: np.ndarray
     mode: str
 
-    def b_path(self) -> UnitGridPath:
-        return UnitGridPath.from_increments(self.unit_increments_b)
-
-    def btilde_path(self) -> UnitGridPath:
-        return UnitGridPath.from_increments(self.unit_increments_btilde)
-
-
-def drive_gaussians(model: Model, horizon_cycles: int, mode: str,
-                    rng: RngStream) -> tuple[RegenerativePath, GaussianDriver]:
-    """Sample a cycle sequence together with its Gaussian drivers.
-
-    Modes:
-
-    * ``shared-innovations`` — the durations are the family's quantile of
-      ``B_tilde``'s increments, and the increments are
-      ``increments_from(tau, g)`` with ``g`` the increments of ``B``.  This
-      is exact when the residual is Gaussian (gamma-gaussian: ``g`` is the
-      model's own noise innovation, so the increment side has zero
-      per-cycle tracking error); ``g`` is unused when the residual is
-      degenerate (pareto-cycle, xi = tau).
-    * ``independent``       — null baseline: drivers drawn independently of
-      the cycles; no tracking guarantee.
-
-    The stream layout is fixed: child(0) native cycle sampling, child(1) the
-    increment-side driver, child(2) the duration-side driver.  Callers
-    reserve child(3) for the independent Wiener path of the assembled W.
-    """
-    driver = _draw_drivers(model, horizon_cycles, mode, rng)
-    return _cycle_path(model, driver, rng), driver
-
 
 def _draw_drivers(model: Model, horizon_cycles: int, mode: str,
                   rng: RngStream) -> GaussianDriver:
-    """The K-cycle Gaussian drivers from child(1) and child(2)."""
+    """The K-cycle Gaussian drivers.  The stream layout is fixed: child(0)
+    native cycle sampling (:func:`_cycle_path`), child(1) the increment-side
+    driver, child(2) the duration-side driver, child(3) the independent
+    Wiener path of the assembled W."""
     if mode not in model.coupling_modes:
         raise ModeUnsupportedError(
             f"model {model.family} supports modes {model.coupling_modes}, "
@@ -210,12 +183,17 @@ def _draw_drivers(model: Model, horizon_cycles: int, mode: str,
 
 def _cycle_path(model: Model, driver: GaussianDriver, rng: RngStream,
                 tau: np.ndarray | None = None) -> RegenerativePath:
-    """The replication's cycles.
+    """The replication's cycles, by mode.
 
-    In ``independent`` mode child(0) samples all K cycles natively: its draw
-    order is the stream contract.  Otherwise the durations are ``tau``, by
-    default the quantiles of all K duration-driver increments, and the
-    increments come from the matching leading rows of the increment driver.
+    * ``shared-innovations`` — the durations are ``tau``, by default the
+      family's quantile of all K duration-driver increments, and the
+      increments are ``increments_from(tau, g)``, ``g`` the matching leading
+      rows of the increment driver.  Exact when the residual is Gaussian
+      (gamma-gaussian: ``g`` is the model's own noise innovation); ``g`` is
+      unused when the residual is degenerate (pareto-cycle, xi = tau).
+    * ``independent`` — null baseline: child(0) samples all K cycles
+      natively, apart from both drivers, and its draw order is the stream
+      contract; no tracking guarantee.
     """
     k = driver.unit_increments_btilde.size
     if driver.mode == INDEPENDENT:
@@ -266,6 +244,9 @@ def _durations_past(model: Model, g_dur: np.ndarray, greeks: Greeks,
 @functools.lru_cache(maxsize=None)
 def _poisson_cdf(rate: float) -> np.ndarray:
     """Read-only CDF table of Poisson(rate), built once per rate."""
+    if not 0 < rate <= _MAX_TABLE_RATE:
+        raise ValueError(
+            f"rate must lie in (0, {_MAX_TABLE_RATE:g}], got {rate}")
     terms = [math.exp(-rate)]
     k, cdf = 0, terms[0]
     while cdf < 1.0 - 1e-16 and k < 40 + int(10 * rate):
@@ -277,23 +258,11 @@ def _poisson_cdf(rate: float) -> np.ndarray:
     return table
 
 
-class PoissonQuantile:
-    """Quantile function of Poisson(rate) via a cached CDF table."""
-
-    def __init__(self, rate: float):
-        rate = float(rate)
-        if not 0 < rate <= _MAX_TABLE_RATE:
-            raise ValueError(
-                f"rate must lie in (0, {_MAX_TABLE_RATE:g}], got {rate}")
-        self.rate = rate
-        self._cdf = _poisson_cdf(rate)
-
-    def ppf(self, u) -> np.ndarray:
-        """Smallest k with P(X <= k) >= u, vectorized."""
-        u = np.asarray(u, dtype=float)
-        if np.any((u < 0) | (u > 1)):
-            raise ValueError("quantile argument must lie in [0, 1]")
-        return np.searchsorted(self._cdf, u, side="left")
+def poisson_jump_counts(increments: np.ndarray, rate: float) -> np.ndarray:
+    """Per driver increment g, the Poisson(rate) quantile at Phi(g): exactly
+    Poisson for standard normal increments; needs 0 < rate <= 500."""
+    return np.searchsorted(_poisson_cdf(float(rate)), ndtr(increments),
+                           side="left")
 
 
 def _unit_jump_counts(btilde: UnitGridPath, rate: float,
@@ -301,7 +270,7 @@ def _unit_jump_counts(btilde: UnitGridPath, rate: float,
     """The driver increments over the first ``n_units`` unit intervals and
     their Poisson(rate) quantile jump counts."""
     increments = np.diff(btilde.values[:n_units + 1])
-    return increments, PoissonQuantile(rate).ppf(ndtr(increments))
+    return increments, poisson_jump_counts(increments, rate)
 
 
 def _jump_count(btilde: UnitGridPath, rate: float, n_units: int,
@@ -530,8 +499,8 @@ def _build(model: Model, greeks: Greeks, t: float, mode: str,
     if path.horizon < t:
         raise HorizonExceededError(
             f"{k} cycles reach only {path.horizon:g} < t={t:g}")
-    b = driver.b_path()
-    btilde = driver.btilde_path()
+    b = UnitGridPath.from_increments(driver.unit_increments_b)
+    btilde = UnitGridPath.from_increments(driver.unit_increments_btilde)
     needed_jumps = int(math.floor(t / greeks.gamma)) + 1
     if full:
         n_path = build_poisson_from_brownian(btilde, greeks, horizon=k)

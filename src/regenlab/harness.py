@@ -1,8 +1,8 @@
-"""Monte Carlo experiment engine.
+"""Experiments, certifications and the embedding check.
 
-Four experiments (deviation rate, deviation tail, per-term diagnostics,
-maxima scaling), a registry of bound certifications against exact
-oracles, and an embedding sanity check.
+Four Monte Carlo experiments (deviation rate, deviation tail, per-term
+diagnostics, maxima scaling), a registry of bound certifications against
+exact oracles, and an embedding sanity check.
 
 All replication goes through one primitive: ``_replicate`` runs a
 per-replication function over every (horizon, replication) pair of an
@@ -37,8 +37,8 @@ from .bounds import (TailMoments, block_maximal_tail,
                      random_sum_nagaev_tail, renewal_count_tail,
                      validity_region)
 from .config import ExperimentConfig
-from .coupling import (PoissonQuantile, build_bundle, phi_decomposition,
-                       sup_deviation, sup_inputs)
+from .coupling import (build_bundle, phi_decomposition,
+                       poisson_jump_counts, sup_deviation, sup_inputs)
 from .greeks import Greeks
 from .models import eta_moment, reference_greeks
 from .rng import RngStream
@@ -724,7 +724,7 @@ def run_embedding_check(root_seed: int = 0, n_units: int = 100_000,
 
     gen = _aux_stream(root_seed, "embedding", offset=7).generator()
     increments = gen.standard_normal(n_units)
-    counts = PoissonQuantile(greeks.lam).ppf(ndtr(increments))
+    counts = poisson_jump_counts(increments, greeks.lam)
     pvalue = poisson_gof_pvalue(counts, greeks.lam)
 
     w_rows = np.vstack(_replicate(_w_at_horizon, cfg, greeks, (t,),

@@ -273,21 +273,14 @@ def _wilson_hilferty(k: int, g: np.ndarray) -> np.ndarray:
     return k * (y * y * y)
 
 
-def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
-    """The Gamma(k, 1) quantile at Phi(g) for g <= 0.
+def _normal_cdf(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Phi(g) and the pieces of its logarithm, ``(phi, scaled, sq, err)``.
 
-    log Phi(g) = log(erfcx(-g/sqrt 2) / 2) - g^2/2, with g^2 split exactly
-    into ``sq + err`` (Dekker); below -1 Phi(g) is taken from the same
-    pieces, because ``ndtr`` rounds g^2 inside its exponential there and
-    loses up to about 40 ulp at g = -8.5.  From the larger of the small-x
-    asymptote x^k/k! = Phi and the Wilson-Hilferty guess, two Halley steps
-    in u = log x solve log F = log Phi, on truncated series; log F is
-    concave in u with slope 1/r.  A last Newton step on F(x) - Phi in
-    linear space, where both keep full relative precision, removes the
-    log-space rounding (one ulp of log Phi is |log Phi|/k ulp of x).
+    log Phi(g) = log(scaled) - sq/2 - err/2 with scaled = erfcx(-g/sqrt 2)/2
+    and g^2 split exactly into ``sq + err`` (Dekker).  Below -1 Phi(g) is
+    taken from the same pieces, because ``ndtr`` rounds g^2 inside its
+    exponential there and loses up to about 40 ulp at g = -8.5.
     """
-    halley1, halley2, full, _ = _erlang_series(k)
-    log_fact = math.lgamma(k)   # log (k-1)!
     hi = _SPLIT * g
     hi -= hi - g
     lo = g - hi
@@ -296,6 +289,23 @@ def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
     scaled = 0.5 * erfcx(-math.sqrt(0.5) * g)
     phi = np.where(g < -1.0, scaled * np.exp(-0.5 * sq) * (1.0 - 0.5 * err),
                    ndtr(g))
+    return phi, scaled, sq, err
+
+
+def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
+    """The Gamma(k, 1) quantile at Phi(g) for g <= 0.
+
+    Phi(g) and the pieces of log Phi(g) come from :func:`_normal_cdf`.
+    From the larger of the small-x asymptote x^k/k! = Phi and the
+    Wilson-Hilferty guess, two Halley steps in u = log x solve
+    log F = log Phi, on truncated series; log F is concave in u with slope
+    1/r.  A last Newton step on F(x) - Phi in linear space, where both keep
+    full relative precision, removes the log-space rounding (one ulp of
+    log Phi is |log Phi|/k ulp of x).
+    """
+    halley1, halley2, full, _ = _erlang_series(k)
+    log_fact = math.lgamma(k)   # log (k-1)!
+    phi, scaled, sq, err = _normal_cdf(g)
     # target = log Phi + log (k-1)!
     target = np.log(scaled) - 0.5 * sq - 0.5 * err + log_fact
     u0 = (target + math.log(k)) / k   # x^k / k! = Phi
@@ -468,9 +478,10 @@ class ParetoCycleModel(Model):
         return float(self.tail_index)
 
     def tau_from_gaussian(self, g: np.ndarray) -> np.ndarray:
-        """tau = 1 + Phi(-g)^(-1/tail_index), increasing in g."""
+        """tau = 1 + Phi(-g)^(-1/tail_index), increasing in g; Phi(-g) from
+        :func:`_normal_cdf`, where ``ndtr`` would lose up to 22 ulp."""
         g = np.asarray(g, dtype=float)
-        return 1.0 + ndtr(-g) ** (-1.0 / self.tail_index)
+        return 1.0 + _normal_cdf(-g)[0] ** (-1.0 / self.tail_index)
 
     def increments_from(self, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The increment equals the duration; the noise innovation is unused

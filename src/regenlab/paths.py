@@ -223,27 +223,3 @@ def invert_counting(counting: CountingPath, level: float) -> float:
             f"level {level} needs jump #{k} but only {counting.n_jumps} recorded")
     return float(counting.jump_times[k - 1])
 
-
-# -- CSV interchange -------------------------------------------------------
-
-
-def read_cycle_csv(path_or_file) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a cycle CSV; returns (tau, xi, eta) with xi of shape (n, d)."""
-    if hasattr(path_or_file, "read"):
-        lines = path_or_file.read().splitlines()
-    else:
-        with open(path_or_file) as fh:
-            lines = fh.read().splitlines()
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise ValueError("empty cycle CSV")
-    header = lines[0].split(",")
-    if header[:2] != ["cycle_index", "tau"] or header[-1] != "eta":
-        raise ValueError(f"unexpected cycle CSV header: {lines[0]!r}")
-    d = len(header) - 3
-    if d < 1 or header[2:-1] != [f"xi_{j + 1}" for j in range(d)]:
-        raise ValueError(f"unexpected cycle CSV header: {lines[0]!r}")
-    body = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    if body.ndim != 2 or body.shape[1] != len(header):
-        raise ValueError("ragged cycle CSV body")
-    return body[:, 1], body[:, 2:2 + d], body[:, -1]

@@ -89,10 +89,3 @@ def append_manifest(out_dir: str | Path, record: Mapping[str, object]) -> None:
     with open(out_dir / MANIFEST_NAME, "a") as handle:
         handle.write(json.dumps(stamped, sort_keys=True) + "\n")
 
-
-def read_manifest(out_dir: str | Path) -> list[dict]:
-    path = Path(out_dir) / MANIFEST_NAME
-    if not path.exists():
-        return []
-    return [json.loads(line) for line in path.read_text().splitlines()
-            if line.strip()]

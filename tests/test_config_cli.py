@@ -14,8 +14,7 @@ from regenlab.config import (ConfigParseError, ConfigValidationError,
                              EXPERIMENT_KINDS, build_config, parse_config,
                              parse_config_text)
 from regenlab.harness import HorizonSummary, RateFit, run_rate_experiment
-from regenlab.paths import HorizonExceededError, read_cycle_csv
-from regenlab.reporting import read_manifest
+from regenlab.paths import HorizonExceededError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -406,7 +405,8 @@ class TestCliExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("fault", [IdentityViolationError, RuntimeError,
-                                       HorizonExceededError])
+                                       HorizonExceededError, TypeError,
+                                       AssertionError])
     def test_internal_fault_is_exit_3(self, tmp_path, monkeypatch, capsys,
                                       fault):
         def broken(*args, **kwargs):
@@ -416,6 +416,19 @@ class TestCliExitCodes:
         assert main(["couple", "--t", "16", "--out", str(tmp_path)]) == 3
         assert (f"internal error: {fault.__name__}"
                 in capsys.readouterr().err)
+
+    def test_rate_internal_fault_is_exit_3_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # exit 1 would read as the rate FAIL verdict
+        def broken(cfg, workers):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "run_rate_experiment", broken)
+        out = tmp_path / "out"
+        assert main(["rate", "--out", str(out)]) == 3
+        assert ("internal error: TypeError: unsupported operand"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_rate_fail_is_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_rate_experiment",
@@ -436,10 +449,14 @@ class TestCliArtifacts:
     def test_simulate_writes_readable_cycles(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert main(["simulate", "--cycles", "40", "--out", str(out)]) == 0
-        tau, xi, eta = read_cycle_csv(out / "cycles.csv")
+        cycles = (out / "cycles.csv").read_text()
+        assert cycles.startswith("cycle_index,tau,xi_1,eta\n")
+        body = np.loadtxt(out / "cycles.csv", delimiter=",", skiprows=1)
+        tau, xi = body[:, 1], body[:, 2:3]
         assert tau.shape == (40,) and xi.shape == (40, 1)
         assert np.all(tau > 0)
-        records = read_manifest(out)
+        records = [json.loads(line) for line in
+                   (out / "manifest.jsonl").read_text().splitlines()]
         assert records[-1]["subcommand"] == "simulate"
         assert "timestamp" in records[-1]
 
@@ -528,7 +545,8 @@ class TestCliArtifacts:
         assert "[fit]" in report and "slope = " in report
         assert sorted(p.name for p in out.iterdir()) == [
             "config.snapshot", "manifest.jsonl", "report.txt", "results.csv"]
-        record = read_manifest(out)[-1]
+        record = json.loads(
+            (out / "manifest.jsonl").read_text().splitlines()[-1])
         assert record["subcommand"] == "rate"
         assert record["config"] == str(cfg)
 

@@ -13,14 +13,14 @@ from regenlab.cli import main
 from regenlab.config import parse_config
 from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
                                IdentityViolationError,
-                               PoissonQuantile, ScaledPath, UnitGridPath,
+                               ScaledPath, UnitGridPath,
                                build_bundle, build_inverse_wiener,
                                build_poisson_from_brownian,
                                _path_on_grid, _phi_terms,
                                build_timechange_wiener,
-                               drive_gaussians, evaluation_grid,
+                               evaluation_grid,
                                horizon_cycles_for, phi_decomposition,
-                               sup_deviation, sup_inputs)
+                               poisson_jump_counts, sup_deviation, sup_inputs)
 from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
                              IidSumModel, MM1BusyCycleModel,
                              ModeUnsupportedError, ParetoCycleModel,
@@ -67,23 +67,21 @@ class TestScaledPath:
 
 class TestPoissonQuantile:
     def test_matches_scipy_ppf_dual_route(self):
+        # the increments whose normal CDF spans [1e-6, 1 - 1e-6]
+        g = np.linspace(-4.75, 4.75, 101)
         for rate in (0.25, 1.0, 3.7, 40.0):
-            table = PoissonQuantile(rate)
-            u = np.linspace(1e-6, 1 - 1e-6, 101)
-            ours = table.ppf(u)
-            oracle = stats.poisson.ppf(u, rate)
+            ours = poisson_jump_counts(g, rate)
+            oracle = stats.poisson.ppf(ndtr(g), rate)
             np.testing.assert_array_equal(ours, oracle.astype(np.int64))
 
     def test_unit_rate_known_values(self):
-        table = PoissonQuantile(1.0)
-        assert table.ppf(np.array([0.5]))[0] == 1
-        assert table.ppf(np.array([float(ndtr(-3.0))]))[0] == 0
+        assert poisson_jump_counts(np.array([0.0]), 1.0)[0] == 1
+        assert poisson_jump_counts(np.array([-3.0]), 1.0)[0] == 0
 
     def test_gaussian_push_forward_is_poisson(self):
         rate = 2.5
-        table = PoissonQuantile(rate)
         g = RngStream(1, 901).generator().standard_normal(200_000)
-        counts = table.ppf(ndtr(g))
+        counts = poisson_jump_counts(g, rate)
         assert counts.mean() == pytest.approx(rate, abs=0.02)
         assert counts.var() == pytest.approx(rate, abs=0.05)
 
@@ -520,16 +518,20 @@ class TestBundle:
 
 class TestDriveGaussians:
     def test_driver_shapes(self, gg2_model):
-        path, driver = drive_gaussians(gg2_model, 64, "shared-innovations",
-                                       _stream(90))
-        assert driver.unit_increments_b.shape == (64, 2)
-        assert driver.unit_increments_btilde.shape == (64,)
-        assert path.n_cycles == 64
+        g = reference_greeks(gg2_model, 3.0)
+        path, bundle = build_bundle(gg2_model, g, 64.0, "shared-innovations",
+                                    _stream(90))
+        k = bundle.horizon_cycles
+        assert bundle.driver.unit_increments_b.shape == (k, 2)
+        assert bundle.driver.unit_increments_btilde.shape == (k,)
+        assert path.n_cycles == k
 
     def test_shared_durations_follow_gamma_quantile(self, gg1_model):
-        path, driver = drive_gaussians(gg1_model, 512, "shared-innovations",
-                                       _stream(91))
-        expected = gg1_model.tau_from_gaussian(driver.unit_increments_btilde)
+        g = reference_greeks(gg1_model, 3.0)
+        path, bundle = build_bundle(gg1_model, g, 512.0,
+                                    "shared-innovations", _stream(91))
+        expected = gg1_model.tau_from_gaussian(
+            bundle.driver.unit_increments_btilde)
         np.testing.assert_array_equal(path.tau, expected)
 
 

@@ -18,13 +18,15 @@ from regenlab.models import (_ERLANG_SHAPES, MODELS, CompoundJumpModel,
                              eta_moment, reference_greeks)
 from regenlab.rng import RngStream
 
-ERLANG_TABLE = Path(__file__).resolve().parent / "erlang_quantiles.txt"
+TABLES = Path(__file__).resolve().parent
 
 
 @functools.lru_cache(maxsize=None)
-def _erlang_table() -> tuple[np.ndarray, np.ndarray]:
-    """The grid g and, per integer shape, the Gamma quantile at Phi(g)."""
-    rows = [line.split() for line in ERLANG_TABLE.read_text().splitlines()
+def _reference_table(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The grid g and the reference quantiles at each g, one column each:
+    per integer shape the Gamma quantile at Phi(g) in
+    ``erlang_quantiles.txt``, the pareto one in ``pareto_quantiles.txt``."""
+    rows = [line.split() for line in (TABLES / name).read_text().splitlines()
             if not line.startswith("#")]
     values = np.array([[float.fromhex(v) for v in row] for row in rows])
     return values[:, 0], values[:, 1:]
@@ -98,7 +100,7 @@ class TestGammaGaussian:
         # 40-digit quantiles from scripts/erlang_reference.py: the fast path
         # is at worst as far off as scipy's Gamma inverse, and typically
         # within one ulp
-        g, table = _erlang_table()
+        g, table = _reference_table("erlang_quantiles.txt")
         ref = table[:, shape - 1]
         ours = GammaGaussianModel(tau_shape=shape).tau_from_gaussian(g)
         lower = g <= 0
@@ -110,7 +112,7 @@ class TestGammaGaussian:
         assert np.median(ours_ulp) <= 1.0
 
     def test_erlang_table_covers_the_fast_path(self):
-        _, table = _erlang_table()
+        _, table = _reference_table("erlang_quantiles.txt")
         assert table.shape[1] == len(_ERLANG_SHAPES)
         assert list(_ERLANG_SHAPES) == list(range(1, table.shape[1] + 1))
 
@@ -229,6 +231,18 @@ class TestParetoCycle:
         u = stats.norm.cdf(g)
         oracle = 1.0 + (1.0 - u) ** (-1.0 / 3.5)
         np.testing.assert_allclose(ours, oracle, rtol=1e-10)
+
+    def test_duration_quantile_against_the_reference_table(self):
+        # 40-digit quantiles at tail_index 3.5 from
+        # scripts/erlang_reference.py, on the grid of the Erlang table
+        g, table = _reference_table("pareto_quantiles.txt")
+        ref = table[:, 0]
+        erlang_g, _ = _reference_table("erlang_quantiles.txt")
+        np.testing.assert_array_equal(g, erlang_g)
+        ours = ParetoCycleModel(tail_index=3.5).tau_from_gaussian(g)
+        ulp = np.abs(ours - ref) / np.spacing(ref)
+        assert ulp.max() <= 6.0
+        assert np.median(ulp) <= 1.0
 
 
 class TestMM1BusyCycle:

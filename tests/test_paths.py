@@ -7,7 +7,7 @@ from regenlab import cli
 from regenlab.cli import main
 from regenlab.config import parse_config
 from regenlab.paths import (CountingPath, HorizonExceededError,
-                            RegenerativePath, invert_counting, read_cycle_csv)
+                            RegenerativePath, invert_counting)
 from regenlab.models import single_event_path
 from regenlab.reporting import csv_text
 from regenlab.rng import RngStream
@@ -157,10 +157,10 @@ class TestCsv:
         target.write_text(csv_text(
             ["cycle_index", "tau", "xi_1", "xi_2", "eta"],
             [[k, tau[k], *xi[k], eta[k]] for k in range(13)]))
-        tau2, xi2, eta2 = read_cycle_csv(target)
-        np.testing.assert_array_equal(tau, tau2)
-        np.testing.assert_array_equal(xi, xi2)
-        np.testing.assert_array_equal(eta, eta2)
+        body = np.loadtxt(target, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(tau, body[:, 1])
+        np.testing.assert_array_equal(xi, body[:, 2:4])
+        np.testing.assert_array_equal(eta, body[:, 4])
 
     def test_events_csv_header_and_offsets(self, tmp_path, capsys):
         config = tmp_path / "jump.cfg"
@@ -172,7 +172,8 @@ class TestCsv:
         lines = (out / "events.csv").read_text().splitlines()
         assert lines[0] == "cycle_index,offset,value_1,value_2"
         rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-        tau, xi, _ = read_cycle_csv(out / "cycles.csv")
+        cycles = np.loadtxt(out / "cycles.csv", delimiter=",", skiprows=1)
+        tau, xi = cycles[:, 1], cycles[:, 2:4]
         # one terminal row per cycle closes it at exactly the (tau, xi) of
         # cycles.csv
         last = np.flatnonzero(np.diff(rows[:, 0], append=30.0))
