@@ -28,9 +28,10 @@ all K cycles, the cycles, the three horizon checks, the surrogates and W.
 Poisson jumps; the eight-term decomposition (``phis``) and ``couple`` read
 them.  :func:`sup_inputs` builds only what the sup over [0, t] reads: the
 cycles up to the first renewal past t, and the jump count without the jump
-times, and no ``W_circ`` where the null-space projector is zero.  The
-``rate`` and ``tail`` replications and the embedding check use it, and
-their sups keep every bit.
+times, and no ``W_circ`` where the null-space projector is zero.  It takes
+a list of replication streams and quantiles the durations of a group of
+them in one call.  The ``rate`` and ``tail`` replications and the
+embedding check use it, and their sups keep every bit.
 
 Both the sup and the decomposition evaluate at breakpoints of [0, t]
 (:func:`_breakpoints`).  :func:`sup_deviation` takes its max over the
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -61,6 +62,7 @@ from .paths import (PIECEWISE_CONSTANT, CountingPath, HorizonExceededError,
 from .rng import RngStream, bytes_generator
 
 _MAX_TABLE_RATE = 500.0
+_GROUP_DRIVERS = 32768   # first-block duration drivers quantiled together
 
 
 class GridMismatchError(ValueError):
@@ -215,27 +217,39 @@ def _cycles_to_cover(span: float, greeks: Greeks) -> int:
                          + math.sqrt(span * greeks.gamma) / greeks.mu + 1.0))
 
 
-def _durations_past(model: Model, g_dur: np.ndarray, greeks: Greeks,
-                    t: float) -> np.ndarray:
-    """The quantile durations of the leading cycles, up to the first whose
-    renewal time reaches t, or of all K when none does.
+def _durations_past(model: Model, g_durs: Sequence[np.ndarray],
+                    greeks: Greeks, t: float) -> list[np.ndarray]:
+    """Per duration driver, the quantile durations of its leading cycles,
+    block by block until the renewal time reaches t or the driver ends.
 
-    The quantile is elementwise, so each duration has the bits it has in
-    the full K-cycle array.  A first block sized from mu and gamma
-    (:func:`_cycles_to_cover`) often suffices; otherwise short blocks extend
-    it from the same ``g_dur`` until the renewal time reaches t.  The
-    running renewal time continues ``np.cumsum`` from its last value, so it
-    equals, bit for bit, the last renewal time of the path these durations
-    build.
+    Each round quantiles, in one call, a block of every driver still short
+    of t: first a block sized from mu and gamma (:func:`_cycles_to_cover`),
+    which often suffices, then short blocks sized from what each still
+    lacks.  The quantile is elementwise, so each duration has the bits it
+    has in its own driver's full K-cycle array.  Each running renewal time
+    continues ``np.cumsum`` from its last value, so it equals, bit for bit,
+    the last renewal time of the path its durations build.
     """
-    k = g_dur.size
-    blocks, n, reach = [], 0, 0.0
-    while reach < t and n < k:
-        stop = min(k, n + _cycles_to_cover(t - reach, greeks))
-        blocks.append(model.tau_from_gaussian(g_dur[n:stop]))
-        reach = float(np.cumsum(np.concatenate(([reach], blocks[-1])))[-1])
-        n = stop
-    return np.concatenate(blocks)
+    blocks = [[] for _ in g_durs]
+    reach = [0.0] * len(g_durs)
+    done = [0] * len(g_durs)
+    short = list(range(len(g_durs)))
+    while short:
+        stops = [min(g_durs[i].size,
+                     done[i] + _cycles_to_cover(t - reach[i], greeks))
+                 for i in short]
+        tau = model.tau_from_gaussian(np.concatenate(
+            [g_durs[i][done[i]:stop] for i, stop in zip(short, stops)]))
+        at = 0
+        for i, stop in zip(short, stops):
+            block = tau[at:at + stop - done[i]]
+            at += block.size
+            blocks[i].append(block)
+            reach[i] = float(
+                np.cumsum(np.concatenate(([reach[i]], block)))[-1])
+            done[i] = stop
+        short = [i for i in short if reach[i] < t and done[i] < g_durs[i].size]
+    return [np.concatenate(b) for b in blocks]
 
 
 # -- Poisson embedding ------------------------------------------------------
@@ -462,13 +476,18 @@ def build_bundle(model: Model, greeks: Greeks, t: float, mode: str,
     times and the cycles past t.  The sup-only runs (``rate``, ``tail`` and
     the embedding check) call :func:`sup_inputs` instead.
     """
-    return _build(model, greeks, t, mode, rng, full=True)
+    k = _horizon_cycles(greeks, t)
+    return _build(model, greeks, t, _draw_drivers(model, k, mode, rng), rng,
+                  None, full=True)
 
 
 def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
-               rng: RngStream) -> tuple[RegenerativePath, AssembledW]:
-    """The path and the assembled W of :func:`build_bundle`, built only as
-    far as :func:`sup_deviation` reads them on [0, t].
+               rngs: Sequence[RngStream]
+               ) -> Iterator[tuple[RegenerativePath, AssembledW]]:
+    """Per stream of ``rngs``, in order, the path and the assembled W of
+    :func:`build_bundle`, built only as far as :func:`sup_deviation` reads
+    them on [0, t].  One replication is one stream: ``sup_inputs(...,
+    [rng])``.
 
     The same stream draws, the same three horizon checks and the same W.
     In ``shared-innovations`` mode the path stops at the first cycle whose
@@ -478,23 +497,39 @@ def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
     zero, W_circ carries no weight and W is built without it, so child(3) is
     not drawn.  Every value on [0, t] keeps its bits, so ``sup_deviation``
     returns what it returns on the full bundle, and a replication fails here
-    exactly when it fails there.
+    exactly when it fails there, as its own inputs are built.
+
+    The streams go in groups of about ``_GROUP_DRIVERS`` first-block
+    drivers: a group's drivers are drawn, and its durations quantiled
+    together (:func:`_durations_past`), before its first inputs come out.
     """
-    return _build(model, greeks, t, mode, rng, full=False)
+    k = _horizon_cycles(greeks, t)
+    size = max(1, _GROUP_DRIVERS // _cycles_to_cover(t, greeks))
+    for lo in range(0, len(rngs), size):
+        group = rngs[lo:lo + size]
+        drivers = [_draw_drivers(model, k, mode, rng) for rng in group]
+        taus = [None] * len(group)
+        if mode != INDEPENDENT:
+            taus = _durations_past(
+                model, [d.unit_increments_btilde for d in drivers], greeks, t)
+        for rng, driver, tau in zip(group, drivers, taus):
+            yield _build(model, greeks, t, driver, rng, tau, full=False)
 
 
-def _build(model: Model, greeks: Greeks, t: float, mode: str,
-           rng: RngStream, full: bool):
-    """The stages both builders share, in their fixed order: drivers and
-    cycles, the path's reach, the jump count and level checks, the Wiener
-    surrogates and W."""
+def _horizon_cycles(greeks: Greeks, t: float) -> int:
+    """K = ``horizon_cycles_for(t, mu)``, for a positive horizon t."""
     if t <= 0:
         raise ValueError(f"horizon must be positive, got {t}")
-    k = horizon_cycles_for(t, greeks.mu)
-    driver = _draw_drivers(model, k, mode, rng)
-    tau = None
-    if not full and mode != INDEPENDENT:
-        tau = _durations_past(model, driver.unit_increments_btilde, greeks, t)
+    return horizon_cycles_for(t, greeks.mu)
+
+
+def _build(model: Model, greeks: Greeks, t: float, driver: GaussianDriver,
+           rng: RngStream, tau: np.ndarray | None, full: bool):
+    """The stages both builders share after the drivers, in their fixed
+    order: the cycles (``tau`` the leading durations, when quantiled
+    already), the path's reach, the jump count and level checks, the Wiener
+    surrogates and W."""
+    k = driver.unit_increments_btilde.size
     path = _cycle_path(model, driver, rng, tau)
     if path.horizon < t:
         raise HorizonExceededError(

@@ -5,11 +5,16 @@ diagnostics, maxima scaling), a registry of bound certifications against
 exact oracles, and an embedding sanity check.
 
 All replication goes through one primitive: ``_replicate`` runs a
-per-replication function over every (horizon, replication) pair of an
+replication function over every (horizon, replication) pair of an
 experiment and maps its chunks through one ``_map_chunks`` call, so a run
-opens at most one process pool.  The certifications draw nothing and open
-no pool: every oracle is a closed form, an exact count or a deterministic
-quadrature.
+opens at most one process pool.  A chunk hands the replication function
+the streams of all its replications at once, and the function yields one
+result per stream, in order; :func:`regenlab.coupling.sup_inputs`, which
+builds what the sup reads, quantiles the durations of a group of them in
+one call.  A failure belongs to the replication whose result was due, and
+the message names that replication's stream address.  The certifications
+draw nothing and open no pool: every oracle is a closed form, an exact
+count or a deterministic quadrature.
 
 Reproducibility contract: every random draw descends from the config's
 ``root_seed`` through an arithmetic stream index — replication ``r`` of
@@ -26,7 +31,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
@@ -106,31 +111,33 @@ def _map_chunks(fn: Callable, args: list, workers: int,
 def _replicate_chunk(args) -> list:
     rep_fn, cfg, greeks, kind, t_index, t, lo, hi = args
     model = cfg.build_model()
+    streams = [replication_stream(cfg.root_seed, kind, t_index,
+                                  cfg.replications, rep)
+               for rep in range(lo, hi)]
     out = []
-    for rep in range(lo, hi):
-        stream = replication_stream(cfg.root_seed, kind, t_index,
-                                    cfg.replications, rep)
-        try:
-            out.append(rep_fn(model, greeks, cfg, t, stream))
-        except Exception as exc:
-            # Name the replication's stream address in the message and keep
-            # the type, so the CLI exit code holds.  ``args`` travel with the
-            # exception out of a pool worker; ``add_note`` needs Python 3.11.
-            if exc.args and isinstance(exc.args[0], str):
-                exc.args = (f"replication root_seed={cfg.root_seed} "
-                            f"kind={kind} t_index={t_index} rep={rep}: "
-                            f"{exc.args[0]}", *exc.args[1:])
-            raise
+    try:
+        for result in rep_fn(model, greeks, cfg, t, streams):
+            out.append(result)
+    except Exception as exc:
+        # Name the stream address of the replication whose result was due
+        # and keep the type, so the CLI exit code holds.  ``args`` travel
+        # with the exception out of a pool worker; ``add_note`` needs 3.11.
+        if exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"replication root_seed={cfg.root_seed} "
+                        f"kind={kind} t_index={t_index} rep={lo + len(out)}: "
+                        f"{exc.args[0]}", *exc.args[1:])
+        raise
     return out
 
 
 def _replicate(rep_fn: Callable, cfg: ExperimentConfig, greeks: Greeks | None,
                horizons: Sequence[float], kind: str,
                workers: int) -> list[list]:
-    """``rep_fn(model, greeks, cfg, t, stream)`` for every replication of
-    every horizon, grouped per horizon in replication order.  The chunks of
-    all horizons go through one ``_map_chunks`` call, a chunk's cost being
-    its horizon times its replication count."""
+    """The results of every replication of every horizon, grouped per
+    horizon in replication order.  ``rep_fn(model, greeks, cfg, t,
+    streams)`` yields one result per stream of a chunk, in order.  The
+    chunks of all horizons go through one ``_map_chunks`` call, a chunk's
+    cost being its horizon times its replication count."""
     ranges = _chunk_ranges(cfg.replications)
     args = [(rep_fn, cfg, greeks, kind, t_index, float(t), lo, hi)
             for t_index, t in enumerate(horizons) for lo, hi in ranges]
@@ -143,9 +150,11 @@ def _replicate(rep_fn: Callable, cfg: ExperimentConfig, greeks: Greeks | None,
 # -- sup-deviation per replication (rate and tail share it) -----------------
 
 
-def _deviation(model, greeks, cfg, t, rng) -> float:
-    path, w = sup_inputs(model, greeks, t, cfg.mode, rng)
-    return sup_deviation(path, w, greeks, t, cfg.grid_step)
+def _deviations(model, greeks, cfg, t, streams) -> Iterator[float]:
+    for path, w in sup_inputs(model, greeks, t, cfg.mode, streams):
+        dev = sup_deviation(path, w, greeks, t, cfg.grid_step)
+        del path, w   # not held while the next replication is built
+        yield dev
 
 
 # -- rate experiment --------------------------------------------------------
@@ -187,7 +196,7 @@ def run_rate_experiment(cfg: ExperimentConfig,
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
     per_t = [np.asarray(devs) for devs in _replicate(
-        _deviation, cfg, greeks, cfg.t_grid, cfg.kind, workers)]
+        _deviations, cfg, greeks, cfg.t_grid, cfg.kind, workers)]
     summaries = []
     for t, devs in zip(cfg.t_grid, per_t):
         est = median_ci(devs)
@@ -253,7 +262,7 @@ def run_tail_experiment(cfg: ExperimentConfig,
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
     per_t = [np.asarray(devs) for devs in _replicate(
-        _deviation, cfg, greeks, cfg.t_grid, cfg.kind, workers)]
+        _deviations, cfg, greeks, cfg.t_grid, cfg.kind, workers)]
     estimates: list[TailEstimate] = []
     for t, devs in zip(cfg.t_grid, per_t):
         estimates.extend(
@@ -304,6 +313,11 @@ def _phi_row(model, greeks, cfg, t, rng) -> tuple:
             dev - float(sups.sum()), dec.residual)
 
 
+def _phi_rows(model, greeks, cfg, t, streams) -> Iterator[tuple]:
+    # one call per replication, so that no bundle outlives its row
+    return (_phi_row(model, greeks, cfg, t, rng) for rng in streams)
+
+
 def run_phi_diagnostics(cfg: ExperimentConfig,
                         workers: int = 1) -> PhiDiagnostics:
     """Which of the eight error terms dominates, and do the analysis-side
@@ -313,7 +327,7 @@ def run_phi_diagnostics(cfg: ExperimentConfig,
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
     t = float(cfg.t_grid[0])
-    rows = _replicate(_phi_row, cfg, greeks, (t,), cfg.kind, workers)[0]
+    rows = _replicate(_phi_rows, cfg, greeks, (t,), cfg.kind, workers)[0]
     sups, devs, fp_flags, count_flags, triangles, residuals = zip(*rows)
     sup_rows = np.vstack(sups)
     devs = np.asarray(devs)
@@ -358,10 +372,11 @@ class MaximaTrend:
     passed: bool
 
 
-def _maxima_ratio(model, greeks, cfg, t, rng) -> float:
+def _maxima_ratios(model, greeks, cfg, t, streams) -> Iterator[float]:
     n = int(t)
-    return float(model.sample_cycles(n, rng).eta.max()) \
-        / float(n) ** (1.0 / cfg.p)
+    for rng in streams:
+        yield float(model.sample_cycles(n, rng).eta.max()) \
+            / float(n) ** (1.0 / cfg.p)
 
 
 def maxima_scaling_experiment(cfg: ExperimentConfig,
@@ -371,7 +386,7 @@ def maxima_scaling_experiment(cfg: ExperimentConfig,
     end, and the last interval sits strictly below the first."""
     n_values = [int(t) for t in cfg.t_grid]
     rows = [median_ci(np.asarray(ratios)) for ratios in _replicate(
-        _maxima_ratio, cfg, None, n_values, cfg.kind, workers)]
+        _maxima_ratios, cfg, None, n_values, cfg.kind, workers)]
     steps_ok = all(rows[i + 1].median <= rows[i].ci_high
                    for i in range(len(rows) - 1))
     ends_ok = rows[-1].ci_high < rows[0].ci_low
@@ -696,8 +711,9 @@ def certify_bound(name: str, params: dict | None = None) -> CertificationRecord:
 # -- embedding sanity check -------------------------------------------------
 
 
-def _w_at_horizon(model, greeks, cfg, t, rng) -> np.ndarray:
-    return sup_inputs(model, greeks, t, cfg.mode, rng)[1].at(t)
+def _w_at_horizon(model, greeks, cfg, t, streams) -> Iterator[np.ndarray]:
+    for _, w in sup_inputs(model, greeks, t, cfg.mode, streams):
+        yield w.at(t)
 
 
 def run_embedding_check(root_seed: int = 0, n_units: int = 100_000,

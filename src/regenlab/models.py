@@ -229,6 +229,7 @@ class IidSumModel(Model):
 _ERLANG_SHAPES = range(1, 9)   # the shapes tests/erlang_quantiles.txt covers
 _ERLANG_TOLS = (2.0 ** -20, 2.0 ** -34, 2.0 ** -56)   # Halley, Halley, polish
 _SPLIT = 134217729.0   # 2^27 + 1: Dekker's split of a double into halves
+_ERLANG_SLICE = 8192   # drivers per pass of the Erlang quantile
 
 
 def _horner(coef: tuple[float, ...], x: np.ndarray) -> np.ndarray:
@@ -349,8 +350,19 @@ def _erlang_quantile(k: int, g: np.ndarray) -> np.ndarray:
     """Gamma(k, 1) quantile at Phi(g) for an integer shape k, in plain numpy.
 
     Every step is elementwise with a fixed number of terms and iterations,
-    so any slice of ``g`` gives the same bits.
+    so any slice of ``g`` gives the same bits.  A long ``g`` goes through in
+    slices of ``_ERLANG_SLICE``, which bounds the temporaries' memory.
     """
+    flat = g.ravel()
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _ERLANG_SLICE):
+        out[lo:lo + _ERLANG_SLICE] = _erlang_slice(
+            k, flat[lo:lo + _ERLANG_SLICE])
+    return out.reshape(g.shape)
+
+
+def _erlang_slice(k: int, g: np.ndarray) -> np.ndarray:
+    """:func:`_erlang_quantile` on a 1-d ``g``, in one pass."""
     out = np.empty_like(g)
     lower = np.flatnonzero(g <= 0)   # indices: cheaper than a random mask
     upper = np.flatnonzero(~(g <= 0))

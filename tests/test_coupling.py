@@ -11,6 +11,7 @@ from scipy.special import ndtr
 from regenlab import coupling
 from regenlab.cli import main
 from regenlab.config import parse_config
+from regenlab.harness import replication_stream
 from regenlab.coupling import (AssembledW, CouplingBundle, GaussianDriver,
                                IdentityViolationError,
                                ScaledPath, UnitGridPath,
@@ -35,6 +36,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 def _stream(index=0, root=0):
     return RngStream(root, 900 + index)
+
+
+def _one_sup_inputs(model, greeks, t, mode, rng):
+    """sup_inputs of one replication: a list of one stream."""
+    (inputs,) = sup_inputs(model, greeks, t, mode, [rng])
+    return inputs
 
 
 class TestUnitGridPath:
@@ -559,7 +566,7 @@ def _sups(model, mode, t, index):
     g = reference_greeks(model, 3.0)
     path, bundle = build_bundle(model, g, t, mode, _stream(index))
     full = sup_deviation(path, bundle.w, g, t)
-    short_path, w = sup_inputs(model, g, t, mode, _stream(index))
+    short_path, w = _one_sup_inputs(model, g, t, mode, _stream(index))
     return full, sup_deviation(short_path, w, g, t), short_path
 
 
@@ -601,6 +608,38 @@ class TestSupInputs:
         assert len(calls) > t / 4
 
 
+GROUP_CASES = {
+    "erlang": GammaGaussianModel(tau_shape=2.0, tau_scale=1.0),
+    "scipy": GammaGaussianModel(tau_shape=2.5, tau_scale=1.0),
+    "pareto": ParetoCycleModel(tail_index=3.5),
+}
+
+
+class TestGroupedDurations:
+    """A group's durations are quantiled together, bit for bit."""
+
+    @pytest.mark.parametrize("case", GROUP_CASES)
+    def test_a_chunk_keeps_every_bit(self, case):
+        model, t = GROUP_CASES[case], 1024.0
+        g = reference_greeks(model, 3.0)
+        k = horizon_cycles_for(t, g.mu)
+        drivers = [coupling._draw_drivers(
+            model, k, "shared-innovations",
+            replication_stream(3, "tail", 0, 50, rep)).unit_increments_btilde
+            for rep in range(50)]
+        grouped = coupling._durations_past(model, drivers, g, t)
+        first = coupling._cycles_to_cover(t, g)
+        extended = 0
+        for g_dur, tau in zip(drivers, grouped):
+            (alone,) = coupling._durations_past(model, [g_dur], g, t)
+            assert tau.tobytes() == alone.tobytes()
+            whole = model.tau_from_gaussian(g_dur)
+            assert tau.tobytes() == whole[:tau.size].tobytes()
+            assert tau.sum() >= t or tau.size == k
+            extended += tau.size > first
+        assert extended >= 1
+
+
 class TestSupInputsFailures:
     """sup_inputs fails exactly when build_bundle fails, with its message."""
 
@@ -610,7 +649,7 @@ class TestSupInputsFailures:
         with pytest.raises(HorizonExceededError) as full:
             build_bundle(model, g, t, mode, _stream(220))
         with pytest.raises(HorizonExceededError) as short:
-            sup_inputs(model, g, t, mode, _stream(220))
+            _one_sup_inputs(model, g, t, mode, _stream(220))
         assert str(short.value) == str(full.value)
         return str(full.value)
 
@@ -651,6 +690,43 @@ class TestSupInputsFailures:
             "kind=tail t_index=0 rep=0: ")
         assert not out.exists()
 
+    def test_tail_run_names_a_short_replication_inside_its_group(
+            self, tmp_path, monkeypatch, capsys):
+        # replication 7's durations shrink so that its K cycles fall short;
+        # the 50 replications of the chunk form one group
+        short = replication_stream(5, "tail", 0, 50, 7).stream_index
+        real_draw, real_past = coupling._draw_drivers, coupling._durations_past
+        groups = []
+
+        def drawn(model, k, mode, rng):
+            driver = real_draw(model, k, mode, rng)
+            if rng.stream_index != short:
+                return driver
+            return dataclasses.replace(
+                driver,
+                unit_increments_btilde=driver.unit_increments_btilde - 6.0)
+
+        def grouped(model, g_durs, greeks, t):
+            groups.append(len(g_durs))
+            return real_past(model, g_durs, greeks, t)
+
+        monkeypatch.setattr(coupling, "_draw_drivers", drawn)
+        monkeypatch.setattr(coupling, "_durations_past", grouped)
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text("experiment.t_grid = 64.0\n"
+                       "experiment.replications = 50\n"
+                       "coupling.mode = shared-innovations\n"
+                       "rng.root_seed = 5\n")
+        out = tmp_path / "out"
+        assert main(["tail", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        k = horizon_cycles_for(64.0, 2.0)
+        assert err.startswith(
+            "internal error: HorizonExceededError: replication root_seed=5 "
+            f"kind=tail t_index=0 rep=7: {k} cycles reach only ")
+        assert groups == [50]
+        assert not out.exists()
+
     @pytest.fixture
     def counted_units(self, monkeypatch):
         """The unit counts ``_unit_jump_counts`` is called with."""
@@ -685,8 +761,8 @@ class TestSupInputsFailures:
 
     def test_full_prefix_reads_no_further(self, counted_units):
         g = reference_greeks(_gamma_gaussian(2), 3.0)
-        sup_inputs(_gamma_gaussian(2), g, 1024.0, "shared-innovations",
-                   _stream(222))
+        _one_sup_inputs(_gamma_gaussian(2), g, 1024.0, "shared-innovations",
+                        _stream(222))
         assert len(counted_units) == 1
         assert counted_units[0] < horizon_cycles_for(1024.0, g.mu)
 
@@ -750,7 +826,8 @@ class TestSupBreakpoints:
             path, bundle = build_bundle(model, g, t, mode, _stream(230 + rep))
             expected = _sorted_grid_sup(path, bundle.w, g, t, grid_step)
             assert sup_deviation(path, bundle.w, g, t, grid_step) == expected
-            short_path, w = sup_inputs(model, g, t, mode, _stream(230 + rep))
+            short_path, w = _one_sup_inputs(model, g, t, mode,
+                                            _stream(230 + rep))
             assert sup_deviation(short_path, w, g, t, grid_step) == expected
 
     def test_non_integer_mu_at_a_long_horizon(self):
@@ -762,7 +839,8 @@ class TestSupBreakpoints:
             path, bundle = build_bundle(model, g, t, mode, _stream(235 + rep))
             expected = _sorted_grid_sup(path, bundle.w, g, t, 1.0)
             assert sup_deviation(path, bundle.w, g, t) == expected
-            short_path, w = sup_inputs(model, g, t, mode, _stream(235 + rep))
+            short_path, w = _one_sup_inputs(model, g, t, mode,
+                                            _stream(235 + rep))
             assert sup_deviation(short_path, w, g, t) == expected
 
     @pytest.mark.parametrize("t", [37.5, 64.0])
@@ -774,7 +852,7 @@ class TestSupBreakpoints:
         # W_circ has weight, for it bends there
         model, mode = BREAKPOINT_CASES[case]
         g = reference_greeks(model, 3.0)
-        path, w = sup_inputs(model, g, t, mode, _stream(245))
+        path, w = _one_sup_inputs(model, g, t, mode, _stream(245))
         read = []
         real = AssembledW.at
 
@@ -824,7 +902,7 @@ class TestSupBreakpoints:
             return children[-1]
 
         monkeypatch.setattr(RngStream, "child", recorded)
-        _, w = sup_inputs(model, g, 37.5, mode, _stream(250))
+        _, w = _one_sup_inputs(model, g, 37.5, mode, _stream(250))
         weighted = bool(np.any(g.null_projector))
         assert (wcirc_stream in children) == weighted == (w.wcirc is not None)
         children.clear()
@@ -859,5 +937,5 @@ class TestSupBreakpoints:
         model = cfg.build_model()
         g = reference_greeks(model, cfg.p)
         assert not np.any(g.null_projector)
-        _, w = sup_inputs(model, g, 37.5, cfg.mode, _stream(251))
+        _, w = _one_sup_inputs(model, g, 37.5, cfg.mode, _stream(251))
         assert w.wcirc is None

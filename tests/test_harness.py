@@ -10,7 +10,8 @@ import pytest
 
 from regenlab import harness
 from regenlab.config import build_config
-from regenlab.coupling import build_bundle, sup_deviation
+from regenlab.coupling import (_draw_drivers, _durations_past, build_bundle,
+                               horizon_cycles_for, sup_deviation)
 from scipy.special import gammainc
 
 from regenlab.harness import (TailEstimate, _map_chunks, _poisson_sf,
@@ -21,7 +22,7 @@ from regenlab.harness import (TailEstimate, _map_chunks, _poisson_sf,
                               replication_stream, run_embedding_check,
                               run_phi_diagnostics, run_rate_experiment,
                               run_tail_experiment)
-from regenlab.models import reference_greeks
+from regenlab.models import GammaGaussianModel, reference_greeks
 from regenlab.paths import HorizonExceededError
 
 
@@ -60,12 +61,13 @@ class TestStreamLayout:
             replication_stream(0, "sideways", 0, 10, 0)
 
 
-def _short_at_rep_7(model, greeks, cfg, t, stream):
+def _short_at_rep_7(model, greeks, cfg, t, streams):
     """A replication function whose replication 7 of horizon 1 falls short."""
     failing = replication_stream(cfg.root_seed, "tail", 1, cfg.replications, 7)
-    if stream.stream_index == failing.stream_index:
-        raise HorizonExceededError("cycles reach only 3.5")
-    return float(t)
+    for stream in streams:
+        if stream.stream_index == failing.stream_index:
+            raise HorizonExceededError("cycles reach only 3.5")
+        yield float(t)
 
 
 class TestFailingReplication:
@@ -80,19 +82,50 @@ class TestFailingReplication:
                                   "t_index=1 rep=7: cycles reach only 3.5")
 
 
-def _short_at_two_reps(model, greeks, cfg, t, stream):
+def test_a_tail_chunk_quantiles_its_durations_in_few_calls(monkeypatch):
+    # one group of 50 replications at t=1024: a call per round, not one or
+    # more per replication, and every driver quantiled once, as before
+    cfg = build_config("tail", mode="shared-innovations", t_grid=(1024.0,),
+                       replications=50, root_seed=101)
+    model = cfg.build_model()
+    greeks = reference_greeks(model, cfg.p)
+    k = horizon_cycles_for(1024.0, greeks.mu)
+    expected = 0
+    for rep in range(50):
+        stream = replication_stream(101, "tail", 0, 50, rep)
+        driver = _draw_drivers(model, k, cfg.mode, stream)
+        expected += _durations_past(model, [driver.unit_increments_btilde],
+                                    greeks, 1024.0)[0].size
+    sizes = []
+    real = GammaGaussianModel.tau_from_gaussian
+
+    def counted(self, g):
+        sizes.append(np.size(g))
+        return real(self, g)
+
+    monkeypatch.setattr(GammaGaussianModel, "tau_from_gaussian", counted)
+    devs = harness._replicate_chunk(
+        (harness._deviations, cfg, greeks, "tail", 0, 1024.0, 0, 50))
+    assert len(devs) == 50
+    assert 2 <= len(sizes) <= 3
+    assert sum(sizes) == expected
+
+
+def _short_at_two_reps(model, greeks, cfg, t, streams):
     """Replication 60 of horizon 0 and replication 7 of horizon 1 fall
     short; horizon 1's chunks cost more, so they run first."""
-    for t_index, rep in ((0, 60), (1, 7)):
-        if stream.stream_index == replication_stream(
-                cfg.root_seed, "tail", t_index, cfg.replications,
-                rep).stream_index:
-            raise HorizonExceededError(f"cycles reach only {t_index}.5")
-    return float(t), stream.stream_index
+    for stream in streams:
+        for t_index, rep in ((0, 60), (1, 7)):
+            if stream.stream_index == replication_stream(
+                    cfg.root_seed, "tail", t_index, cfg.replications,
+                    rep).stream_index:
+                raise HorizonExceededError(f"cycles reach only {t_index}.5")
+        yield float(t), stream.stream_index
 
 
-def _address(model, greeks, cfg, t, stream):
-    return float(t), stream.stream_index
+def _address(model, greeks, cfg, t, streams):
+    for stream in streams:
+        yield float(t), stream.stream_index
 
 
 class _InlinePool:

@@ -11,8 +11,9 @@ from scipy import stats
 from scipy.special import gammainccinv, gammaincinv, ndtr
 
 from regenlab.greeks import DegenerateTauError
-from regenlab.models import (_ERLANG_SHAPES, MODELS, CompoundJumpModel,
-                             GammaGaussianModel, IidSumModel,
+from regenlab.models import (_ERLANG_SHAPES, _ERLANG_SLICE, MODELS,
+                             CompoundJumpModel, GammaGaussianModel,
+                             IidSumModel, _erlang_slice,
                              InvalidParameterError, MM1BusyCycleModel,
                              ModeUnsupportedError, ParetoCycleModel,
                              eta_moment, reference_greeks)
@@ -118,13 +119,22 @@ class TestGammaGaussian:
 
     @pytest.mark.parametrize("shape", [1.0, 2.0, 5.0, 8.0])
     def test_duration_quantile_is_slice_invariant(self, shape):
-        # coupling._durations_past quantiles the drivers block by block and
-        # the sup tests compare against one call: slices must not move a bit
+        # coupling._durations_past quantiles the blocks of a group of
+        # drivers in one call, and the Erlang quantile runs in slices of
+        # _ERLANG_SLICE; the sup tests compare against one call per
+        # replication: slices must not move a bit, across the slice
+        # boundaries too
         model = GammaGaussianModel(tau_shape=shape, tau_scale=1.5)
-        g = 2.5 * RngStream(7, 3).generator().standard_normal(5000)
+        g = 2.5 * RngStream(7, 3).generator().standard_normal(20_000)
         whole = model.tau_from_gaussian(g)
+        assert g.size > 2 * _ERLANG_SLICE
+        one_pass = 1.5 * _erlang_slice(int(shape), g)
+        assert whole.tobytes() == one_pass.tobytes()
         bounds = np.sort(RngStream(7, 4).generator().integers(0, g.size, 40))
-        for a, b in zip(bounds[::2], bounds[1::2]):
+        across = [(_ERLANG_SLICE - 5, _ERLANG_SLICE + 7),
+                  (2 * _ERLANG_SLICE - 1, 2 * _ERLANG_SLICE + 1),
+                  (100, g.size - 100)]
+        for a, b in [*zip(bounds[::2], bounds[1::2]), *across]:
             assert (model.tau_from_gaussian(g[a:b]).tobytes()
                     == whole[a:b].tobytes())
         for i in bounds:
