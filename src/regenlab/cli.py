@@ -49,7 +49,6 @@ from .harness import (CERTIFIERS, _whole, certify_bound, fit_constant_a,
                       run_phi_diagnostics, run_rate_experiment,
                       run_tail_experiment)
 from .models import reference_greeks
-from .paths import HorizonExceededError
 from .reporting import (append_manifest, atomic_write_text, csv_text,
                         format_value, render_report)
 from .rng import RngStream
@@ -213,8 +212,8 @@ def _cmd_couple(args) -> int:
     stream = replication_stream(cfg.root_seed, args.kind, args.t_index,
                                 cfg.replications, args.rep)
     path, bundle = build_bundle(model, greeks, t, cfg.mode, stream)
-    dec = phi_decomposition(path, bundle, t, grid_step=cfg.grid_step)
-    sup_dev = sup_deviation(path, bundle.w, greeks, t, cfg.grid_step)
+    dec = phi_decomposition(path, bundle, t)
+    sup_dev = sup_deviation(path, bundle.w, greeks, t)
     d = path.d
     header = (["u", "left"]
               + [f"S_{j + 1}" for j in range(d)]
@@ -656,20 +655,16 @@ def main(argv: list[str] | None = None) -> int:
         if takes_extra:
             return args.handler(args, extra)
         return args.handler(args)
-    # HorizonExceededError is a ValueError, so this clause must come first
-    except HorizonExceededError as exc:
-        fault = exc
     # the config, parameter and greeks errors all subclass ValueError
     except (ValueError, KeyError, OSError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    # a violated identity, a RuntimeError or anything unexpected: a fault,
-    # never exit 1, the FAIL verdict
+    # a violated identity, a path short of its horizon, a RuntimeError or
+    # anything unexpected: a fault, never exit 1, the FAIL verdict
     except Exception as exc:
-        fault = exc
-    print(f"internal error: {type(fault).__name__}: {fault}", file=sys.stderr)
-    return 3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

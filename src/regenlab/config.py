@@ -17,10 +17,10 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .coupling import grid_points_per_unit
 from .models import (COUPLING_MODES, FAMILIES, INDEPENDENT, MODELS,
                      SHARED_INNOVATIONS, InvalidParameterError, Model)
 
@@ -112,8 +112,10 @@ class ExperimentConfig:
     x_factors: tuple[float, ...]
     replications: int
     root_seed: int
-    grid_step: float
     c_factor: float
+    # not a config key: a constant the benchmark still reads; ROADMAP
+    # item 1b deletes it
+    grid_step: ClassVar[float] = 1.0
 
     def build_model(self) -> Model:
         params = _model_defaults(self.family)
@@ -132,7 +134,6 @@ class ExperimentConfig:
         """Canonical text form; parsing it back reproduces this config."""
         lines = [f"coupling.mode = {self.mode}",
                  f"experiment.c_factor = {self.c_factor!r}",
-                 f"experiment.grid_step = {self.grid_step!r}",
                  f"experiment.p = {self.p!r}",
                  f"experiment.replications = {self.replications}",
                  f"experiment.t_grid = {','.join(repr(t) for t in self.t_grid)}",
@@ -148,7 +149,7 @@ def build_config(kind: str, family: str = "gamma-gaussian",
                  model_params: dict[str, object] | None = None,
                  p: float = 3.0, mode: str | None = None,
                  t_grid=None, x_factors=None, replications: int | None = None,
-                 root_seed: int = 0, grid_step: float = 1.0,
+                 root_seed: int = 0,
                  c_factor: float = 1.5) -> ExperimentConfig:
     """Programmatic constructor: fill defaults, canonicalize, validate."""
     if kind not in EXPERIMENT_KINDS:
@@ -188,8 +189,7 @@ def build_config(kind: str, family: str = "gamma-gaussian",
                                            else _DEFAULT_X_FACTORS)),
         replications=int(replications if replications is not None
                          else defaults["replications"]),
-        root_seed=int(root_seed), grid_step=float(grid_step),
-        c_factor=float(c_factor))
+        root_seed=int(root_seed), c_factor=float(c_factor))
     validate_config(cfg)
     return cfg
 
@@ -223,10 +223,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not 0 < cfg.c_factor < math.inf:
         raise ConfigValidationError(
             f"c_factor must be finite and positive, got {cfg.c_factor}")
-    try:
-        grid_points_per_unit(cfg.grid_step)
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc)) from exc
     if not cfg.x_factors \
             or not all(0 < f < math.inf for f in cfg.x_factors):
         raise ConfigValidationError(
@@ -317,7 +313,6 @@ def parse_config_text(text: str, kind: str) -> ExperimentConfig:
         "experiment.t_grid": ("t_grid", _parse_vector),
         "experiment.x_factors": ("x_factors", _parse_vector),
         "experiment.replications": ("replications", _parse_int),
-        "experiment.grid_step": ("grid_step", _parse_float),
         "experiment.c_factor": ("c_factor", _parse_float),
         "rng.root_seed": ("root_seed", _parse_int),
     }

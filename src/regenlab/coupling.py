@@ -24,20 +24,23 @@ assumed.
 
 Two builders run the same stages in the same order: the stream draws for
 all K cycles, the cycles, the three horizon checks, the surrogates and W.
-:func:`build_bundle` keeps every array at its K-cycle length and places the
-Poisson jumps; the eight-term decomposition (``phis``) and ``couple`` read
-them.  :func:`sup_inputs` builds only what the sup over [0, t] reads: the
-cycles up to the first renewal past t, and the jump count without the jump
-times, and no ``W_circ`` where the null-space projector is zero.  It takes
-a list of replication streams and quantiles the durations of a group of
-them in one call.  The ``rate`` and ``tail`` replications and the
-embedding check use it, and their sups keep every bit.
+:func:`build_bundle` keeps every array at its K-cycle length, places the
+Poisson jumps and draws ``W_circ``; the eight-term decomposition (``phis``)
+and ``couple`` read them.  :func:`sup_inputs` builds only what the sup over
+[0, t] reads: the cycles up to the first renewal past t, the jump count
+without the jump times, and W without ``W_circ``.  It takes a list of
+replication streams and quantiles the durations of a group of them in one
+call.  The ``rate`` and ``tail`` replications and the embedding check use
+it.
 
-Both the sup and the decomposition evaluate at breakpoints of [0, t]
-(:func:`_breakpoints`).  :func:`sup_deviation` takes its max over the
-deviation's kinks as they come, duplicates and all; the decomposition,
-whose rows are ordered in time, sorts its points and adds the integers and
-the multiples of gamma (:func:`evaluation_grid`).
+``W_circ`` enters the deviation only as ``sigma @ P0 @ W_circ``, and
+``sigma @ P0 = 0``, so the integers where it bends are no kinks of the
+deviation or of any of the eight terms.  Both the sup and the decomposition
+evaluate at the kinks alone (:func:`_breakpoints`): 0 and t, the events up
+to t and the multiples of mu, and of gamma for the decomposition.
+:func:`sup_deviation` takes its max over them as they come, duplicates and
+all; the decomposition, whose rows are ordered in time, sorts them
+(:func:`evaluation_grid`).
 
 Time axes: cycle index (``B``, ``B_tilde``, ``N`` and its first-passage
 inverse live here) versus physical time (the path ``S``, ``W_tilde``,
@@ -170,7 +173,7 @@ def _draw_drivers(model: Model, horizon_cycles: int, mode: str,
     """The K-cycle Gaussian drivers.  The stream layout is fixed: child(0)
     native cycle sampling (:func:`_cycle_path`), child(1) the increment-side
     driver, child(2) the duration-side driver, child(3) the independent
-    Wiener path of the assembled W."""
+    Wiener path ``W_circ`` of :func:`build_bundle`'s W."""
     if mode not in model.coupling_modes:
         raise ModeUnsupportedError(
             f"model {model.family} supports modes {model.coupling_modes}, "
@@ -368,8 +371,9 @@ class AssembledW:
 
     with W* the level-axis surrogate, Wt the scalar surrogate, and Wc an
     independent Wiener path carrying the null-space component through
-    ``P0 = greeks.null_projector``.  Without Wc (``wcirc=None``, where the
-    projector is zero) the last term is left out.
+    ``P0 = greeks.null_projector``.  Without Wc (``wcirc=None``, as
+    :func:`sup_inputs` builds W) the last term is left out; ``sigma @ P0``
+    is zero, so no deviation reads it.
 
     At d = 1 every product is a scalar multiply (:func:`_times`), and a
     final ``+ 0.0`` turns a zero into the +0.0 the matmuls give.
@@ -489,15 +493,17 @@ def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
     them on [0, t].  One replication is one stream: ``sup_inputs(...,
     [rng])``.
 
-    The same stream draws, the same three horizon checks and the same W.
+    The same stream draws, the same three horizon checks, and the same W
+    but for ``W_circ``, which no deviation reads: child(3) is never drawn.
     In ``shared-innovations`` mode the path stops at the first cycle whose
     renewal time reaches t, and no Poisson jump is placed: the jump-count
     check needs only the per-unit counts, summed over a prefix of the units
-    that usually holds enough jumps.  Where the null-space projector is
-    zero, W_circ carries no weight and W is built without it, so child(3) is
-    not drawn.  Every value on [0, t] keeps its bits, so ``sup_deviation``
-    returns what it returns on the full bundle, and a replication fails here
-    exactly when it fails there, as its own inputs are built.
+    that usually holds enough jumps.  Every value of S and of W's
+    surrogates on [0, t] keeps its bits, so ``sup_deviation`` returns what
+    it returns on the full bundle, up to the rounding of
+    ``sigma @ P0 @ W_circ`` where the null-space projector is nonzero (a
+    rank-deficient sigma; exactly zero at sigma = 0).  A replication fails
+    here exactly when it fails there, as its own inputs are built.
 
     The streams go in groups of about ``_GROUP_DRIVERS`` first-block
     drivers: a group's drivers are drawn, and its durations quantiled
@@ -551,15 +557,13 @@ def _build(model: Model, greeks: Greeks, t: float, driver: GaussianDriver,
             f"level {needed_jumps} lies beyond the driver grid of {k} units")
     wtilde = build_inverse_wiener(btilde, greeks)
     wstar = build_timechange_wiener(b, greeks)
-    wcirc = None
-    if full or np.any(greeks.null_projector):
-        circ_incs = rng.child(3).generator().standard_normal(
-            (int(math.ceil(t)) + 2, greeks.d))
-        wcirc = ScaledPath(base=UnitGridPath.from_increments(circ_incs),
-                           value_scale=1.0, time_scale=1.0)
-    w = assemble_W(wstar, wtilde, wcirc, greeks)
     if not full:
-        return path, w
+        return path, assemble_W(wstar, wtilde, None, greeks)
+    circ_incs = rng.child(3).generator().standard_normal(
+        (int(math.ceil(t)) + 2, greeks.d))
+    wcirc = ScaledPath(base=UnitGridPath.from_increments(circ_incs),
+                       value_scale=1.0, time_scale=1.0)
+    w = assemble_W(wstar, wtilde, wcirc, greeks)
     bundle = CouplingBundle(driver=driver, b=b, btilde=btilde, n_path=n_path,
                             wtilde=wtilde, wstar=wstar, wcirc=wcirc, w=w,
                             greeks=greeks, horizon_cycles=k)
@@ -569,61 +573,38 @@ def _build(model: Model, greeks: Greeks, t: float, driver: GaussianDriver,
 # -- evaluation grids and the decomposition ---------------------------------
 
 
-def grid_points_per_unit(grid_step: float) -> int:
-    """The integer n = 1/grid_step; ValueError unless it is a positive integer.
-
-    The rule keeps every integer, a kink of the unit-grid Wiener surrogates,
-    on the uniform part of the evaluation grid.
-    """
-    per_unit = 1.0 / grid_step if grid_step > 0 else 0.0
-    n = round(per_unit) if math.isfinite(per_unit) else 0
-    if n < 1 or abs(per_unit - n) > 1e-9 * n:
-        raise ValueError(f"1/grid_step must be a positive integer, "
-                         f"got grid_step={grid_step!r}")
-    return n
-
-
-def _breakpoints(path: RegenerativePath, t: float, grid_step: float,
-                 lattices: Sequence[float] = (),
-                 uniform: bool = True) -> list[np.ndarray]:
-    """The evaluation points of [0, t] in pieces, in this order: the path
-    events up to t, 0 and t, the multiples of grid_step below t when
-    ``uniform``, and the multiples up to t of each lattice spacing.
-
-    A piece may repeat points of another.  With the uniform part, an
-    integer spacing is left out: its multiples up to t are integers, which
-    the uniform part already holds (:func:`grid_points_per_unit`).
-    """
-    n = grid_points_per_unit(grid_step)
+def _breakpoints(path: RegenerativePath, t: float,
+                 lattices: Sequence[float] = ()) -> list[np.ndarray]:
+    """The kinks of [0, t] in pieces, in this order: the path events up to
+    t, 0 and t, and the multiples up to t of each lattice spacing.  A piece
+    may repeat points of another."""
     pieces = [path.event_times[path.event_times <= t], np.array([0.0, t])]
-    if uniform:
-        pieces.append(np.arange(math.ceil(t * n)) / n)
     for spacing in lattices:
-        if spacing > 0 and not (uniform and float(spacing).is_integer()):
+        if spacing > 0:
             multiples = _multiples(spacing, t)
             pieces.append(multiples[multiples <= t])
     return pieces
 
 
-def evaluation_grid(path: RegenerativePath, t: float, grid_step: float,
+def evaluation_grid(path: RegenerativePath, t: float, grid_step: float = 1.0,
                     lattices: Sequence[float] = ()) -> np.ndarray:
-    """Sorted unique points of [0, t]: 0, t, the path events, the multiples
-    of grid_step and of each lattice spacing.
+    """Sorted unique points of [0, t]: 0, t, the path events and the
+    multiples of each lattice spacing.
 
     With the mean duration among the lattices (and the duration-variance
-    ratio gamma for the first-passage steps), every pipeline component is
-    linear between consecutive grid points: the path between its events, the
-    unit-grid Wiener surrogates between the integers and the multiples of
-    the mean duration, the first-passage level between multiples of gamma.
-    A finer grid_step therefore adds points but cannot raise a sup; the
-    default 1.0 is the coarsest step that keeps the integers.  Only the jumps
-    at events and lattice points are missing, and :func:`sup_deviation` and
-    :func:`phi_decomposition` add their left limits.  Only the
-    decomposition, whose rows are in time order, needs the points sorted;
-    :func:`sup_deviation` takes the same breakpoints unsorted.
+    ratio gamma for the first-passage steps), every term of the deviation
+    is linear between consecutive grid points: the path between its events,
+    the unit-grid Wiener surrogates, read at ``u/mu``, between the multiples
+    of the mean duration, the first-passage level between multiples of
+    gamma.  Only the jumps at events and lattice points are
+    missing, and :func:`sup_deviation` and :func:`phi_decomposition` add
+    their left limits.  Only the decomposition, whose rows are in time
+    order, needs the points sorted; :func:`sup_deviation` takes the same
+    breakpoints unsorted.
+
+    ``grid_step`` is ignored; ROADMAP item 1b deletes it.
     """
-    return np.unique(np.concatenate(_breakpoints(path, t, grid_step,
-                                                 lattices)))
+    return np.unique(np.concatenate(_breakpoints(path, t, lattices)))
 
 
 def _multiples(spacing: float, t: float) -> np.ndarray:
@@ -669,6 +650,7 @@ def phi_decomposition(path: RegenerativePath, bundle: CouplingBundle,
     Every term is linear between consecutive points of the evaluation grid
     (with the mean-duration and gamma lattices), so the right rows there and
     the left rows at the jumps give each term's exact sup over [0, t].
+    ``grid_step`` is ignored; ROADMAP item 1b deletes it.
 
     Raises IdentityViolationError when the residual of any row exceeds
     ``1e-8 * (1 + max |S|)`` — that can only mean an implementation bug.
@@ -686,7 +668,7 @@ def phi_decomposition(path: RegenerativePath, bundle: CouplingBundle,
     if t > path.horizon:
         raise HorizonExceededError(
             f"t={t:g} beyond simulated horizon {path.horizon:g}")
-    right = evaluation_grid(path, t, grid_step, lattices=(g.mu, g.gamma))
+    right = evaluation_grid(path, t, lattices=(g.mu, g.gamma))
     steps = _multiples(g.gamma, t)
     count = np.floor(right / g.gamma).astype(np.int64)  # off by one at most
     count += steps[count + 1] <= right
@@ -814,14 +796,11 @@ def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
     ``W_tilde`` and ``W_star`` are unit-grid interpolants read at ``u/mu``
     and ``(u/gamma)/lambda``, and gamma*lambda = mu, so they bend only at
     the multiples of mu; S bends or jumps only at its events; kappa*u is
-    linear.  Where the null-space projector is zero, ``W_circ`` carries no
-    weight and the deviation is linear between consecutive points of
-    {0, t}, the events up to t and the multiples of mu up to t: the max over
-    those kinks is the sup.  Where the projector has weight, ``W_circ``
-    bends at the integers, and the uniform grid of ``grid_step`` joins the
-    points.  The projector decides, not whether ``w`` holds ``W_circ``, so
-    :func:`build_bundle` and :func:`sup_inputs` give the same sup from the
-    same points.
+    linear.  ``W_circ`` enters sigma*W as ``sigma @ P0 @ W_circ``, and
+    ``sigma @ P0 = 0``, so it adds no kink.  The deviation is therefore
+    linear between consecutive points of {0, t}, the events up to t and the
+    multiples of mu up to t, for every sigma: the max over those kinks is
+    the sup.  ``grid_step`` is ignored; ROADMAP item 1b deletes it.
 
     A piecewise-constant path jumps at its events, so the max also runs over
     the left limits ``S(e-) - kappa*e - sigma*W(e)`` at the events
@@ -832,8 +811,7 @@ def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
     if t > path.horizon:
         raise HorizonExceededError(
             f"t={t:g} beyond simulated horizon {path.horizon:g}")
-    pieces = _breakpoints(path, t, grid_step, lattices=(greeks.mu,),
-                          uniform=bool(np.any(greeks.null_projector)))
+    pieces = _breakpoints(path, t, lattices=(greeks.mu,))
     points = np.concatenate(pieces)
     w_sigma = _times(np.atleast_2d(w.at(points)), greeks.sigma)
     dev = path.evaluate(points) - np.outer(points, greeks.kappa) - w_sigma

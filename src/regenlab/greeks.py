@@ -27,8 +27,12 @@ eigenvectors rather than the rounding residue of I - sigma_pinv sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .models import CycleBatch
 
 
 _SQRT_CLAMP_REL = 1e-12   # eigenvalues below this (relative) are treated as 0
@@ -165,29 +169,13 @@ class Greeks:
         )
 
 
-def _cycles_to_arrays(cycles) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(cycles, tuple) and len(cycles) == 2:
-        tau, xi = cycles
-    elif hasattr(cycles, "tau") and hasattr(cycles, "xi"):
-        tau, xi = cycles.tau, cycles.xi
-    else:
-        raise TypeError(f"cannot interpret cycle container {type(cycles)!r}")
-    tau = np.asarray(tau, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    return tau, xi
-
-
-def estimate_greeks(cycles, p: float) -> Greeks:
+def estimate_greeks(cycles: CycleBatch, p: float) -> Greeks:
     """Plug-in (1/n) moment estimates from observed cycles.
 
-    Accepts a CycleBatch (or any object with ``tau`` and ``xi``) or a
-    (tau, xi) array pair.
     Raises DegenerateTauError when the sample durations carry no variance
     and InsufficientDataError for fewer than 2 cycles.
     """
-    tau, xi = _cycles_to_arrays(cycles)
+    tau, xi = cycles.tau, cycles.xi
     n = tau.size
     if n < 2:
         raise InsufficientDataError(f"need at least 2 cycles, got {n}")

@@ -152,7 +152,7 @@ def _replicate(rep_fn: Callable, cfg: ExperimentConfig, greeks: Greeks | None,
 
 def _deviations(model, greeks, cfg, t, streams) -> Iterator[float]:
     for path, w in sup_inputs(model, greeks, t, cfg.mode, streams):
-        dev = sup_deviation(path, w, greeks, t, cfg.grid_step)
+        dev = sup_deviation(path, w, greeks, t)
         del path, w   # not held while the next replication is built
         yield dev
 
@@ -304,7 +304,7 @@ def _phi_row(model, greeks, cfg, t, rng) -> tuple:
     """(per-term sups, deviation sup, passage flag, count flag, triangle
     excess, identity residual) of one replication."""
     path, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
-    dec = phi_decomposition(path, bundle, t, cfg.grid_step)
+    dec = phi_decomposition(path, bundle, t)
     sups = dec.sup_per_term()
     dev = dec.sup_deviation()
     return (sups, dev,

@@ -30,7 +30,7 @@ PIECEWISE_LINEAR = "piecewise-linear"
 _INTERPOLATIONS = (PIECEWISE_CONSTANT, PIECEWISE_LINEAR)
 
 
-class HorizonExceededError(ValueError):
+class HorizonExceededError(RuntimeError):
     """Evaluation requested beyond the simulated horizon."""
 
 

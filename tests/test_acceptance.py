@@ -17,8 +17,9 @@ from regenlab.harness import (certify_bound, fit_constant_a,
                               maxima_scaling_experiment, run_embedding_check,
                               run_phi_diagnostics, run_rate_experiment,
                               run_tail_experiment)
-from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
-                             IidSumModel, MM1BusyCycleModel, ParetoCycleModel,
+from regenlab.models import (CompoundJumpModel, CycleBatch,
+                             GammaGaussianModel, IidSumModel,
+                             MM1BusyCycleModel, ParetoCycleModel,
                              reference_greeks)
 from regenlab.rng import RngStream
 import regenlab.cli as cli
@@ -141,9 +142,10 @@ def test_criterion_03_estimated_vs_closed_form(model):
     full = _flatten_greeks(estimate_greeks(batch, p))
     size = n // batches
     per_batch = np.vstack([
-        _flatten_greeks(estimate_greeks(
-            (batch.tau[b * size:(b + 1) * size],
-             batch.xi[b * size:(b + 1) * size]), p))
+        _flatten_greeks(estimate_greeks(CycleBatch(
+            batch.tau[b * size:(b + 1) * size],
+            batch.xi[b * size:(b + 1) * size],
+            batch.eta[b * size:(b + 1) * size]), p))
         for b in range(batches)])
     se = per_batch.std(axis=0, ddof=1) / math.sqrt(batches)
     gap = np.abs(full - true)

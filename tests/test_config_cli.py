@@ -172,15 +172,16 @@ class TestConfigErrors:
         with pytest.raises(ConfigParseError, match="model.tau_shape"):
             parse_config_text("model.tau_shape = 1.0, 2.0\n", "rate")
 
-    def test_grid_step_must_divide_the_unit(self):
-        # 1/grid_step must be a positive integer so the grid keeps the
-        # integers, the kinks of the unit-grid Wiener surrogates
-        for bad in ("0.3", "1.5", "0.0", "-0.25"):
-            with pytest.raises(ConfigValidationError, match="1/grid_step"):
-                parse_config_text(f"experiment.grid_step = {bad}\n", "tail")
-        for good in (0.5, 1.0, 0.25):
-            assert build_config("tail", grid_step=good).grid_step == good
-        assert build_config("tail").grid_step == 1.0
+    def test_grid_step_is_an_unknown_key(self, tmp_path, capsys):
+        # the sup and the decomposition read only the kinks: no grid step
+        # is left to set, and the snapshot names none
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text("experiment.grid_step = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["tail", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown key 'experiment.grid_step'" in capsys.readouterr().err
+        assert not out.exists()
+        assert "grid_step" not in build_config("tail").render()
 
 
 class TestCliExitCodes:

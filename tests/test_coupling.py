@@ -249,7 +249,7 @@ class TestEvaluationGrid:
     def test_contains_required_points(self, gg1_model):
         g = reference_greeks(gg1_model, 3.0)
         path, _ = build_bundle(gg1_model, g, 10.0, "independent", _stream(12))
-        grid = evaluation_grid(path, 10.0, 0.25, lattices=(g.mu, g.gamma))
+        grid = evaluation_grid(path, 10.0, lattices=(g.mu, g.gamma))
         assert grid[0] == 0.0 and grid[-1] == 10.0
         assert np.all(np.diff(grid) > 0)
         for mult in (g.mu, 2 * g.mu, g.gamma, 5 * g.gamma):
@@ -260,25 +260,18 @@ class TestEvaluationGrid:
         for rt in renewals:
             assert np.min(np.abs(grid - rt)) == 0.0
 
-    def test_grid_step_must_divide_the_unit(self, gg1_model):
-        g = reference_greeks(gg1_model, 3.0)
-        path, _ = build_bundle(gg1_model, g, 10.0, "independent", _stream(13))
-        for bad in (0.3, 1.5, 0.0, -1.0):
-            with pytest.raises(ValueError, match="1/grid_step"):
-                evaluation_grid(path, 10.0, bad)
-        thirds = evaluation_grid(path, 10.0, 1.0 / 3.0)
-        assert set(np.arange(11.0)) <= set(thirds)
-
-    def test_finer_step_cannot_raise_the_sup(self, gg1_model):
+    def test_grid_step_is_ignored(self, gg1_model):
+        # the points are the kinks whatever the step: the same sup and the
+        # same decomposition rows
         g = reference_greeks(gg1_model, 3.0)
         path, bundle = build_bundle(gg1_model, g, 64.0, "shared-innovations",
                                     _stream(14))
-        coarse = sup_deviation(path, bundle.w, g, 64.0)
-        for step in (0.5, 0.25, 0.125):
-            fine = sup_deviation(path, bundle.w, g, 64.0, step)
-            assert fine == pytest.approx(coarse, rel=1e-12)
-            assert evaluation_grid(path, 64.0, step).size \
-                > evaluation_grid(path, 64.0, 1.0).size
+        sup = sup_deviation(path, bundle.w, g, 64.0)
+        rows = phi_decomposition(path, bundle, 64.0).grid
+        for step in (0.3, 0.5, 1.5, 0.0, -1.0):
+            assert sup_deviation(path, bundle.w, g, 64.0, step) == sup
+            np.testing.assert_array_equal(
+                phi_decomposition(path, bundle, 64.0, step).grid, rows)
 
 
 class TestPhiDecomposition:
@@ -767,22 +760,24 @@ class TestSupInputsFailures:
         assert counted_units[0] < horizon_cycles_for(1024.0, g.mu)
 
 
-def _sorted_grid(path, t, grid_step, lattices):
-    """The evaluation grid as one sorted unique array, every lattice
-    included: the reference for the breakpoint pieces."""
-    n = round(1.0 / grid_step)
-    grid = np.unique(np.concatenate(
-        [np.array([0.0, t]), np.arange(math.ceil(t * n)) / n,
-         path.event_times[path.event_times <= t]]
-        + [s * np.arange(0.0, math.floor(t / s) + 2.0) for s in lattices]))
+def _sorted_grid(path, t, lattices, step=None):
+    """The kinks as one sorted unique array, every lattice included, and
+    the multiples of ``step`` below t when given: a reference grid with
+    points that are no kinks, the integers at ``step=1.0``."""
+    pieces = [np.array([0.0, t]), path.event_times[path.event_times <= t]]
+    pieces += [s * np.arange(0.0, math.floor(t / s) + 2.0) for s in lattices]
+    if step is not None:
+        n = round(1.0 / step)
+        pieces.append(np.arange(math.ceil(t * n)) / n)
+    grid = np.unique(np.concatenate(pieces))
     return grid[(grid >= 0.0) & (grid <= t)]
 
 
-def _sorted_grid_sup(path, w, g, t, grid_step):
+def _sorted_grid_sup(path, w, g, t, step=None):
     """The sup over the sorted grid, with W evaluated a second time at the
     events for the left limits: the reference sup_deviation must match bit
     for bit."""
-    grid = _sorted_grid(path, t, grid_step, (g.mu,))
+    grid = _sorted_grid(path, t, (g.mu,), step)
     dev = path.evaluate(grid) - np.outer(grid, g.kappa) \
         - np.atleast_2d(w.at(grid)) @ g.sigma
     sup = float(np.max(np.abs(dev)))
@@ -801,6 +796,15 @@ NON_INTEGER_MU = (GammaGaussianModel(tau_shape=2.5, tau_scale=1.0,
                                      noise_cov=[[0.9]], dim=1),
                   "shared-innovations")
 
+# one case per family with a sup and a decomposition
+FAMILY_CASES = [
+    (GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, dim=1),
+     "shared-innovations"),
+    (ParetoCycleModel(tail_index=3.5), "shared-innovations"),
+    (MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0), "independent"),
+    (CompoundJumpModel(dim=1), "independent"),
+]
+
 BREAKPOINT_CASES = SUP_CASES + [
     NON_INTEGER_MU,
     # a rank-1 sigma: the noise and beta - kappa both lie along (1, 1), so
@@ -812,23 +816,31 @@ BREAKPOINT_CASES = SUP_CASES + [
 
 
 class TestSupBreakpoints:
-    """The sup over the unsorted breakpoint pieces is the sorted-grid sup."""
+    """The sup over the unsorted kinks is the sorted-grid sup."""
 
-    @pytest.mark.parametrize("grid_step", [1.0, 0.5])
+    @pytest.mark.parametrize("step", [1.0, 0.5])
     @pytest.mark.parametrize("t", [37.5, 1024.0])
     @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
                              ids=[f"{m.family}-d{m.d}-{mode}"
                                   for m, mode in BREAKPOINT_CASES])
-    def test_sup_equals_the_sorted_grid_sup(self, case, t, grid_step):
+    def test_sup_equals_the_sorted_grid_sup(self, case, t, step):
+        # the reference adds a uniform grid of ``step``, no kinks
         model, mode = BREAKPOINT_CASES[case]
         g = reference_greeks(model, 3.0)
         for rep in range(3):
             path, bundle = build_bundle(model, g, t, mode, _stream(230 + rep))
-            expected = _sorted_grid_sup(path, bundle.w, g, t, grid_step)
-            assert sup_deviation(path, bundle.w, g, t, grid_step) == expected
+            full = sup_deviation(path, bundle.w, g, t)
+            assert full == _sorted_grid_sup(path, bundle.w, g, t, step)
             short_path, w = _one_sup_inputs(model, g, t, mode,
                                             _stream(230 + rep))
-            assert sup_deviation(short_path, w, g, t, grid_step) == expected
+            short = sup_deviation(short_path, w, g, t)
+            assert short == _sorted_grid_sup(short_path, w, g, t, step)
+            if np.any(g.null_projector) and np.any(g.sigma):
+                # the full W holds sigma @ P0 @ W_circ, zero but for its
+                # rounding; sup_inputs builds W without it
+                assert short == pytest.approx(full, rel=1e-14)
+            else:
+                assert short == full
 
     def test_non_integer_mu_at_a_long_horizon(self):
         model, mode = NON_INTEGER_MU
@@ -848,8 +860,7 @@ class TestSupBreakpoints:
                              ids=[f"{m.family}-d{m.d}-{mode}"
                                   for m, mode in BREAKPOINT_CASES])
     def test_sup_reads_only_the_kinks(self, monkeypatch, case, t):
-        # 0, t, the events and the multiples of mu; the integers only where
-        # W_circ has weight, for it bends there
+        # 0, t, the events and the multiples of mu, for every sigma
         model, mode = BREAKPOINT_CASES[case]
         g = reference_greeks(model, 3.0)
         path, w = _one_sup_inputs(model, g, t, mode, _stream(245))
@@ -862,35 +873,31 @@ class TestSupBreakpoints:
 
         monkeypatch.setattr(AssembledW, "at", recorded)
         sup_deviation(path, w, g, t)
-        kinks = [np.array([0.0, t]), path.event_times,
-                 g.mu * np.arange(math.floor(t / g.mu) + 2.0)]
-        if np.any(g.null_projector):
-            kinks.append(np.arange(math.ceil(t), dtype=float))
-        expected = np.unique(np.concatenate(kinks))
         assert len(read) == 1
         np.testing.assert_array_equal(np.unique(read[0]),
-                                      expected[expected <= t])
+                                      _sorted_grid(path, t, (g.mu,)))
 
-    @pytest.mark.parametrize("grid_step", [1.0, 0.5, 1.0 / 3.0])
+    @pytest.mark.parametrize("step", [1.0, 0.5, 1.0 / 3.0])
     @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
                              ids=[f"{m.family}-d{m.d}-{mode}"
                                   for m, mode in BREAKPOINT_CASES])
-    def test_evaluation_grid_keeps_its_points(self, case, grid_step):
-        # integer lattices are left out of the pieces, not out of the grid
+    def test_evaluation_grid_is_the_sorted_kinks(self, case, step):
+        # whatever the ignored grid step; an integer mu or gamma is a
+        # lattice like any other
         model, mode = BREAKPOINT_CASES[case]
         g = reference_greeks(model, 3.0)
         for t in (37.5, 64.0):
             path, _ = build_bundle(model, g, t, mode, _stream(240))
             lattices = (g.mu, g.gamma)
             np.testing.assert_array_equal(
-                evaluation_grid(path, t, grid_step, lattices),
-                _sorted_grid(path, t, grid_step, lattices))
+                evaluation_grid(path, t, step, lattices),
+                _sorted_grid(path, t, lattices))
 
     @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
                              ids=[f"{m.family}-d{m.d}-{mode}"
                                   for m, mode in BREAKPOINT_CASES])
-    def test_child3_only_where_the_projector_is_nonzero(self, monkeypatch,
-                                                         case):
+    def test_sup_inputs_never_draws_child3(self, monkeypatch, case):
+        # W_circ enters no deviation; only build_bundle draws it
         model, mode = BREAKPOINT_CASES[case]
         g = reference_greeks(model, 3.0)
         wcirc_stream = _stream(250).child(3)
@@ -903,11 +910,33 @@ class TestSupBreakpoints:
 
         monkeypatch.setattr(RngStream, "child", recorded)
         _, w = _one_sup_inputs(model, g, 37.5, mode, _stream(250))
-        weighted = bool(np.any(g.null_projector))
-        assert (wcirc_stream in children) == weighted == (w.wcirc is not None)
+        assert wcirc_stream not in children and w.wcirc is None
         children.clear()
         build_bundle(model, g, 37.5, mode, _stream(250))
         assert wcirc_stream in children
+
+    @pytest.mark.parametrize("case", range(len(FAMILY_CASES)),
+                             ids=[m.family for m, _ in FAMILY_CASES])
+    def test_integers_raise_no_sup(self, monkeypatch, case):
+        # the eight term sups and the deviation sup on the kinks keep their
+        # bits when the integers join the points
+        model, mode = FAMILY_CASES[case]
+        g = reference_greeks(model, 3.0)
+        t = 1024.0
+        for rep in range(10):
+            path, bundle = build_bundle(model, g, t, mode, _stream(260 + rep))
+            kinks = phi_decomposition(path, bundle, t)
+            with monkeypatch.context() as patch:
+                patch.setattr(coupling, "evaluation_grid",
+                              lambda path, t, grid_step=1.0, lattices=():
+                              _sorted_grid(path, t, lattices, 1.0))
+                integers = phi_decomposition(path, bundle, t)
+            assert np.isin(np.arange(t), integers.grid).all()
+            assert integers.sup_per_term().tobytes() \
+                == kinks.sup_per_term().tobytes()
+            assert integers.sup_deviation() == kinks.sup_deviation()
+            assert sup_deviation(path, bundle.w, g, t) \
+                == _sorted_grid_sup(path, bundle.w, g, t, 1.0)
 
     @pytest.mark.parametrize("case", [i for i, (m, _) in enumerate(SUP_CASES)
                                       if m.d > 1],
@@ -915,8 +944,7 @@ class TestSupBreakpoints:
                                   for m, mode in SUP_CASES if m.d > 1])
     def test_full_rank_projector_is_exactly_zero(self, case):
         # the rank is decided on the eigenvalues, so no rounding residue of
-        # I - pinv(sigma) sigma gives W_circ a weight, and
-        # test_child3_only_where_the_projector_is_nonzero sees no child(3)
+        # I - pinv(sigma) sigma gives W_circ a weight
         model, _ = SUP_CASES[case]
         g = reference_greeks(model, 3.0)
         assert np.linalg.matrix_rank(g.sigma) == g.d

@@ -10,7 +10,7 @@ from regenlab.config import parse_config, parse_config_text
 from regenlab.greeks import (DegenerateTauError, Greeks, IndefiniteError,
                              InsufficientDataError, check_greek_identities,
                              estimate_greeks, matrix_sqrt_psd)
-from regenlab.models import reference_greeks
+from regenlab.models import CycleBatch, reference_greeks
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -64,10 +64,14 @@ class TestFromMoments:
         assert residuals["sqrt_sigma"] > 1e-3
 
 
+def _cycles(tau, xi):
+    return CycleBatch(tau=tau, xi=xi, eta=np.zeros(len(tau)))
+
+
 class TestEstimateGreeks:
     def test_exact_on_two_observed_cycles(self):
         # (1/n) sample moments of tau=[1,3], xi=[1,3]: all covariances equal 1.
-        g = estimate_greeks((np.array([1.0, 3.0]), np.array([1.0, 3.0])), 3.0)
+        g = estimate_greeks(_cycles([1.0, 3.0], [1.0, 3.0]), 3.0)
         assert g.mu == 2.0
         assert g.var_tau == 1.0
         np.testing.assert_allclose(g.beta, [1.0])
@@ -76,18 +80,18 @@ class TestEstimateGreeks:
 
     def test_degenerate_sample_raises(self):
         with pytest.raises(DegenerateTauError):
-            estimate_greeks((np.array([2.0, 2.0]), np.array([1.0, 0.0])), 3.0)
+            estimate_greeks(_cycles([2.0, 2.0], [1.0, 0.0]), 3.0)
 
     def test_single_cycle_raises(self):
         with pytest.raises(InsufficientDataError):
-            estimate_greeks((np.array([2.0]), np.array([1.0])), 3.0)
+            estimate_greeks(_cycles([2.0], [1.0]), 3.0)
 
     def test_estimated_identities_hold(self):
         rng = np.random.default_rng(42)
         tau = rng.gamma(2.0, 1.0, size=5000)
         xi = np.column_stack([0.4 * tau + rng.standard_normal(5000),
                               -0.2 * tau + rng.standard_normal(5000)])
-        g = estimate_greeks((tau, xi), 3.0)
+        g = estimate_greeks(_cycles(tau, xi), 3.0)
         assert max(check_greek_identities(g).values()) <= 1e-10 * (1 + g.mu)
 
 

@@ -273,8 +273,7 @@ def addressed_deviations(addressed_cfg):
             rng = replication_stream(cfg.root_seed, "rate", i,
                                      cfg.replications, rep)
             path, bundle = build_bundle(model, greeks, t, cfg.mode, rng)
-            row.append(sup_deviation(path, bundle.w, greeks, t,
-                                     cfg.grid_step))
+            row.append(sup_deviation(path, bundle.w, greeks, t))
         out.append(tuple(row))
     return tuple(out)
 
