@@ -41,7 +41,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .config import build_config, parse_config
-from .coupling import build_bundle, phi_decomposition, sup_deviation
+from .coupling import (build_bundle, phi_decomposition, sup_deviation,
+                       sup_inputs)
 from .greeks import (DegenerateTauError, check_greek_identities,
                      estimate_greeks)
 from .harness import (CERTIFIERS, _whole, certify_bound, fit_constant_a,
@@ -213,7 +214,13 @@ def _cmd_couple(args) -> int:
                                 cfg.replications, args.rep)
     path, bundle = build_bundle(model, greeks, t, cfg.mode, stream)
     dec = phi_decomposition(path, bundle, t)
-    sup_dev = sup_deviation(path, bundle.w, greeks, t)
+    # the sup the replayed run computed: a rate or tail run reads W
+    # without W_circ, a phis run the decomposition's rows
+    if args.kind == "phis":
+        sup_dev = dec.sup_deviation()
+    else:
+        (sup_path, w), = sup_inputs(model, greeks, t, cfg.mode, [stream])
+        sup_dev = sup_deviation(sup_path, w, greeks, t)
     d = path.d
     header = (["u", "left"]
               + [f"S_{j + 1}" for j in range(d)]

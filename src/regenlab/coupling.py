@@ -22,16 +22,15 @@ whose existence classical strong-approximation theory guarantees without an
 algorithm.  Their error rates are measured by the experiment harness, never
 assumed.
 
-Two builders run the same stages in the same order: the stream draws for
-all K cycles, the cycles, the three horizon checks, the surrogates and W.
-:func:`build_bundle` keeps every array at its K-cycle length, places the
-Poisson jumps and draws ``W_circ``; the eight-term decomposition (``phis``)
-and ``couple`` read them.  :func:`sup_inputs` builds only what the sup over
-[0, t] reads: the cycles up to the first renewal past t, the jump count
-without the jump times, and W without ``W_circ``.  It takes a list of
+One core (:func:`_path_and_w`) builds, from a replication's drivers, the
+cycles, checks that they reach t, and builds the surrogates and W without
+``W_circ``: all that the sup over [0, t] reads.  :func:`sup_inputs` yields
+it, with the cycles cut at the first renewal past t; it takes a list of
 replication streams and quantiles the durations of a group of them in one
-call.  The ``rate`` and ``tail`` replications and the embedding check use
-it.
+call (``rate``, ``tail`` and the embedding check).  :func:`build_bundle`
+adds what only the eight-term decomposition (``phis``) and ``couple``
+read: the Poisson jumps over all K units, with their level checks, and
+``W_circ`` assembled into W.
 
 ``W_circ`` enters the deviation only as ``sigma @ P0 @ W_circ``, and
 ``sigma @ P0 = 0``, so the integers where it bends are no kinks of the
@@ -282,32 +281,6 @@ def poisson_jump_counts(increments: np.ndarray, rate: float) -> np.ndarray:
                            side="left")
 
 
-def _unit_jump_counts(btilde: UnitGridPath, rate: float,
-                      n_units: int) -> tuple[np.ndarray, np.ndarray]:
-    """The driver increments over the first ``n_units`` unit intervals and
-    their Poisson(rate) quantile jump counts."""
-    increments = np.diff(btilde.values[:n_units + 1])
-    return increments, poisson_jump_counts(increments, rate)
-
-
-def _jump_count(btilde: UnitGridPath, rate: float, n_units: int,
-                needed: int) -> int:
-    """The jump count over the first ``n_units`` units when it is below
-    ``needed``; otherwise some count of at least ``needed``.
-
-    The counts are nonnegative, so a prefix holding ``needed`` jumps settles
-    the check.  The prefix is the mean number of units ``needed`` jumps take
-    plus three standard deviations of its jump count; only a short prefix
-    widens to all units, whose count a failure reports.
-    """
-    prefix = min(n_units, int(math.ceil(
-        (needed + 3.0 * math.sqrt(needed)) / rate + 1.0)))
-    count = int(_unit_jump_counts(btilde, rate, prefix)[1].sum())
-    if count < needed and prefix < n_units:
-        count = int(_unit_jump_counts(btilde, rate, n_units)[1].sum())
-    return count
-
-
 def build_poisson_from_brownian(btilde: UnitGridPath, greeks: Greeks,
                                 horizon: float) -> CountingPath:
     """Counting process on [0, horizon] derived measurably from the driver.
@@ -325,7 +298,8 @@ def build_poisson_from_brownian(btilde: UnitGridPath, greeks: Greeks,
     if n_units > btilde.horizon:
         raise GridMismatchError(
             f"driver covers {btilde.horizon} units, horizon asks {n_units}")
-    increments, counts = _unit_jump_counts(btilde, greeks.lam, n_units)
+    increments = np.diff(btilde.values[:n_units + 1])
+    counts = poisson_jump_counts(increments, greeks.lam)
     total = int(counts.sum())
     gen = bytes_generator(increments.tobytes())
     offsets = gen.random(total)
@@ -468,42 +442,53 @@ def horizon_cycles_for(t: float, mu: float) -> int:
 
 def build_bundle(model: Model, greeks: Greeks, t: float, mode: str,
                  rng: RngStream) -> tuple[RegenerativePath, CouplingBundle]:
-    """Run the full pipeline for one replication over horizon t.
-
-    Draws cycles and drivers, embeds the Poisson process, builds the three
-    Wiener surrogates and the assembled W, and verifies that every component
-    actually covers the requested horizon (raising HorizonExceededError with
-    a diagnostic when the generous default margin is ever insufficient).
-
-    Every array has its full K-cycle length, K = ``horizon_cycles_for``:
-    the eight-term decomposition (``phis``) and ``couple`` read the jump
-    times and the cycles past t.  The sup-only runs (``rate``, ``tail`` and
-    the embedding check) call :func:`sup_inputs` instead.
-    """
+    """Run the full pipeline for one replication over horizon t: the path
+    and W of :func:`sup_inputs`, but over all K = ``horizon_cycles_for``
+    cycles, plus what only the eight-term decomposition (``phis``) and
+    ``couple`` read: the Poisson jumps over the K units, and ``W_circ``
+    (child(3)) assembled into W.  Raises HorizonExceededError when the
+    cycles do not reach t or the jumps do not pass level t/gamma within the
+    driver grid."""
     k = _horizon_cycles(greeks, t)
-    return _build(model, greeks, t, _draw_drivers(model, k, mode, rng), rng,
-                  None, full=True)
+    driver = _draw_drivers(model, k, mode, rng)
+    path, w = _path_and_w(model, greeks, t, driver, rng, None)
+    n_path = build_poisson_from_brownian(w.wtilde.base, greeks, horizon=k)
+    needed_jumps = int(math.floor(t / greeks.gamma)) + 1
+    if n_path.n_jumps < needed_jumps:
+        raise HorizonExceededError(
+            f"counting process has {n_path.n_jumps} jumps, "
+            f"needs {needed_jumps} to cover t={t:g}")
+    if needed_jumps / greeks.lam > k:
+        raise HorizonExceededError(
+            f"level {needed_jumps} lies beyond the driver grid of {k} units")
+    circ_incs = rng.child(3).generator().standard_normal(
+        (int(math.ceil(t)) + 2, greeks.d))
+    wcirc = ScaledPath(base=UnitGridPath.from_increments(circ_incs),
+                       value_scale=1.0, time_scale=1.0)
+    w = assemble_W(w.wstar, w.wtilde, wcirc, greeks)
+    return path, CouplingBundle(
+        driver=driver, b=w.wstar.base, btilde=w.wtilde.base, n_path=n_path,
+        wtilde=w.wtilde, wstar=w.wstar, wcirc=wcirc, w=w, greeks=greeks,
+        horizon_cycles=k)
 
 
 def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
                rngs: Sequence[RngStream]
                ) -> Iterator[tuple[RegenerativePath, AssembledW]]:
-    """Per stream of ``rngs``, in order, the path and the assembled W of
-    :func:`build_bundle`, built only as far as :func:`sup_deviation` reads
-    them on [0, t].  One replication is one stream: ``sup_inputs(...,
-    [rng])``.
+    """Per stream of ``rngs``, in order, the path and the assembled W that
+    :func:`sup_deviation` reads on [0, t].  One replication is one stream:
+    ``sup_inputs(..., [rng])``.
 
-    The same stream draws, the same three horizon checks, and the same W
-    but for ``W_circ``, which no deviation reads: child(3) is never drawn.
-    In ``shared-innovations`` mode the path stops at the first cycle whose
-    renewal time reaches t, and no Poisson jump is placed: the jump-count
-    check needs only the per-unit counts, summed over a prefix of the units
-    that usually holds enough jumps.  Every value of S and of W's
+    The stream draws, cycles and surrogates of :func:`build_bundle`, without
+    what no sup reads: no Poisson jump and no ``W_circ`` (child(3) is never
+    drawn).  In ``shared-innovations`` mode the path stops at the first
+    cycle whose renewal time reaches t.  Every value of S and of W's
     surrogates on [0, t] keeps its bits, so ``sup_deviation`` returns what
     it returns on the full bundle, up to the rounding of
     ``sigma @ P0 @ W_circ`` where the null-space projector is nonzero (a
     rank-deficient sigma; exactly zero at sigma = 0).  A replication fails
-    here exactly when it fails there, as its own inputs are built.
+    here only when its cycles or drivers fall short of what the sup reads;
+    a counting process short of level t/gamma fails the full bundle alone.
 
     The streams go in groups of about ``_GROUP_DRIVERS`` first-block
     drivers: a group's drivers are drawn, and its durations quantiled
@@ -519,7 +504,7 @@ def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
             taus = _durations_past(
                 model, [d.unit_increments_btilde for d in drivers], greeks, t)
         for rng, driver, tau in zip(group, drivers, taus):
-            yield _build(model, greeks, t, driver, rng, tau, full=False)
+            yield _path_and_w(model, greeks, t, driver, rng, tau)
 
 
 def _horizon_cycles(greeks: Greeks, t: float) -> int:
@@ -529,45 +514,22 @@ def _horizon_cycles(greeks: Greeks, t: float) -> int:
     return horizon_cycles_for(t, greeks.mu)
 
 
-def _build(model: Model, greeks: Greeks, t: float, driver: GaussianDriver,
-           rng: RngStream, tau: np.ndarray | None, full: bool):
-    """The stages both builders share after the drivers, in their fixed
-    order: the cycles (``tau`` the leading durations, when quantiled
-    already), the path's reach, the jump count and level checks, the Wiener
-    surrogates and W."""
-    k = driver.unit_increments_btilde.size
+def _path_and_w(model: Model, greeks: Greeks, t: float,
+                driver: GaussianDriver, rng: RngStream,
+                tau: np.ndarray | None
+                ) -> tuple[RegenerativePath, AssembledW]:
+    """The core both builders share: the cycles (``tau`` the leading
+    durations, when quantiled already), the check that they reach t, the
+    Wiener surrogates and W without ``W_circ``."""
     path = _cycle_path(model, driver, rng, tau)
     if path.horizon < t:
         raise HorizonExceededError(
-            f"{k} cycles reach only {path.horizon:g} < t={t:g}")
+            f"{driver.unit_increments_btilde.size} cycles reach only "
+            f"{path.horizon:g} < t={t:g}")
     b = UnitGridPath.from_increments(driver.unit_increments_b)
     btilde = UnitGridPath.from_increments(driver.unit_increments_btilde)
-    needed_jumps = int(math.floor(t / greeks.gamma)) + 1
-    if full:
-        n_path = build_poisson_from_brownian(btilde, greeks, horizon=k)
-        n_jumps = n_path.n_jumps
-    else:
-        n_jumps = _jump_count(btilde, greeks.lam, k, needed_jumps)
-    if n_jumps < needed_jumps:
-        raise HorizonExceededError(
-            f"counting process has {n_jumps} jumps, "
-            f"needs {needed_jumps} to cover t={t:g}")
-    if needed_jumps / greeks.lam > k:
-        raise HorizonExceededError(
-            f"level {needed_jumps} lies beyond the driver grid of {k} units")
-    wtilde = build_inverse_wiener(btilde, greeks)
-    wstar = build_timechange_wiener(b, greeks)
-    if not full:
-        return path, assemble_W(wstar, wtilde, None, greeks)
-    circ_incs = rng.child(3).generator().standard_normal(
-        (int(math.ceil(t)) + 2, greeks.d))
-    wcirc = ScaledPath(base=UnitGridPath.from_increments(circ_incs),
-                       value_scale=1.0, time_scale=1.0)
-    w = assemble_W(wstar, wtilde, wcirc, greeks)
-    bundle = CouplingBundle(driver=driver, b=b, btilde=btilde, n_path=n_path,
-                            wtilde=wtilde, wstar=wstar, wcirc=wcirc, w=w,
-                            greeks=greeks, horizon_cycles=k)
-    return path, bundle
+    return path, assemble_W(build_timechange_wiener(b, greeks),
+                            build_inverse_wiener(btilde, greeks), None, greeks)
 
 
 # -- evaluation grids and the decomposition ---------------------------------

@@ -14,6 +14,7 @@ from regenlab.config import (ConfigParseError, ConfigValidationError,
                              EXPERIMENT_KINDS, build_config, parse_config,
                              parse_config_text)
 from regenlab.harness import HorizonSummary, RateFit, run_rate_experiment
+from regenlab.models import reference_greeks
 from regenlab.paths import HorizonExceededError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -502,6 +503,29 @@ class TestCliArtifacts:
                     f"rep={rep} ") in line
             replayed = float(line.split("sup_deviation=")[1].split()[0])
             assert replayed == fit.deviations[t_index][rep]
+        # a rank-deficient sigma: the run's W, without W_circ, differs from
+        # the full bundle's in the last bits at replications 9 and 11
+        cfg_path.write_text("model.family = gamma-gaussian\n"
+                            "model.dim = 2\n"
+                            "model.beta = 0.3,0.3\n"
+                            "model.kappa = 0.1,0.1\n"
+                            "model.noise_cov = 1,1;1,1\n"
+                            "experiment.t_grid = 64.0\n"
+                            "experiment.replications = 50\n"
+                            "coupling.mode = shared-innovations\n"
+                            "rng.root_seed = 5\n")
+        cfg = parse_config(cfg_path, "tail")
+        model = cfg.build_model()
+        (devs,) = harness._replicate(
+            harness._deviations, cfg, reference_greeks(model, cfg.p),
+            cfg.t_grid, "tail", 1)
+        for rep in (0, 9, 11):
+            assert main(["couple", "--config", str(cfg_path),
+                         "--kind", "tail", "--rep", str(rep),
+                         "--out", str(tmp_path / "cpl")]) == 0
+            line = capsys.readouterr().out
+            replayed = float(line.split("sup_deviation=")[1].split()[0])
+            assert replayed == devs[rep]
 
     @pytest.mark.parametrize("flags", [["--t-index", "1"], ["--rep", "200"],
                                        ["--rep", "-1"]])

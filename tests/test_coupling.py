@@ -634,42 +634,25 @@ class TestGroupedDurations:
 
 
 class TestSupInputsFailures:
-    """sup_inputs fails exactly when build_bundle fails, with its message."""
-
-    @staticmethod
-    def _same_failure(model, mode, t=64.0):
-        g = reference_greeks(model, 3.0)
-        with pytest.raises(HorizonExceededError) as full:
-            build_bundle(model, g, t, mode, _stream(220))
-        with pytest.raises(HorizonExceededError) as short:
-            _one_sup_inputs(model, g, t, mode, _stream(220))
-        assert str(short.value) == str(full.value)
-        return str(full.value)
+    """Both builders share the reach check and its message; only
+    build_bundle checks the jumps, which no sup reads."""
 
     @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
     def test_too_few_cycles(self, monkeypatch, mode):
         monkeypatch.setattr(coupling, "horizon_cycles_for",
                             lambda t, mu: 10)
-        message = self._same_failure(_gamma_gaussian(2), mode)
-        assert message.startswith("10 cycles reach only ")
+        model = _gamma_gaussian(2)
+        g = reference_greeks(model, 3.0)
+        with pytest.raises(HorizonExceededError) as full:
+            build_bundle(model, g, 64.0, mode, _stream(220))
+        with pytest.raises(HorizonExceededError) as short:
+            _one_sup_inputs(model, g, 64.0, mode, _stream(220))
+        assert str(short.value) == str(full.value)
+        assert str(full.value).startswith("10 cycles reach only ")
 
-    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
-    def test_too_few_jumps(self, monkeypatch, mode):
-        # shifted driver increments: a tenth of the jumps the units need
-        monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
-        message = self._same_failure(_gamma_gaussian(2), mode)
-        assert message.startswith("counting process has ")
-        assert "needs 65 to cover t=64" in message
-
-    @pytest.mark.parametrize("patch", ["cycles", "jumps"])
     def test_tail_run_exits_3_at_its_stream_address(self, tmp_path,
-                                                    monkeypatch, capsys,
-                                                    patch):
-        if patch == "cycles":
-            monkeypatch.setattr(coupling, "horizon_cycles_for",
-                                lambda t, mu: 10)
-        else:
-            monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
+                                                    monkeypatch, capsys):
+        monkeypatch.setattr(coupling, "horizon_cycles_for", lambda t, mu: 10)
         cfg = tmp_path / "tail.cfg"
         cfg.write_text("experiment.t_grid = 64.0\n"
                        "experiment.replications = 50\n"
@@ -720,44 +703,32 @@ class TestSupInputsFailures:
         assert groups == [50]
         assert not out.exists()
 
-    @pytest.fixture
-    def counted_units(self, monkeypatch):
-        """The unit counts ``_unit_jump_counts`` is called with."""
-        units = []
-        real = coupling._unit_jump_counts
+    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
+    def test_too_few_jumps_fail_the_bundle_alone(self, tmp_path, monkeypatch,
+                                                 capsys, mode):
+        # shifted driver increments give a tenth of the jumps the units
+        # need; the sup reads no jump, so only build_bundle fails
+        model, t = _gamma_gaussian(2), 64.0
+        g = reference_greeks(model, 3.0)
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text("experiment.t_grid = 64.0\n"
+                       "experiment.replications = 50\n"
+                       f"coupling.mode = {mode}\n"
+                       "rng.root_seed = 5\n")
 
-        def counted(btilde, rate, n_units):
-            units.append(n_units)
-            return real(btilde, rate, n_units)
+        def sup_and_results(out):
+            path, w = _one_sup_inputs(model, g, t, mode, _stream(220))
+            assert main(["tail", "--config", str(cfg), "--out", str(out)]) == 0
+            return (sup_deviation(path, w, g, t),
+                    (out / "results.csv").read_bytes())
 
-        monkeypatch.setattr(coupling, "_unit_jump_counts", counted)
-        return units
-
-    def test_short_prefix_widens_to_all_units(self, monkeypatch,
-                                              counted_units):
-        # about half the jumps per unit: the prefix falls short, all k units
-        # hold enough, and the sup is the full bundle's
-        monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 0.8))
-        full, short, _ = _sups(_gamma_gaussian(2), "shared-innovations",
-                               64.0, 221)
-        assert short == full
-        k = horizon_cycles_for(64.0, 2.0)
-        assert counted_units[-1] == k and counted_units[-2] < k
-
-    def test_shortfall_reports_the_count_over_all_units(self, monkeypatch,
-                                                        counted_units):
+        unpatched = sup_and_results(tmp_path / "unpatched")
         monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
-        message = self._same_failure(_gamma_gaussian(2), "shared-innovations")
-        assert message.startswith("counting process has ")
-        k = horizon_cycles_for(64.0, 2.0)
-        assert counted_units[-1] == k and counted_units[-2] < k
-
-    def test_full_prefix_reads_no_further(self, counted_units):
-        g = reference_greeks(_gamma_gaussian(2), 3.0)
-        _one_sup_inputs(_gamma_gaussian(2), g, 1024.0, "shared-innovations",
-                        _stream(222))
-        assert len(counted_units) == 1
-        assert counted_units[0] < horizon_cycles_for(1024.0, g.mu)
+        with pytest.raises(HorizonExceededError,
+                           match="^counting process has .* needs 65 to "
+                                 "cover t=64$"):
+            build_bundle(model, g, t, mode, _stream(220))
+        assert sup_and_results(tmp_path / "patched") == unpatched
 
 
 def _sorted_grid(path, t, lattices, step=None):
