@@ -703,33 +703,66 @@ class TestSupInputsFailures:
         assert groups == [50]
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
-    def test_too_few_jumps_fail_the_bundle_alone(self, tmp_path, monkeypatch,
-                                                 capsys, mode):
-        # shifted driver increments give a tenth of the jumps the units
-        # need; the sup reads no jump, so only build_bundle fails
-        model, t = _gamma_gaussian(2), 64.0
-        g = reference_greeks(model, 3.0)
+    @staticmethod
+    def _few_jumps(monkeypatch):
+        # shifted driver increments: a tenth of the jumps the units need
+        monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
+
+    @staticmethod
+    def _tail_cfg(tmp_path, mode):
         cfg = tmp_path / "tail.cfg"
         cfg.write_text("experiment.t_grid = 64.0\n"
                        "experiment.replications = 50\n"
                        f"coupling.mode = {mode}\n"
                        "rng.root_seed = 5\n")
+        return cfg
 
-        def sup_and_results(out):
-            path, w = _one_sup_inputs(model, g, t, mode, _stream(220))
-            assert main(["tail", "--config", str(cfg), "--out", str(out)]) == 0
-            return (sup_deviation(path, w, g, t),
-                    (out / "results.csv").read_bytes())
-
-        unpatched = sup_and_results(tmp_path / "unpatched")
-        monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
+    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
+    def test_too_few_jumps(self, monkeypatch, mode):
+        model = _gamma_gaussian(2)
+        g = reference_greeks(model, 3.0)
+        self._few_jumps(monkeypatch)
         with pytest.raises(HorizonExceededError,
                            match="^counting process has .* needs 65 to "
                                  "cover t=64$"):
-            build_bundle(model, g, t, mode, _stream(220))
-        assert sup_and_results(tmp_path / "patched") == unpatched
+            build_bundle(model, g, 64.0, mode, _stream(220))
 
+    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
+    def test_too_few_jumps_leave_the_sup(self, monkeypatch, mode):
+        # the sup reads no jump: the shortfall changes none of its inputs
+        model, t = _gamma_gaussian(2), 64.0
+        g = reference_greeks(model, 3.0)
+        path, w = _one_sup_inputs(model, g, t, mode, _stream(220))
+        unpatched = sup_deviation(path, w, g, t)
+        self._few_jumps(monkeypatch)
+        path, w = _one_sup_inputs(model, g, t, mode, _stream(220))
+        assert sup_deviation(path, w, g, t) == unpatched
+
+    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
+    def test_tail_run_passes_a_jump_shortfall(self, tmp_path, monkeypatch,
+                                              mode):
+        cfg = self._tail_cfg(tmp_path, mode)
+
+        def results(out):
+            assert main(["tail", "--config", str(cfg), "--out", str(out)]) == 0
+            return (out / "results.csv").read_bytes()
+
+        unpatched = results(tmp_path / "unpatched")
+        self._few_jumps(monkeypatch)
+        assert results(tmp_path / "patched") == unpatched
+
+    def test_couple_phis_exits_3_on_a_jump_shortfall(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # the decomposition reads the full bundle, which checks the jumps
+        cfg = self._tail_cfg(tmp_path, "shared-innovations")
+        self._few_jumps(monkeypatch)
+        out = tmp_path / "cpl"
+        assert main(["couple", "--config", str(cfg), "--kind", "phis",
+                     "--rep", "0", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: HorizonExceededError: ")
+        assert "counting process has " in err
+        assert not out.exists()
 
 def _sorted_grid(path, t, lattices, step=None):
     """The kinks as one sorted unique array, every lattice included, and
