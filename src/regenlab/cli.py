@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds as bounds_mod
+from . import __version__, bounds as bounds_mod
 from .config import build_config, parse_config
 from .coupling import (build_bundle, phi_decomposition, sup_deviation,
                        sup_inputs)
@@ -59,14 +59,6 @@ from .rng import RngStream
 _CLI_STREAM_BASE = 5 * 2 ** 34
 _SIMULATE_OFFSET = 0
 _GREEKS_OFFSET = 1
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("regenlab")
-    except Exception:
-        return "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +88,7 @@ def _write_run(out: str, subcommand: str, config_path: str | None, cfg,
                               "config": config_path or "<defaults>",
                               "out_dir": str(out_dir),
                               "root_seed": root_seed,
-                              "version": _version(), **manifest_extra})
+                              "version": __version__, **manifest_extra})
     return out_dir
 
 
@@ -107,7 +99,7 @@ def _run_section(cfg) -> dict:
             "p": cfg.p,
             "replications": cfg.replications,
             "root_seed": cfg.root_seed,
-            "version": _version()}
+            "version": __version__}
 
 
 def _t_label(t: float) -> str:
@@ -179,10 +171,10 @@ def _cmd_greeks(args) -> int:
     model = cfg.build_model()
     stream = RngStream(cfg.root_seed, _CLI_STREAM_BASE + _GREEKS_OFFSET)
     batch = model.sample_cycles(args.cycles, stream)
-    estimated = estimate_greeks(batch, cfg.p)
+    estimated = estimate_greeks(batch)
     sections = {"estimated": _greeks_section(estimated)}
     try:
-        exact = model.true_greeks(cfg.p)
+        exact = model.true_greeks()
         sections["exact"] = _greeks_section(exact)
     except DegenerateTauError as exc:
         sections["exact"] = {"available": False, "reason": str(exc)}
@@ -190,7 +182,7 @@ def _cmd_greeks(args) -> int:
     sections["identities"] = dict(residuals)
     sections["run"] = {"family": cfg.family, "cycles": args.cycles,
                        "p": cfg.p, "root_seed": cfg.root_seed,
-                       "version": _version()}
+                       "version": __version__}
     sys.stdout.write(render_report(sections))
     return 0
 
@@ -199,17 +191,15 @@ def _cmd_couple(args) -> int:
     if args.t is not None and not 0 < args.t < math.inf:
         raise ValueError(f"--t must be a finite positive horizon, got {args.t}")
     cfg = _load_config(args.config, args.kind)
-    # the phis experiment runs its first horizon only
-    horizons = cfg.t_grid[:1] if args.kind == "phis" else cfg.t_grid
-    if not 0 <= args.t_index < len(horizons):
+    if not 0 <= args.t_index < len(cfg.t_grid):
         raise ValueError(f"--t-index {args.t_index} is outside the "
-                         f"{len(horizons)} horizon(s) a {args.kind} run uses")
+                         f"{len(cfg.t_grid)} horizon(s) a {args.kind} run uses")
     if not 0 <= args.rep < cfg.replications:
         raise ValueError(f"--rep {args.rep} is outside the "
                          f"{cfg.replications} replications of the config")
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
-    t = float(args.t) if args.t is not None else float(horizons[args.t_index])
+    t = float(args.t) if args.t is not None else float(cfg.t_grid[args.t_index])
     stream = replication_stream(cfg.root_seed, args.kind, args.t_index,
                                 cfg.replications, args.rep)
     path, bundle = build_bundle(model, greeks, t, cfg.mode, stream)
@@ -433,7 +423,7 @@ def _cmd_certify(args, extra: list[str]) -> int:
         fields = ["label", "lhs", "se", "bound", "passed"]
         cells = [[getattr(row, name) for name in fields] for row in record.rows]
         sections = {"run": {"name": record.name, "passed": record.passed,
-                            "version": _version()},
+                            "version": __version__},
                     "details": dict(record.details),
                     **{f"row_{k}": dict(zip(fields, row_cells))
                        for k, row_cells in enumerate(cells)}}
@@ -585,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cumulative processes with regeneration.",
         allow_abbrev=False)
     parser.add_argument("--version", action="version",
-                        version=f"regenlab {_version()}")
+                        version=f"regenlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", allow_abbrev=False, help="sample cycles and write CSV")

@@ -190,16 +190,13 @@ def build_config(kind: str, family: str = "gamma-gaussian",
         replications=int(replications if replications is not None
                          else defaults["replications"]),
         root_seed=int(root_seed), c_factor=float(c_factor))
-    validate_config(cfg)
+    validate_config(cfg, model)
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Enforce every cross-field contract; raise with the violated one."""
-    try:
-        model = cfg.build_model()
-    except InvalidParameterError as exc:
-        raise ConfigValidationError(str(exc)) from exc
+def validate_config(cfg: ExperimentConfig, model: Model) -> None:
+    """Enforce every cross-field contract of ``cfg``, whose model is
+    ``model``; raise with the violated one."""
     try:
         model._check_p(cfg.p)
     except InvalidParameterError as exc:
@@ -217,6 +214,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             or list(cfg.t_grid) != sorted(cfg.t_grid):
         raise ConfigValidationError(
             f"t_grid must be finite, positive and ascending, got {cfg.t_grid}")
+    if cfg.kind == "phis" and len(cfg.t_grid) > 1:
+        raise ConfigValidationError(
+            f"a phis run reads one horizon, got {len(cfg.t_grid)}")
     if cfg.kind == "rate" and len(cfg.t_grid) < 4:
         raise ConfigValidationError(
             f"rate fits need at least 4 horizons, got {len(cfg.t_grid)}")

@@ -113,7 +113,6 @@ class Greeks:
     sigma: np.ndarray
     sigma_pinv: np.ndarray
     null_projector: np.ndarray
-    p: float
 
     @property
     def d(self) -> int:
@@ -121,8 +120,7 @@ class Greeks:
 
     @classmethod
     def from_moments(cls, mu: float, mean_xi: np.ndarray, var_tau: float,
-                     var_xi: np.ndarray, cov_xi_tau: np.ndarray,
-                     p: float) -> "Greeks":
+                     var_xi: np.ndarray, cov_xi_tau: np.ndarray) -> "Greeks":
         """Derive every field from raw cycle moments.
 
         Both closed-form parameterizations and plug-in sample moments go
@@ -138,8 +136,6 @@ class Greeks:
             var_xi = var_xi.reshape(1, 1)
         if mu <= 0 or not np.isfinite(mu):
             raise ValueError(f"mean cycle duration must be positive, got {mu}")
-        if p <= 2:
-            raise ValueError(f"moment order p must exceed 2, got {p}")
         if not np.isfinite(var_tau) or var_tau <= 0:
             raise DegenerateTauError(
                 f"Var(tau) = {var_tau} but the pipeline requires Var(tau) > 0")
@@ -165,11 +161,11 @@ class Greeks:
             gamma=var_tau / mu, lam=mu * mu / var_tau, alpha=beta - kappa,
             sigma2=sigma2, sigma=_symmetric((vecs * root) @ vecs.T),
             sigma_pinv=_symmetric((vecs * inv_root) @ vecs.T),
-            null_projector=_symmetric(null @ null.T), p=float(p),
+            null_projector=_symmetric(null @ null.T),
         )
 
 
-def estimate_greeks(cycles: CycleBatch, p: float) -> Greeks:
+def estimate_greeks(cycles: CycleBatch) -> Greeks:
     """Plug-in (1/n) moment estimates from observed cycles.
 
     Raises DegenerateTauError when the sample durations carry no variance
@@ -189,7 +185,7 @@ def estimate_greeks(cycles: CycleBatch, p: float) -> Greeks:
     dxi = xi - mean_xi
     var_xi = (dxi.T @ dxi) / n
     cov_xi_tau = dxi.T @ dtau / n
-    return Greeks.from_moments(mu, mean_xi, var_tau, var_xi, cov_xi_tau, p)
+    return Greeks.from_moments(mu, mean_xi, var_tau, var_xi, cov_xi_tau)
 
 
 def check_greek_identities(greeks: Greeks) -> dict[str, float]:

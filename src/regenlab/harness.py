@@ -179,7 +179,6 @@ class RateFit:
     intercept: float
     slope_ci: tuple[float, float]
     per_t: tuple[HorizonSummary, ...]
-    p: float
     threshold: float
     passed: bool
     deviations: tuple[tuple[float, ...], ...] = field(repr=False)
@@ -210,7 +209,7 @@ def run_rate_experiment(cfg: ExperimentConfig,
     ci = bootstrap_slope_ci(cfg.t_grid, per_t, gen)
     threshold = 1.0 / cfg.p + 0.1
     return RateFit(slope=slope, intercept=intercept, slope_ci=ci,
-                   per_t=tuple(summaries), p=cfg.p, threshold=threshold,
+                   per_t=tuple(summaries), threshold=threshold,
                    passed=slope <= threshold,
                    deviations=tuple(tuple(map(float, d)) for d in per_t))
 
@@ -224,7 +223,6 @@ class TailEstimate:
 
     t: float
     x: float
-    p: float
     region: str
     n: int
     hits: int
@@ -250,7 +248,7 @@ def _estimates_from_sups(sups: np.ndarray, t: float, x_values,
         lo, hi = wilson_interval(hits, sups.size)
         scale = x ** p / t
         out.append(TailEstimate(
-            t=float(t), x=float(x), p=p, region=validity_region(t, x),
+            t=float(t), x=float(x), region=validity_region(t, x),
             n=sups.size, hits=hits, p_hat=p_hat, ci_low=lo, ci_high=hi,
             normalized=p_hat * scale, normalized_high=hi * scale))
     return out
@@ -368,7 +366,6 @@ class MaximaTrend:
 
     n_values: tuple[int, ...]
     rows: tuple[MedianEstimate, ...]
-    p: float
     passed: bool
 
 
@@ -390,7 +387,7 @@ def maxima_scaling_experiment(cfg: ExperimentConfig,
     steps_ok = all(rows[i + 1].median <= rows[i].ci_high
                    for i in range(len(rows) - 1))
     ends_ok = rows[-1].ci_high < rows[0].ci_low
-    return MaximaTrend(n_values=tuple(n_values), rows=tuple(rows), p=cfg.p,
+    return MaximaTrend(n_values=tuple(n_values), rows=tuple(rows),
                        passed=bool(steps_ok and ends_ok))
 
 

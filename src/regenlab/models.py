@@ -149,7 +149,7 @@ class Model:
         batch = self.sample_cycles(n, rng)
         return single_event_path(batch.tau, batch.xi, self.interpolation)
 
-    def true_greeks(self, p: float) -> Greeks:
+    def true_greeks(self) -> Greeks:
         """Exact parameters from closed-form cycle moments.
 
         Raises DegenerateTauError when the durations carry no variance.
@@ -220,8 +220,7 @@ class IidSumModel(Model):
         tau = np.full(n, float(self.tau_const))
         return CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
 
-    def true_greeks(self, p: float) -> Greeks:
-        self._check_p(p)
+    def true_greeks(self) -> Greeks:
         raise DegenerateTauError(
             "iid-sums has Var(tau) = 0; the pipeline requires Var(tau) > 0")
 
@@ -455,13 +454,12 @@ class GammaGaussianModel(Model):
         xi = self._xi_from(tau, gen.standard_normal((n, self.dim)))
         return CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
 
-    def true_greeks(self, p: float) -> Greeks:
-        self._check_p(p)
+    def true_greeks(self) -> Greeks:
         var_tau = self.var_tau
         var_xi = self.noise_cov + np.outer(self.beta, self.beta) * var_tau
         return Greeks.from_moments(
             mu=self.mu, mean_xi=self.kappa * self.mu, var_tau=var_tau,
-            var_xi=var_xi, cov_xi_tau=self.beta * var_tau, p=p)
+            var_xi=var_xi, cov_xi_tau=self.beta * var_tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,15 +503,14 @@ class ParetoCycleModel(Model):
         tau = 2.0 + rng.generator().pareto(self.tail_index, size=n)
         return CycleBatch(tau=tau, xi=tau, eta=tau)
 
-    def true_greeks(self, p: float) -> Greeks:
-        self._check_p(p)
+    def true_greeks(self) -> Greeks:
         th = self.tail_index
         mean_x = th / (th - 1.0)
         var_tau = th / (th - 2.0) - mean_x * mean_x
         var = np.array([[var_tau]])
         return Greeks.from_moments(mu=1.0 + mean_x, mean_xi=1.0 + mean_x,
                                    var_tau=var_tau, var_xi=var,
-                                   cov_xi_tau=np.array([var_tau]), p=p)
+                                   cov_xi_tau=np.array([var_tau]))
 
     def eta_moment(self, p: float) -> float:
         if p >= self.tail_index:
@@ -562,8 +559,7 @@ class MM1BusyCycleModel(Model):
     # p_max is infinite: the busy period has a finite exponential moment,
     # hence all polynomial moments; so does the departure count.
 
-    def true_greeks(self, p: float) -> Greeks:
-        self._check_p(p)
+    def true_greeks(self) -> Greeks:
         la = self.arrival_rate
         rho = la / self.service_rate
         rate = la + self.service_rate
@@ -575,7 +571,7 @@ class MM1BusyCycleModel(Model):
         return Greeks.from_moments(
             mu=1.0 / la + stages / rate, mean_xi=np.array([mean_n]),
             var_tau=var_tau, var_xi=np.array([[var_n]]),
-            cov_xi_tau=np.array([2.0 * var_n / rate]), p=p)
+            cov_xi_tau=np.array([2.0 * var_n / rate]))
 
     def eta_moment(self, p: float) -> float:
         # eta = N, whose law is P(N = n) = C(2n-2, n-1)/n rho^(n-1)
@@ -731,8 +727,7 @@ class CompoundJumpModel(Model):
         return RegenerativePath.from_cycle_events(
             tau, xi, offsets, values, ptr, self.interpolation)
 
-    def true_greeks(self, p: float) -> Greeks:
-        self._check_p(p)
+    def true_greeks(self) -> Greeks:
         mu = 1.0 / self.cycle_rate
         var_tau = mu * mu
         m, nu = self.jump_mean, self.jump_rate
@@ -740,7 +735,7 @@ class CompoundJumpModel(Model):
         var_xi = nu * mu * (self.jump_cov + mm) + nu * nu * mm * var_tau
         return Greeks.from_moments(
             mu=mu, mean_xi=nu * mu * m, var_tau=var_tau, var_xi=var_xi,
-            cov_xi_tau=nu * m * var_tau, p=p)
+            cov_xi_tau=nu * m * var_tau)
 
 
 MODELS: dict[str, type[Model]] = {cls.family: cls for cls in (
@@ -753,8 +748,10 @@ FAMILIES = tuple(MODELS)
 
 
 def reference_greeks(model: Model, p: float) -> Greeks:
-    """Ground truth for the coupling pipeline: the family's closed form."""
-    return model.true_greeks(p)
+    """Ground truth for the coupling pipeline: the family's closed form,
+    for a moment order p the family admits (2 < p < p_max)."""
+    model._check_p(p)
+    return model.true_greeks()
 
 
 def eta_moment(model: Model, p: float) -> float:

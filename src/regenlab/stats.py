@@ -4,25 +4,28 @@ regression with a bootstrap, and a Poisson goodness-of-fit test.
 Everything here is deterministic given its inputs (the bootstrap takes an
 explicit generator), so experiment reports stay bit-reproducible.
 
-Only ``scipy.special`` is used: importing ``scipy.stats`` costs about half a
-second, which every regenlab process would pay at start-up for three scalar
-functions.
+Every interval is at the fixed 95% level.  The median CI's binomial
+quantile is exact integer arithmetic, and the only scipy function is
+``scipy.special.chdtrc``: importing ``scipy.stats`` costs about half a second,
+which every regenlab process would pay at start-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import bdtr, bdtrik, chdtrc, ndtri
+from scipy.special import chdtrc
 
 _GOF_MIN_EXPECTED = 5.0
+_WILSON_Z = 1.959963984540054      # ndtri(0.5 + 0.95 / 2), bit for bit
+_HALF_ALPHA = (1.0 - 0.95) / 2.0   # each tail of a 95% interval
 
 
-def wilson_interval(successes: int, trials: int,
-                    confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Behaves correctly at the extremes: zero successes give a lower endpoint
     of exactly 0 (and symmetrically at ``trials`` successes), which matters
@@ -32,7 +35,7 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError(f"need at least one trial, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
-    z = float(ndtri(0.5 + confidence / 2.0))
+    z = _WILSON_Z
     n = float(trials)
     phat = successes / n
     denom = 1.0 + z * z / n
@@ -47,14 +50,16 @@ def wilson_interval(successes: int, trials: int,
 def _binom_half_ppf(q: float, n: int) -> int:
     """Smallest k with P(Binomial(n, 1/2) <= k) >= q, for 0 < q < 1.
 
-    The ``bdtrik`` inverse gives a candidate that is then moved until the
-    ``bdtr`` CDF brackets ``q``, the same rule as ``scipy.stats.binom.ppf``.
+    Exact: the running sums of C(n, j) are compared with q 2^n, so no
+    rounding decides the index.
     """
-    k = max(int(math.ceil(bdtrik(q, n, 0.5))), 0)
-    while k > 0 and bdtr(k - 1, n, 0.5) >= q:
-        k -= 1
-    while k < n and bdtr(k, n, 0.5) < q:
+    target = Fraction(q) * 2 ** n
+    k = 0
+    term = total = 1   # C(n, 0)
+    while total < target:
+        term = term * (n - k) // (k + 1)   # C(n, k + 1)
         k += 1
+        total += term
     return k
 
 
@@ -68,8 +73,8 @@ class MedianEstimate:
     n: int
 
 
-def median_ci(samples, confidence: float = 0.95) -> MedianEstimate:
-    """Median and a conservative nonparametric CI from order statistics.
+def median_ci(samples) -> MedianEstimate:
+    """Median and a conservative nonparametric 95% CI from order statistics.
 
     The endpoints are the k-th and (n+1-k)-th order statistics with k chosen
     from the binomial(n, 1/2) quantile, guaranteeing at least the nominal
@@ -82,8 +87,7 @@ def median_ci(samples, confidence: float = 0.95) -> MedianEstimate:
     med = float(np.median(xs))
     if n < 8:
         return MedianEstimate(med, float(xs[0]), float(xs[-1]), n)
-    alpha = 1.0 - confidence
-    k = _binom_half_ppf(alpha / 2.0, n)
+    k = _binom_half_ppf(_HALF_ALPHA, n)
     k = min(max(k, 1), n // 2)
     return MedianEstimate(med, float(xs[k - 1]), float(xs[n - k]), n)
 
@@ -101,9 +105,8 @@ def loglog_slope(t_values, y_values) -> tuple[float, float]:
 
 
 def bootstrap_slope_ci(t_values, samples_per_t, gen: np.random.Generator,
-                       n_boot: int = 400,
-                       confidence: float = 0.95) -> tuple[float, float]:
-    """Percentile bootstrap CI for the log-log slope of per-t medians.
+                       n_boot: int = 400) -> tuple[float, float]:
+    """95% percentile bootstrap CI for the log-log slope of per-t medians.
 
     Resamples within each horizon independently (the replications are i.i.d.
     within a horizon and independent across horizons).  The indices are
@@ -122,8 +125,7 @@ def bootstrap_slope_ci(t_values, samples_per_t, gen: np.random.Generator,
     log_medians = np.log([np.median(g[rows], axis=1)
                           for g, rows in zip(groups, draws)])
     slopes = np.polyfit(np.log(t_values), log_medians, 1)[0]
-    alpha = 1.0 - confidence
-    lo, hi = np.quantile(slopes, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo, hi = np.quantile(slopes, [_HALF_ALPHA, 1.0 - _HALF_ALPHA])
     return float(lo), float(hi)
 
 

@@ -96,7 +96,7 @@ def test_criterion_02_greek_identities():
     estimates from 1e5 simulated cycles."""
     worst = 0.0
     for model in _random_models(100):
-        res = check_greek_identities(model.true_greeks(3.0))
+        res = check_greek_identities(model.true_greeks())
         worst = max(worst, max(res.values()))
         assert max(res.values()) <= 1e-8, (model.family, res)
     estimated_models = [
@@ -108,7 +108,7 @@ def test_criterion_02_greek_identities():
     ]
     for k, model in enumerate(estimated_models):
         batch = model.sample_cycles(100_000, RngStream(SEED, 50 + k))
-        res = check_greek_identities(estimate_greeks(batch, 3.0))
+        res = check_greek_identities(estimate_greeks(batch))
         worst = max(worst, max(res.values()))
         assert max(res.values()) <= 1e-8, (model.family, res)
     print(f"[criterion 2] PASS: worst identity residual {worst:.2e}")
@@ -137,15 +137,14 @@ def test_criterion_03_estimated_vs_closed_form(model):
     component by component (batch-means standard errors)."""
     n, batches = 100_000, 50
     batch = model.sample_cycles(n, RngStream(SEED, 80))
-    p = 3.0
-    true = _flatten_greeks(model.true_greeks(p))
-    full = _flatten_greeks(estimate_greeks(batch, p))
+    true = _flatten_greeks(model.true_greeks())
+    full = _flatten_greeks(estimate_greeks(batch))
     size = n // batches
     per_batch = np.vstack([
         _flatten_greeks(estimate_greeks(CycleBatch(
             batch.tau[b * size:(b + 1) * size],
             batch.xi[b * size:(b + 1) * size],
-            batch.eta[b * size:(b + 1) * size]), p))
+            batch.eta[b * size:(b + 1) * size])))
         for b in range(batches)])
     se = per_batch.std(axis=0, ddof=1) / math.sqrt(batches)
     gap = np.abs(full - true)
@@ -158,7 +157,7 @@ def test_criterion_03_estimated_vs_closed_form(model):
 
 def test_criterion_03_families_without_closed_forms():
     with pytest.raises(DegenerateTauError):
-        IidSumModel().true_greeks(3.0)
+        IidSumModel().true_greeks()
 
 
 def test_criterion_04_rate_slopes(workers):

@@ -62,7 +62,7 @@ def _failing_fit() -> RateFit:
     summary = HorizonSummary(t=1024.0, n=50, median=2.0, ci_low=1.0,
                              ci_high=3.0, mean=2.0, q90=3.5)
     return RateFit(slope=0.6, intercept=0.0, slope_ci=(0.5, 0.7),
-                   per_t=(summary,), p=3.0, threshold=1.0 / 3.0 + 0.1,
+                   per_t=(summary,), threshold=1.0 / 3.0 + 0.1,
                    passed=False, deviations=((2.0,),))
 
 
@@ -373,6 +373,8 @@ class TestCliExitCodes:
         ("maxima", "model.family = compound-jump\nmodel.dim = 3\n"
          "model.jump_mean = 1,2\n", "jump_mean shape"),
         ("phis", "experiment.t_grid = 1.0\n", "at least e"),
+        ("phis", "experiment.t_grid = 256.0, 512.0\n", "reads one horizon"),
+        ("rate", "experiment.p = 2.0\n", "must exceed 2"),
         ("phis", "experiment.t_grid = 2.0\n", "at least e"),
         ("maxima", "experiment.t_grid = 1024.5, 2048.0\n", "whole numbers"),
         ("maxima", "experiment.t_grid = 0.5, 1024.0\n", "whole numbers"),
@@ -531,7 +533,7 @@ class TestCliArtifacts:
                                        ["--rep", "-1"]])
     def test_couple_rejects_an_address_outside_the_run(self, tmp_path,
                                                        capsys, flags):
-        # a phis run uses its first horizon only, 200 replications
+        # the default phis run has one horizon and 200 replications
         assert main(["couple", *flags, "--out", str(tmp_path)]) == 2
         assert "outside" in capsys.readouterr().err
 

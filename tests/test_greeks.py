@@ -21,7 +21,7 @@ class TestFromMoments:
     def test_two_point_duration_hand_values(self):
         # tau uniform on {1, 3}; xi = tau + Z with Z independent, Var Z = 4:
         # mu=2, Var tau=1, mean xi=2, Var xi=5, cov=1.
-        g = Greeks.from_moments(2.0, [2.0], 1.0, [[5.0]], [1.0], p=3.0)
+        g = Greeks.from_moments(2.0, [2.0], 1.0, [[5.0]], [1.0])
         assert g.mu == 2.0
         assert g.gamma == 0.5
         assert g.lam == 4.0
@@ -34,30 +34,26 @@ class TestFromMoments:
         np.testing.assert_allclose(g.v, [[2.0]])
 
     def test_gamma_lambda_definitions(self):
-        g = Greeks.from_moments(3.0, [1.0], 2.0, [[4.0]], [0.5], p=3.0)
+        g = Greeks.from_moments(3.0, [1.0], 2.0, [[4.0]], [0.5])
         assert g.gamma == pytest.approx(2.0 / 3.0)
         assert g.lam == pytest.approx(9.0 / 2.0)
         assert g.gamma * g.lam == pytest.approx(g.mu)
 
     def test_rejects_degenerate_duration(self):
         with pytest.raises(DegenerateTauError):
-            Greeks.from_moments(2.0, [1.0], 0.0, [[1.0]], [0.0], p=3.0)
-
-    def test_rejects_small_p(self):
-        with pytest.raises(ValueError):
-            Greeks.from_moments(2.0, [1.0], 1.0, [[1.0]], [0.0], p=2.0)
+            Greeks.from_moments(2.0, [1.0], 0.0, [[1.0]], [0.0])
 
     def test_identities_exact_multidim(self):
         var_xi = np.array([[2.0, 0.4, -0.1],
                            [0.4, 1.5, 0.2],
                            [-0.1, 0.2, 0.9]])
         g = Greeks.from_moments(1.7, [0.3, -0.2, 0.9], 0.6, var_xi,
-                                [0.5, -0.3, 0.1], p=3.5)
+                                [0.5, -0.3, 0.1])
         residuals = check_greek_identities(g)
         assert max(residuals.values()) <= IDENTITY_TOL
 
     def test_identity_check_flags_corruption(self):
-        g = Greeks.from_moments(2.0, [2.0], 1.0, [[5.0]], [1.0], p=3.0)
+        g = Greeks.from_moments(2.0, [2.0], 1.0, [[5.0]], [1.0])
         bad = dataclasses.replace(g, sigma2=np.array([[3.0]]))
         residuals = check_greek_identities(bad)
         assert residuals["decomposition"] > 1e-3
@@ -71,7 +67,7 @@ def _cycles(tau, xi):
 class TestEstimateGreeks:
     def test_exact_on_two_observed_cycles(self):
         # (1/n) sample moments of tau=[1,3], xi=[1,3]: all covariances equal 1.
-        g = estimate_greeks(_cycles([1.0, 3.0], [1.0, 3.0]), 3.0)
+        g = estimate_greeks(_cycles([1.0, 3.0], [1.0, 3.0]))
         assert g.mu == 2.0
         assert g.var_tau == 1.0
         np.testing.assert_allclose(g.beta, [1.0])
@@ -80,18 +76,18 @@ class TestEstimateGreeks:
 
     def test_degenerate_sample_raises(self):
         with pytest.raises(DegenerateTauError):
-            estimate_greeks(_cycles([2.0, 2.0], [1.0, 0.0]), 3.0)
+            estimate_greeks(_cycles([2.0, 2.0], [1.0, 0.0]))
 
     def test_single_cycle_raises(self):
         with pytest.raises(InsufficientDataError):
-            estimate_greeks(_cycles([2.0], [1.0]), 3.0)
+            estimate_greeks(_cycles([2.0], [1.0]))
 
     def test_estimated_identities_hold(self):
         rng = np.random.default_rng(42)
         tau = rng.gamma(2.0, 1.0, size=5000)
         xi = np.column_stack([0.4 * tau + rng.standard_normal(5000),
                               -0.2 * tau + rng.standard_normal(5000)])
-        g = estimate_greeks(_cycles(tau, xi), 3.0)
+        g = estimate_greeks(_cycles(tau, xi))
         assert max(check_greek_identities(g).values()) <= 1e-10 * (1 + g.mu)
 
 
@@ -149,7 +145,7 @@ def _rank_deficient_greeks(d, rank, aligned):
     mu, var_tau = 1.5, 0.8
     return Greeks.from_moments(mu, kappa * mu, var_tau,
                                np.outer(a, a) * var_tau + c @ c.T,
-                               a * var_tau, p=3.0)
+                               a * var_tau)
 
 
 RANK_CASES = [(2, 1, True), (3, 1, True), (3, 1, False), (3, 2, True)]
@@ -181,7 +177,7 @@ class TestPseudoInverseAndNullProjector:
         # sigma2 = u u^T with u = (1, 2): sigma = u u^T / |u|,
         # pinv(sigma) = u u^T / |u|^3, and the null space is spanned by (2, -1)
         uu = np.array([[1.0, 2.0], [2.0, 4.0]])
-        g = Greeks.from_moments(1.0, [0.0, 0.0], 1.0, uu, [0.0, 0.0], p=3.0)
+        g = Greeks.from_moments(1.0, [0.0, 0.0], 1.0, uu, [0.0, 0.0])
         np.testing.assert_allclose(g.sigma, uu / np.sqrt(5.0), atol=1e-15)
         np.testing.assert_allclose(g.sigma_pinv, uu / 5.0 ** 1.5, atol=1e-15)
         np.testing.assert_allclose(g.null_projector,
@@ -191,7 +187,7 @@ class TestPseudoInverseAndNullProjector:
         rng = np.random.default_rng(3)
         b = rng.standard_normal((3, 3))
         g = Greeks.from_moments(1.0, [0.0] * 3, 1.0, b @ b.T + np.eye(3),
-                                [0.0] * 3, p=3.0)
+                                [0.0] * 3)
         np.testing.assert_allclose(g.sigma_pinv, np.linalg.inv(g.sigma),
                                    atol=1e-10)
         assert not np.any(g.null_projector)

@@ -27,7 +27,7 @@ from regenlab.paths import HorizonExceededError
 
 
 def _estimate(normalized_high: float) -> TailEstimate:
-    return TailEstimate(t=1024.0, x=64.0, p=3.0, region="pair", n=1000,
+    return TailEstimate(t=1024.0, x=64.0, region="pair", n=1000,
                         hits=2, p_hat=0.002, ci_low=0.001, ci_high=0.003,
                         normalized=0.002 * 64.0 ** 3 / 1024.0,
                         normalized_high=normalized_high)
@@ -218,7 +218,7 @@ class TestTailFit:
 
     def test_interval_ordering_enforced(self):
         with pytest.raises(ValueError, match="ordering"):
-            TailEstimate(t=8.0, x=2.0, p=3.0, region="pair", n=10, hits=1,
+            TailEstimate(t=8.0, x=2.0, region="pair", n=10, hits=1,
                          p_hat=0.1, ci_low=0.2, ci_high=0.3,
                          normalized=0.1, normalized_high=0.3)
 

@@ -59,7 +59,7 @@ class TestIidSums:
     def test_true_greeks_degenerate(self):
         model = IidSumModel(xi_mean=np.array([0.0]), xi_cov=np.array([[1.0]]))
         with pytest.raises(DegenerateTauError):
-            model.true_greeks(3.0)
+            model.true_greeks()
 
     def test_no_coupling_modes(self):
         model = IidSumModel(xi_mean=np.array([0.0]), xi_cov=np.array([[1.0]]))
@@ -80,9 +80,9 @@ class TestIidSums:
 class TestGammaGaussian:
     def test_true_vs_estimated(self, gg2_model):
         from regenlab.greeks import estimate_greeks
-        exact = gg2_model.true_greeks(3.0)
+        exact = gg2_model.true_greeks()
         batch = _batch(gg2_model, 200_000)
-        est = estimate_greeks(batch, 3.0)
+        est = estimate_greeks(batch)
         np.testing.assert_allclose(est.mu, exact.mu, rtol=0.02)
         np.testing.assert_allclose(est.kappa, exact.kappa, atol=0.02)
         np.testing.assert_allclose(est.beta, exact.beta, atol=0.03)
@@ -276,7 +276,7 @@ class TestMM1BusyCycle:
         # E N = 2, Var N = 6, E tau = 4, Var tau = 16, Cov(N, tau) = 8 at
         # rho = 1/2; every value is exact in binary floating point
         g = MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0) \
-            .true_greeks(3.0)
+            .true_greeks()
         assert g.mu == 4.0 and g.var_tau == 16.0
         assert float(g.var_xi[0, 0]) == 6.0
         assert float(g.cov_xi_tau[0]) == 8.0
@@ -288,6 +288,12 @@ class TestMM1BusyCycle:
         g = reference_greeks(model, 3.0)
         # long-run departure rate must equal the arrival rate
         assert float(g.kappa[0]) == 0.5
+
+    def test_reference_greeks_checks_p(self):
+        # the greeks carry no p; the reference oracle checks the order it is
+        # asked for
+        with pytest.raises(InvalidParameterError, match="must exceed 2"):
+            reference_greeks(GammaGaussianModel(), 2.0)
 
     def test_sample_cycles_pinned(self):
         # sample_cycles bit for bit on a fixed stream: any change to the
@@ -309,7 +315,7 @@ class TestMM1BusyCycle:
         # closed-form transform, by Richardson-extrapolated central
         # differences well inside its radius of convergence
         model = MM1BusyCycleModel(arrival_rate=arrival, service_rate=service)
-        g = model.true_greeks(3.0)
+        g = model.true_greeks()
 
         def lap(b):
             # E exp(-b tau): the Exp idle transform times the busy-period
@@ -339,7 +345,7 @@ class TestMM1BusyCycle:
         # each moment is the mean of an i.i.d. per-cycle quantity once
         # centred at the exact means; 10^6 cycles, 4 standard errors
         model = MM1BusyCycleModel(arrival_rate=arrival, service_rate=service)
-        g = model.true_greeks(3.0)
+        g = model.true_greeks()
         batch = _batch(model, 10 ** 6, seed=2026, index=90)
         tau, n = batch.tau, batch.xi[:, 0]
         mean_n = float(g.kappa[0]) * g.mu
@@ -366,7 +372,7 @@ class TestMM1BusyCycle:
     def test_eta_moment_p2_is_var_plus_squared_mean(self, arrival, second):
         # eta = N: E N^2 = Var N + (E N)^2, read off the closed-form greeks
         model = MM1BusyCycleModel(arrival_rate=arrival, service_rate=1.0)
-        g = model.true_greeks(3.0)
+        g = model.true_greeks()
         mean_n = float(g.kappa[0] * g.mu)
         assert g.var_xi[0, 0] + mean_n ** 2 == pytest.approx(second, rel=1e-12)
         assert model.eta_moment(2.0) == pytest.approx(second, rel=1e-11)
@@ -388,8 +394,8 @@ class TestCompoundJump:
                                   jump_mean=np.array([0.5]),
                                   jump_cov=np.array([[1.5]]), dim=1)
         from regenlab.greeks import estimate_greeks
-        exact = model.true_greeks(3.0)
-        est = estimate_greeks(_batch(model, 200_000), 3.0)
+        exact = model.true_greeks()
+        est = estimate_greeks(_batch(model, 200_000))
         np.testing.assert_allclose(est.mu, exact.mu, rtol=0.02)
         np.testing.assert_allclose(est.kappa, exact.kappa, rtol=0.05)
         np.testing.assert_allclose(est.var_xi, exact.var_xi, rtol=0.1)
@@ -398,7 +404,7 @@ class TestCompoundJump:
         model = CompoundJumpModel(cycle_rate=1.0, jump_rate=2.0,
                                   jump_mean=np.array([0.5]),
                                   jump_cov=np.array([[1.0]]), dim=1)
-        g = model.true_greeks(3.0)
+        g = model.true_greeks()
         np.testing.assert_allclose(g.kappa, [1.0])
 
     def test_dim_guard(self):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import chdtrc
+from scipy.special import chdtrc, ndtri
 
-from regenlab.stats import (_binom_half_ppf, bootstrap_slope_ci,
+from regenlab.stats import (_WILSON_Z, _binom_half_ppf, bootstrap_slope_ci,
                             loglog_slope, median_ci, poisson_gof_pvalue,
                             wilson_interval)
 
@@ -15,6 +15,9 @@ SHIPPED_REPLICATIONS = (50, 60, 100, 200, 600, 10_000)
 
 
 class TestWilson:
+    def test_z_literal_is_the_95_percent_quantile(self):
+        assert _WILSON_Z == float(ndtri(0.5 + 0.95 / 2))
+
     def test_matches_textbook_formula(self):
         z = float(stats.norm.ppf(0.975))
         for successes, trials in ((3, 100), (50, 100), (977, 1000)):
