@@ -25,21 +25,24 @@ assumed.
 One core (:func:`_path_and_w`) builds, from a replication's drivers, the
 cycles, checks that they reach t, and builds the surrogates and W without
 ``W_circ``: all that the sup over [0, t] reads.  :func:`sup_inputs` yields
-it, with the cycles cut at the first renewal past t; it takes a list of
-replication streams and quantiles the durations of a group of them in one
-call (``rate``, ``tail`` and the embedding check).  :func:`build_bundle`
-adds what only the eight-term decomposition (``phis``) and ``couple``
-read: the Poisson jumps over all K units, with their level checks, and
-``W_circ`` assembled into W.
+it, with the cycles cut at the first renewal past t and the surrogates'
+unit grids at floor(t/mu) + 2 units; it takes a list of replication
+streams and quantiles the durations of a group of them in one call
+(``rate``, ``tail`` and the embedding check).  :func:`build_bundle` adds
+what only the eight-term decomposition (``phis``) and ``couple`` read: the
+surrogates over all K units, the Poisson jumps over them, with their level
+checks, and ``W_circ`` assembled into W.
 
 ``W_circ`` enters the deviation only as ``sigma @ P0 @ W_circ``, and
 ``sigma @ P0 = 0``, so the integers where it bends are no kinks of the
-deviation or of any of the eight terms.  Both the sup and the decomposition
-evaluate at the kinks alone (:func:`_breakpoints`): 0 and t, the events up
-to t and the multiples of mu, and of gamma for the decomposition.
-:func:`sup_deviation` takes its max over them as they come, duplicates and
-all; the decomposition, whose rows are ordered in time, sorts them
-(:func:`evaluation_grid`).
+deviation or of any of the eight terms, and W adds it only where P0 is
+nonzero.  Both the sup and the decomposition evaluate at the kinks alone:
+0 and t, the events up to t and the multiples of mu, and of gamma for the
+decomposition.  :func:`sup_deviation` walks them unsorted, in blocks of at
+most ``_SUP_BLOCK`` points whose arrays stay below glibc's mmap threshold,
+so that a long horizon reuses heap memory instead of faulting fresh pages
+in every replication; the decomposition, whose rows are ordered in time,
+sorts them (:func:`evaluation_grid`).
 
 Time axes: cycle index (``B``, ``B_tilde``, ``N`` and its first-passage
 inverse live here) versus physical time (the path ``S``, ``W_tilde``,
@@ -65,6 +68,9 @@ from .rng import RngStream, bytes_generator
 
 _MAX_TABLE_RATE = 500.0
 _GROUP_DRIVERS = 32768   # first-block duration drivers quantiled together
+# kinks per sup block: 64 KB a column, below glibc's 128 KB mmap threshold,
+# so a block's arrays come from and go back to the heap, not the OS
+_SUP_BLOCK = 8192
 
 
 class GridMismatchError(ValueError):
@@ -80,35 +86,39 @@ class IdentityViolationError(AssertionError):
 
 
 class UnitGridPath:
-    """Values on the integer grid 0..K, linearly interpolated in between."""
+    """Values on the integer grid 0..K, linearly interpolated in between.
+
+    The values are held one contiguous row per dimension, the layout
+    ``np.interp`` reads without a copy."""
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
-        self._matrix = values[:, None] if values.ndim == 1 else values
         self._flat = values.ndim == 1
-        if self._matrix.shape[0] < 2:
+        matrix = values[:, None] if self._flat else values
+        self._columns = np.ascontiguousarray(matrix.T)
+        if self._columns.shape[1] < 2:
             raise ValueError("a unit-grid path needs at least two grid values")
-        self._grid = np.arange(self._matrix.shape[0], dtype=float)
+        self._grid = _unit_grid(self._columns.shape[1])
 
     @classmethod
     def from_increments(cls, increments: np.ndarray) -> "UnitGridPath":
         increments = np.asarray(increments, dtype=float)
         matrix = increments[:, None] if increments.ndim == 1 else increments
-        values = np.zeros((matrix.shape[0] + 1, matrix.shape[1]))
-        np.cumsum(matrix, axis=0, out=values[1:])
-        return cls(values if increments.ndim == 2 else values[:, 0])
+        columns = np.zeros((matrix.shape[1], matrix.shape[0] + 1))
+        np.cumsum(matrix.T, axis=1, out=columns[:, 1:])
+        return cls(columns[0] if increments.ndim == 1 else columns.T)
 
     @property
     def horizon(self) -> int:
-        return self._matrix.shape[0] - 1
+        return self._columns.shape[1] - 1
 
     @property
     def d(self) -> int:
-        return self._matrix.shape[1]
+        return self._columns.shape[0]
 
     @property
     def values(self) -> np.ndarray:
-        return self._matrix[:, 0] if self._flat else self._matrix
+        return self._columns[0] if self._flat else self._columns.T
 
     def at(self, x) -> np.ndarray:
         """Interpolated value(s); scalar in -> (d,) out, (m,) in -> (m, d)."""
@@ -122,14 +132,23 @@ class UnitGridPath:
                     f"path covers [0, {self.horizon}], asked for "
                     f"[{lo:g}, {hi:g}]")
         if self.d == 1:
-            out = np.interp(x, self._grid, self._matrix[:, 0])[:, None]
+            out = np.interp(x, self._grid, self._columns[0])[:, None]
         else:
             out = np.empty((x.size, self.d))
             for j in range(self.d):
-                out[:, j] = np.interp(x, self._grid, self._matrix[:, j])
+                out[:, j] = np.interp(x, self._grid, self._columns[j])
         if self._flat:
             return out[0, 0] if scalar else out[:, 0]
         return out[0] if scalar else out
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_grid(size: int) -> np.ndarray:
+    """The read-only grid 0, 1, ..., size - 1, one per length: the unit-grid
+    paths of a horizon share it instead of each building its own."""
+    grid = np.arange(size, dtype=float)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -141,8 +160,9 @@ class ScaledPath:
     time_scale: float
 
     def at(self, t) -> np.ndarray:
-        return self.value_scale * self.base.at(np.asarray(t, dtype=float)
-                                               / self.time_scale)
+        values = self.base.at(np.asarray(t, dtype=float) / self.time_scale)
+        values *= self.value_scale
+        return values
 
     @property
     def horizon(self) -> float:
@@ -346,11 +366,13 @@ class AssembledW:
     with W* the level-axis surrogate, Wt the scalar surrogate, and Wc an
     independent Wiener path carrying the null-space component through
     ``P0 = greeks.null_projector``.  Without Wc (``wcirc=None``, as
-    :func:`sup_inputs` builds W) the last term is left out; ``sigma @ P0``
-    is zero, so no deviation reads it.
+    :func:`sup_inputs` builds W) or with a zero P0 (a full-rank sigma) the
+    last term is left out; ``sigma @ P0`` is zero, so no deviation reads it.
 
     At d = 1 every product is a scalar multiply (:func:`_times`), and a
-    final ``+ 0.0`` turns a zero into the +0.0 the matmuls give.
+    final ``+ 0.0`` turns a zero into the +0.0 the matmuls give.  The
+    arithmetic runs in place on the arrays the surrogates return, in the
+    order of the formula, so each value has the bits of the formula.
     """
 
     wstar: ScaledPath
@@ -364,12 +386,13 @@ class AssembledW:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        star = np.atleast_2d(self.wstar.at(t / g.gamma))
-        tilde = np.atleast_1d(self.wtilde.at(t))
-        core = _times(star, g.v) / math.sqrt(g.lam) \
-            - np.outer(tilde, g.alpha) * (g.mu / (g.lam * math.sqrt(g.gamma)))
+        core = _times(np.atleast_2d(self.wstar.at(t / g.gamma)), g.v)
+        core /= math.sqrt(g.lam)
+        tilde = np.outer(np.atleast_1d(self.wtilde.at(t)), g.alpha)
+        tilde *= g.mu / (g.lam * math.sqrt(g.gamma))
+        core -= tilde
         out = _times(core, g.sigma_pinv)
-        if self.wcirc is not None:
+        if self.wcirc is not None and np.any(g.null_projector):
             out += _times(np.atleast_2d(self.wcirc.at(t)), g.null_projector)
         if g.d == 1:
             out += 0.0
@@ -377,13 +400,17 @@ class AssembledW:
 
 
 def _times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``rows @ matrix``; a 1x1 matrix multiplies as a scalar.
+    """``rows @ matrix``; a 1x1 matrix multiplies as a scalar, in place, so
+    ``rows`` must be an array the caller owns.
 
     A one-term product is rounded once either way, so the bits agree, but
     for the sign of a zero: the matmul sums the product onto +0.0, the
     scalar multiply keeps ``0.0 * -0.5 == -0.0``.
     """
-    return rows * matrix[0, 0] if matrix.shape == (1, 1) else rows @ matrix
+    if matrix.shape != (1, 1):
+        return rows @ matrix
+    rows *= matrix[0, 0]
+    return rows
 
 
 def assemble_W(wstar: ScaledPath, wtilde: ScaledPath,
@@ -451,7 +478,7 @@ def build_bundle(model: Model, greeks: Greeks, t: float, mode: str,
     driver grid."""
     k = _horizon_cycles(greeks, t)
     driver = _draw_drivers(model, k, mode, rng)
-    path, w = _path_and_w(model, greeks, t, driver, rng, None)
+    path, w = _path_and_w(model, greeks, t, driver, rng, None, k)
     n_path = build_poisson_from_brownian(w.wtilde.base, greeks, horizon=k)
     needed_jumps = int(math.floor(t / greeks.gamma)) + 1
     if n_path.n_jumps < needed_jumps:
@@ -482,19 +509,23 @@ def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
     The stream draws, cycles and surrogates of :func:`build_bundle`, without
     what no sup reads: no Poisson jump and no ``W_circ`` (child(3) is never
     drawn).  In ``shared-innovations`` mode the path stops at the first
-    cycle whose renewal time reaches t.  Every value of S and of W's
-    surrogates on [0, t] keeps its bits, so ``sup_deviation`` returns what
-    it returns on the full bundle, up to the rounding of
-    ``sigma @ P0 @ W_circ`` where the null-space projector is nonzero (a
-    rank-deficient sigma; exactly zero at sigma = 0).  A replication fails
-    here only when its cycles or drivers fall short of what the sup reads;
-    a counting process short of level t/gamma fails the full bundle alone.
+    cycle whose renewal time reaches t.  In both modes the surrogates' unit
+    grids hold min(K, floor(t/mu) + 2) units, enough for W on [0, t] with
+    the rounding of ``(u/gamma)/lambda``; the drivers stay K long.  Every
+    value of S and of W's surrogates on [0, t] keeps its bits, so
+    ``sup_deviation`` returns what it returns on the full bundle, up to the
+    rounding of ``sigma @ P0 @ W_circ`` where the null-space projector is
+    nonzero (a rank-deficient sigma; exactly zero at sigma = 0).  A
+    replication fails here only when its cycles or drivers fall short of
+    what the sup reads; a counting process short of level t/gamma fails the
+    full bundle alone.
 
     The streams go in groups of about ``_GROUP_DRIVERS`` first-block
     drivers: a group's drivers are drawn, and its durations quantiled
     together (:func:`_durations_past`), before its first inputs come out.
     """
     k = _horizon_cycles(greeks, t)
+    units = min(k, math.floor(t / greeks.mu) + 2)
     size = max(1, _GROUP_DRIVERS // _cycles_to_cover(t, greeks))
     for lo in range(0, len(rngs), size):
         group = rngs[lo:lo + size]
@@ -504,7 +535,7 @@ def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
             taus = _durations_past(
                 model, [d.unit_increments_btilde for d in drivers], greeks, t)
         for rng, driver, tau in zip(group, drivers, taus):
-            yield _path_and_w(model, greeks, t, driver, rng, tau)
+            yield _path_and_w(model, greeks, t, driver, rng, tau, units)
 
 
 def _horizon_cycles(greeks: Greeks, t: float) -> int:
@@ -516,36 +547,26 @@ def _horizon_cycles(greeks: Greeks, t: float) -> int:
 
 def _path_and_w(model: Model, greeks: Greeks, t: float,
                 driver: GaussianDriver, rng: RngStream,
-                tau: np.ndarray | None
+                tau: np.ndarray | None, units: int
                 ) -> tuple[RegenerativePath, AssembledW]:
     """The core both builders share: the cycles (``tau`` the leading
     durations, when quantiled already), the check that they reach t, the
-    Wiener surrogates and W without ``W_circ``."""
+    Wiener surrogates and W without ``W_circ``.  The surrogates' unit grids
+    hold the drivers' first ``units`` increments: W covers [0, units * mu]
+    (to rounding)."""
     path = _cycle_path(model, driver, rng, tau)
     if path.horizon < t:
         raise HorizonExceededError(
             f"{driver.unit_increments_btilde.size} cycles reach only "
             f"{path.horizon:g} < t={t:g}")
-    b = UnitGridPath.from_increments(driver.unit_increments_b)
-    btilde = UnitGridPath.from_increments(driver.unit_increments_btilde)
+    b = UnitGridPath.from_increments(driver.unit_increments_b[:units])
+    btilde = UnitGridPath.from_increments(
+        driver.unit_increments_btilde[:units])
     return path, assemble_W(build_timechange_wiener(b, greeks),
                             build_inverse_wiener(btilde, greeks), None, greeks)
 
 
 # -- evaluation grids and the decomposition ---------------------------------
-
-
-def _breakpoints(path: RegenerativePath, t: float,
-                 lattices: Sequence[float] = ()) -> list[np.ndarray]:
-    """The kinks of [0, t] in pieces, in this order: the path events up to
-    t, 0 and t, and the multiples up to t of each lattice spacing.  A piece
-    may repeat points of another."""
-    pieces = [path.event_times[path.event_times <= t], np.array([0.0, t])]
-    for spacing in lattices:
-        if spacing > 0:
-            multiples = _multiples(spacing, t)
-            pieces.append(multiples[multiples <= t])
-    return pieces
 
 
 def evaluation_grid(path: RegenerativePath, t: float, grid_step: float = 1.0,
@@ -561,12 +582,17 @@ def evaluation_grid(path: RegenerativePath, t: float, grid_step: float = 1.0,
     gamma.  Only the jumps at events and lattice points are
     missing, and :func:`sup_deviation` and :func:`phi_decomposition` add
     their left limits.  Only the decomposition, whose rows are in time
-    order, needs the points sorted; :func:`sup_deviation` takes the same
-    breakpoints unsorted.
+    order, needs the points sorted; :func:`sup_deviation` walks the same
+    kinks, with mu the one lattice, unsorted and block by block.
 
     ``grid_step`` is ignored; ROADMAP item 1b deletes it.
     """
-    return np.unique(np.concatenate(_breakpoints(path, t, lattices)))
+    pieces = [path.event_times[path.event_times <= t], np.array([0.0, t])]
+    for spacing in lattices:
+        if spacing > 0:
+            multiples = _multiples(spacing, t)
+            pieces.append(multiples[multiples <= t])
+    return np.unique(np.concatenate(pieces))
 
 
 def _multiples(spacing: float, t: float) -> np.ndarray:
@@ -766,21 +792,92 @@ def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
 
     A piecewise-constant path jumps at its events, so the max also runs over
     the left limits ``S(e-) - kappa*e - sigma*W(e)`` at the events
-    ``e <= t`` (W is continuous).  A max needs no order: the points are the
-    breakpoint pieces as they come, unsorted and with repeats, and each
-    point's value has the bits it has on the sorted grid.
+    ``e <= t`` (W is continuous).  A max needs no order: the kinks are
+    walked in blocks of at most ``_SUP_BLOCK`` points, the events up to t
+    first, then the multiples of mu, 0 included, and t; the multiples are
+    made block by block, so no array spans all the kinks.  S at an event is
+    its event value and its left limit the value one row up; events that
+    share a time count once, as the last, whose value the path takes there.
+    Each point's value has the bits it has on the sorted grid.
     """
     if t > path.horizon:
         raise HorizonExceededError(
             f"t={t:g} beyond simulated horizon {path.horizon:g}")
-    pieces = _breakpoints(path, t, lattices=(greeks.mu,))
-    points = np.concatenate(pieces)
-    w_sigma = _times(np.atleast_2d(w.at(points)), greeks.sigma)
-    dev = path.evaluate(points) - np.outer(points, greeks.kappa) - w_sigma
-    sup = float(np.max(np.abs(dev)))
-    events = pieces[0]
-    if path.interpolation != PIECEWISE_CONSTANT or not events.size:
-        return sup
-    dev = path.evaluate(events, side="left") \
-        - np.outer(events, greeks.kappa) - w_sigma[:events.size]
-    return max(sup, float(np.max(np.abs(dev))))
+    times, values = path.event_times, path.event_values
+    n = int(np.searchsorted(times, t, side="right"))   # the events up to t
+    ties = np.flatnonzero(times[1:n] == times[:n][:-1])  # i: e_i == e_{i+1}
+    jumps = path.interpolation == PIECEWISE_CONSTANT
+    lead = times[:n + 1]                 # the events S reads between events
+    columns = None if jumps else np.ascontiguousarray(values[:n + 1].T)
+    mu = float(greeks.mu)
+    count = math.floor(t / mu) + 2       # the candidates of _multiples
+    while mu * (count - 1) > t:
+        count -= 1                       # now the multiples up to t
+    top = np.float64(0.0)
+    for lo in range(0, n + count + 1, _SUP_BLOCK):
+        hi = min(lo + _SUP_BLOCK, n + count + 1)
+        mid = min(hi, n)                 # rows lo..mid are events
+        u, s = times[lo:mid], values[lo:mid]
+        if hi > n:      # row n + k: the k-th multiple of mu, t at k = count
+            k0, k1 = max(lo, n) - n, hi - n
+            between = np.arange(k0, k1, dtype=float)
+            between *= mu
+            if k1 > count:
+                between[-1] = t
+            u = np.concatenate([u, between])
+            s = np.concatenate([s, _path_between(path, between, lead,
+                                                 columns)])
+        rows = [(s, _rows_in(ties, lo, mid))]
+        if jumps and mid > lo:
+            rows.append((values[lo - 1:mid - 1] if lo else np.concatenate(
+                [np.zeros((1, path.d)), values[:mid - 1]]),
+                _rows_in(ties + 1, lo, mid)))
+        top = np.maximum(top, _block_sup(u, rows, w, greeks))
+    return float(top)
+
+
+def _rows_in(rows: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
+    """The rows of [lo, hi) among ``rows``, counted from lo; None if none."""
+    if not rows.size:
+        return None
+    inside = rows[(rows >= lo) & (rows < hi)] - lo
+    return inside if inside.size else None
+
+
+def _block_sup(u: np.ndarray,
+               rows: Sequence[tuple[np.ndarray, np.ndarray | None]],
+               w: AssembledW, greeks: Greeks) -> np.float64:
+    """Max of |s - kappa*u - sigma*W(u)| over one block's points ``u``, for
+    each ``(s, skip)`` of ``rows``: path values s at the leading points of
+    u, less the rows ``skip`` (or None)."""
+    w_sigma = _times(np.atleast_2d(w.at(u)), greeks.sigma)
+    ku = np.multiply.outer(u, greeks.kappa)
+    top = np.float64(0.0)
+    for s, skip in rows:
+        dev = s - ku[:len(s)]
+        dev -= w_sigma[:len(s)]
+        np.abs(dev, out=dev)
+        if skip is not None:
+            dev[skip] = 0.0
+        top = np.maximum(top, dev.max())
+    return top
+
+
+def _path_between(path: RegenerativePath, u: np.ndarray, lead: np.ndarray,
+                  columns: np.ndarray | None) -> np.ndarray:
+    """S at sorted points ``u`` of [0, lead[-1]], as ``path.evaluate``
+    gives it, from the leading events ``lead`` alone; ``columns`` holds
+    their values, one contiguous row per dimension, for a piecewise-linear
+    path and is None for a piecewise-constant one.
+
+    Before the first event S is 0, or the line from the origin to it."""
+    head = int(np.searchsorted(u, lead[0]))
+    if columns is None:
+        s = path.event_values[np.searchsorted(lead, u, side="right") - 1]
+        s[:head] = 0.0
+        return s
+    s = np.empty((u.size, path.d))
+    for j, column in enumerate(columns):
+        s[:, j] = np.interp(u, lead, column)
+        s[:head, j] = np.interp(u[:head], (0.0, lead[0]), (0.0, column[0]))
+    return s

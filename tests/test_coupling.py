@@ -27,7 +27,8 @@ from regenlab.models import (CompoundJumpModel, GammaGaussianModel,
                              ModeUnsupportedError, ParetoCycleModel,
                              reference_greeks)
 from regenlab.models import single_event_path
-from regenlab.paths import PIECEWISE_CONSTANT, HorizonExceededError
+from regenlab.paths import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR,
+                            HorizonExceededError)
 from regenlab.rng import RngStream
 
 
@@ -477,7 +478,7 @@ class TestExactSup:
         residual = np.abs(sum(dec.phi) - target)[left]
         assert float(residual.max()) <= dec.tolerance
 
-    def test_pareto_quarter_grid_reads_low(self):
+    def test_pareto_quarter_grid_reads_low(self, monkeypatch):
         # a fixed seed on which the quarter-unit grid alone misses the sup:
         # it is attained at a left limit S(e-), just before a jump
         model = ParetoCycleModel(tail_index=3.5)
@@ -488,11 +489,17 @@ class TestExactSup:
         grid_sup = _gap(path, bundle.w, g, grid, path.evaluate(grid)).max()
         keep = path.event_times <= t
         before = np.vstack([np.zeros((1, 1)), path.event_values[:-1]])[keep]
-        left_sup = _gap(path, bundle.w, g, path.event_times[keep],
-                        before).max()
+        left = _gap(path, bundle.w, g, path.event_times[keep], before)
+        left_sup = left.max()
         assert left_sup > grid_sup + 0.1
         for step in (1.0, 0.25):
             assert sup_deviation(path, bundle.w, g, t, step) == left_sup
+        # blocks that start at the event: its left limit is the last row of
+        # the block before
+        row = int(np.argmax(left))
+        assert row > 0
+        monkeypatch.setattr(coupling, "_SUP_BLOCK", row)
+        assert sup_deviation(path, bundle.w, g, t) == left_sup
 
 
 class TestBundle:
@@ -859,12 +866,71 @@ class TestSupBreakpoints:
                                             _stream(235 + rep))
             assert sup_deviation(short_path, w, g, t) == expected
 
-    @pytest.mark.parametrize("t", [37.5, 64.0])
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("t", [37.5, 1024.0])
+    @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
+                             ids=[f"{m.family}-d{m.d}-{mode}"
+                                  for m, mode in BREAKPOINT_CASES])
+    def test_block_edges_keep_the_sup(self, monkeypatch, case, t, block):
+        # every block edge, a piecewise-constant left limit read from the
+        # row one block up included, gives the sorted-grid sup
+        model, mode = BREAKPOINT_CASES[case]
+        g = reference_greeks(model, 3.0)
+        path, bundle = build_bundle(model, g, t, mode, _stream(232))
+        short_path, w = _one_sup_inputs(model, g, t, mode, _stream(232))
+        monkeypatch.setattr(coupling, "_SUP_BLOCK", block)
+        assert sup_deviation(path, bundle.w, g, t) \
+            == _sorted_grid_sup(path, bundle.w, g, t)
+        assert sup_deviation(short_path, w, g, t) \
+            == _sorted_grid_sup(short_path, w, g, t)
+
+    @pytest.mark.parametrize("interpolation",
+                             [PIECEWISE_CONSTANT, PIECEWISE_LINEAR])
+    def test_tied_event_times_count_once(self, monkeypatch, gg1_model,
+                                         interpolation):
+        # a cycle too short to move the clock repeats its renewal time: the
+        # path takes the later value there, and the earlier one never
+        g = reference_greeks(gg1_model, 3.0)
+        _, bundle = build_bundle(gg1_model, g, 16.0, "shared-innovations",
+                                 _stream(233))
+        path = single_event_path(np.array([1.0, 1e-20, 1e-20, 0.5, 2.0]),
+                                 np.array([1.0, 40.0, -80.0, -4.0, 8.0]),
+                                 interpolation)
+        assert path.event_times[0] == path.event_times[2]
+        for block in (1, 2, 7, 8192):
+            monkeypatch.setattr(coupling, "_SUP_BLOCK", block)
+            for t in (1.0, 1.5, 3.5):
+                assert sup_deviation(path, bundle.w, g, t) \
+                    == _sorted_grid_sup(path, bundle.w, g, t)
+
+    @pytest.mark.parametrize("t", [37.5, 1024.0])
+    @pytest.mark.parametrize("case", range(len(SUP_CASES)),
+                             ids=[f"{m.family}-d{m.d}-{mode}"
+                                  for m, mode in SUP_CASES])
+    def test_short_unit_grids(self, case, t):
+        # sup_inputs' grids stop at floor(t/mu) + 2 units, and its W is the
+        # full bundle's at every kink: with W_circ where sigma has full rank,
+        # without it where the projector is nonzero (pareto: sigma = 0)
+        model, mode = SUP_CASES[case]
+        g = reference_greeks(model, 3.0)
+        path, bundle = build_bundle(model, g, t, mode, _stream(234))
+        _, w = _one_sup_inputs(model, g, t, mode, _stream(234))
+        units = math.floor(t / g.mu) + 2
+        assert w.wtilde.base.horizon == w.wstar.base.horizon == units
+        assert bundle.btilde.horizon == bundle.horizon_cycles > units
+        full = bundle.w
+        if np.any(g.null_projector):
+            full = coupling.assemble_W(bundle.wstar, bundle.wtilde, None, g)
+        kinks = _sorted_grid(path, t, (g.mu,))
+        assert w.at(kinks).tobytes() == full.at(kinks).tobytes()
+
+    @pytest.mark.parametrize("t", [37.5, 64.0, 20480.0])
     @pytest.mark.parametrize("case", range(len(BREAKPOINT_CASES)),
                              ids=[f"{m.family}-d{m.d}-{mode}"
                                   for m, mode in BREAKPOINT_CASES])
     def test_sup_reads_only_the_kinks(self, monkeypatch, case, t):
-        # 0, t, the events and the multiples of mu, for every sigma
+        # 0, t, the events and the multiples of mu, for every sigma, over
+        # all the blocks' reads; at t = 20480 the kinks fill several blocks
         model, mode = BREAKPOINT_CASES[case]
         g = reference_greeks(model, 3.0)
         path, w = _one_sup_inputs(model, g, t, mode, _stream(245))
@@ -877,8 +943,12 @@ class TestSupBreakpoints:
 
         monkeypatch.setattr(AssembledW, "at", recorded)
         sup_deviation(path, w, g, t)
-        assert len(read) == 1
-        np.testing.assert_array_equal(np.unique(read[0]),
+        # full blocks but the last, at least two of them at t = 20480
+        sizes = [u.size for u in read]
+        assert sizes[-1] <= coupling._SUP_BLOCK
+        assert set(sizes[:-1]) <= {coupling._SUP_BLOCK}
+        assert len(read) >= 2 or t < coupling._SUP_BLOCK
+        np.testing.assert_array_equal(np.unique(np.concatenate(read)),
                                       _sorted_grid(path, t, (g.mu,)))
 
     @pytest.mark.parametrize("step", [1.0, 0.5, 1.0 / 3.0])
