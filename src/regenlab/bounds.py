@@ -320,27 +320,24 @@ def random_sum_nagaev_tail(t: float, x: float,
     log_lap = math.log(moments.laplace_at_1)
     p = moments.p
     series = 0.0
-    last = math.inf
+    last = 0.0
     m = m0
-    while m < m0 + _SERIES_MAX_TERMS:
-        log_term = p * math.log((m + 2.0) * t) + t \
-            + math.floor(m * t) * log_lap
-        if moments.abs_moment > 0:
-            log_term += math.log(moments.abs_moment)
-            last = math.exp(log_term) if log_term > math.log(_SERIES_FLOOR) \
-                else 0.0
-        else:
-            last = 0.0
-        if last <= _SERIES_FLOOR:
-            break
-        series += last
-        m += 1
+    if moments.abs_moment > 0:      # else every term is 0: no series at all
+        log_moment = math.log(moments.abs_moment)
+        while m < m0 + _SERIES_MAX_TERMS:
+            log_term = p * math.log((m + 2.0) * t) + t \
+                + math.floor(m * t) * log_lap + log_moment
+            last = math.exp(log_term) \
+                if log_term > math.log(_SERIES_FLOOR) else 0.0
+            if last <= _SERIES_FLOOR:
+                break
+            series += last
+            m += 1
     raw = head_raw + series / x ** p
     return _capped(raw, REGION_LARGE_DEVIATION, {
         "M0": float(m0), "head_horizon": float(horizon),
         "head_term": head_raw, "series_sum": series,
-        "series_terms": float(m - m0), "last_term": 0.0 if last is math.inf
-        else last})
+        "series_terms": float(m - m0), "last_term": last})
 
 
 def brownian_sup_tail(t: float, x: float, d: int) -> BoundResult:

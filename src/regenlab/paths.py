@@ -149,26 +149,41 @@ class RegenerativePath:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, u: np.ndarray, side: str = "right") -> np.ndarray:
-        """Path value S(u) for an array of times, shape (len(u), d).
+        """Path value S(u) for an array of times in any order, shape
+        (len(u), d).
 
-        Exact (bitwise) at event times; between events the value follows the
-        accrual scheme.  ``side="left"`` gives the left limits S(u-), which
-        differ from S(u) only at the jumps of a piecewise-constant path.
-        Raises HorizonExceededError past the last renewal.
+        S(0) = 0.  Where several events share a time (cycles too short to
+        move the clock), the last one's value is the path's there.  A
+        piecewise-constant path holds each event value until the next event
+        and is 0 before the first; a piecewise-linear one interpolates
+        between events and follows the line from the origin to the first
+        event before it.  Exact (bitwise) at event times.  ``side="left"``
+        gives the left limits S(u-), which differ from S(u) only at the
+        jumps of a piecewise-constant path: at an event time, the value
+        before the first event there.  The events are read in place, with
+        no padded copy.  Raises HorizonExceededError past the last renewal.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.size and (u.min() < 0 or u.max() > self.horizon):
+        low = u.min(initial=np.inf)
+        if low < 0 or u.max(initial=0.0) > self.horizon:
             raise HorizonExceededError(
                 f"evaluation times must lie in [0, {self.horizon}]")
+        times, values = self.event_times, self.event_values
         if self.interpolation == PIECEWISE_CONSTANT:
-            idx = np.searchsorted(self.event_times, u, side=side)
-            padded = np.concatenate([np.zeros((1, self.d)), self.event_values])
-            return padded[idx]
+            idx = np.searchsorted(times, u, side=side)
+            out = values[idx - 1]
+            if low <= times[0]:
+                out[idx == 0] = 0.0
+            return out
         out = np.empty((u.size, self.d))
-        xs = np.concatenate([[0.0], self.event_times])
         for j in range(self.d):
-            ys = np.concatenate([[0.0], self.event_values[:, j]])
-            out[:, j] = np.interp(u, xs, ys)
+            out[:, j] = np.interp(u, times, values[:, j])
+        if low < times[0]:
+            head = u < times[0]
+            before = u[head]
+            for j in range(self.d):
+                out[head, j] = np.interp(before, (0.0, times[0]),
+                                         (0.0, values[0, j]))
         return out
 
     def renewal_counts(self, t: np.ndarray, side: str = "right") -> np.ndarray:

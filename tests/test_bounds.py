@@ -12,6 +12,7 @@ from regenlab.bounds import (NoFeasibleBError, RegionViolationError,
                              exp_to_power, nagaev_tail, poisson_inverse_tail,
                              random_sum_M0, random_sum_nagaev_tail,
                              renewal_count_tail, validity_region)
+from regenlab.cli import main
 
 EXP1 = lambda b: 1.0 / (1.0 + b)  # noqa: E731  Laplace transform of Exp(1)
 
@@ -225,6 +226,24 @@ class TestRandomSum:
         assert c["raw_value"] == pytest.approx(
             c["head_term"] + c["series_sum"] / 8.0 ** 3, rel=1e-9)
         assert c["series_terms"] >= 1
+
+    def test_zero_moment_has_no_series(self, capsys):
+        # E|X|^p = 0 zeroes every series term: none is summed, and the CLI
+        # line is the one the term-by-term loop printed
+        moments = TailMoments(n=5, p=3.0, abs_moment=0.0, variance=1.0,
+                              laplace_at_1=0.5)
+        c = random_sum_nagaev_tail(10.0, 8.0, moments).constants_used
+        assert c["series_terms"] == 0
+        assert c["last_term"] == 0.0
+        assert c["series_sum"] == 0.0
+        assert c["raw_value"] == c["head_term"]
+        assert main(["bounds", "random-sum-nagaev-tail", "--t", "10",
+                     "--x", "8", "--n", "5", "--p", "3", "--abs-moment", "0",
+                     "--variance", "1", "--laplace-at-1", "0.5"]) == 0
+        assert capsys.readouterr().out == (
+            "random-sum-nagaev-tail,1.0,large-deviation,M0=3.0;"
+            "head_horizon=31.0;head_term=5.9945205725660715;series_sum=0.0;"
+            "series_terms=0.0;last_term=0.0;raw_value=5.9945205725660715\n")
 
 
 class TestBrownianSup:

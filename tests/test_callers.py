@@ -1,4 +1,5 @@
-"""Every public top-level name of the library has a caller outside tests."""
+"""Every top-level function and class of the library, private ones
+included, has a caller outside tests."""
 import ast
 from pathlib import Path
 
@@ -22,7 +23,7 @@ def _references(tree: ast.AST):
                 yield node.lineno, alias.name.rpartition(".")[2]
 
 
-def test_every_public_name_has_a_caller():
+def test_every_name_has_a_caller():
     trees = {path: ast.parse(path.read_text(), str(path))
              for folder in CALLER_DIRS
              for path in sorted(folder.rglob("*.py"))
@@ -35,10 +36,10 @@ def test_every_public_name_has_a_caller():
     for path in sorted(LIBRARY.glob("*.py")):
         for node in trees[path].body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in EXEMPT):
+                    or node.name in EXEMPT):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             if all(where == path and line in own
                    for where, line in callers.get(node.name, [])):
                 uncalled.append(f"{path.name}::{node.name}")
-    assert not uncalled, f"public names without a caller: {uncalled}"
+    assert not uncalled, f"names without a caller: {uncalled}"

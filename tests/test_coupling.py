@@ -758,13 +758,16 @@ class TestSupInputsFailures:
         self._few_jumps(monkeypatch)
         assert results(tmp_path / "patched") == unpatched
 
-    def test_couple_phis_exits_3_on_a_jump_shortfall(self, tmp_path,
-                                                     monkeypatch, capsys):
-        # the decomposition reads the full bundle, which checks the jumps
+    @pytest.mark.parametrize("kind", ["phis", "tail"])
+    def test_couple_exits_3_on_a_jump_shortfall(self, tmp_path, monkeypatch,
+                                                capsys, kind):
+        # couple builds the full bundle, which checks the jumps: for phis,
+        # whose decomposition reads them, and for tail, whose run read none
+        # and passed (test_tail_run_passes_a_jump_shortfall)
         cfg = self._tail_cfg(tmp_path, "shared-innovations")
         self._few_jumps(monkeypatch)
         out = tmp_path / "cpl"
-        assert main(["couple", "--config", str(cfg), "--kind", "phis",
+        assert main(["couple", "--config", str(cfg), "--kind", kind,
                      "--rep", "0", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error: HorizonExceededError: ")

@@ -6,9 +6,11 @@ import pytest
 from regenlab import cli
 from regenlab.cli import main
 from regenlab.config import parse_config
-from regenlab.paths import (CountingPath, HorizonExceededError,
+from regenlab.paths import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR,
+                            CountingPath, HorizonExceededError,
                             RegenerativePath, invert_counting)
-from regenlab.models import single_event_path
+from regenlab.models import (CompoundJumpModel, MM1BusyCycleModel,
+                             single_event_path)
 from regenlab.reporting import csv_text
 from regenlab.rng import RngStream
 
@@ -106,6 +108,68 @@ class TestRegenerativePath:
                                                axis=0)
         np.testing.assert_array_equal(offsets, [0.5, 2.0, 0.25, 1.0])
         np.testing.assert_array_equal(values[:, 0], [3.0, 1.0, -0.5, -2.0])
+
+
+def _padded_evaluate(path, u, side="right"):
+    """The reference reader: the events behind a leading (0, 0) row, which
+    puts the value before the first event, and its interpolation, in the
+    same lookup as every other."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if path.interpolation == PIECEWISE_CONSTANT:
+        idx = np.searchsorted(path.event_times, u, side=side)
+        padded = np.concatenate([np.zeros((1, path.d)), path.event_values])
+        return padded[idx]
+    out = np.empty((u.size, path.d))
+    xs = np.concatenate([[0.0], path.event_times])
+    for j in range(path.d):
+        ys = np.concatenate([[0.0], path.event_values[:, j]])
+        out[:, j] = np.interp(u, xs, ys)
+    return out
+
+
+def _tied_path(seed, d, interpolation):
+    # about a third of the cycles last 1e-20, too short to move the clock
+    # past 1, so their renewal times tie; so does cycle ``seed``: the first
+    # event at 1e-20 at seed 0, a tie with it at seed 1
+    rng = np.random.default_rng(seed)
+    tau = rng.gamma(2.0, 1.0, size=40)
+    tau[rng.random(40) < 0.3] = 1e-20
+    tau[seed] = 1e-20
+    return single_event_path(tau, rng.standard_normal((40, d)),
+                             interpolation)
+
+
+REFERENCE_PATHS = {
+    **{f"single-{interpolation}-d{d}-seed{seed}":
+       (lambda s=seed, d=d, i=interpolation: _tied_path(s, d, i))
+       for interpolation in (PIECEWISE_CONSTANT, PIECEWISE_LINEAR)
+       for d in (1, 2) for seed in (0, 1)},
+    "compound-jump": lambda: CompoundJumpModel(dim=2).sample_path(
+        30, RngStream(7, 1)),
+    "mm1": lambda: MM1BusyCycleModel(arrival_rate=0.5, service_rate=1.0)
+    .sample_path(30, RngStream(7, 2)),
+}
+
+
+class TestEvaluateReference:
+    """``evaluate`` reads no padded copy, with the padded reader's bits."""
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PATHS))
+    def test_equals_the_padded_reader(self, name, side):
+        path = REFERENCE_PATHS[name]()
+        times = path.event_times
+        assert np.any(times[1:] == times[:-1]) or not name.startswith("single")
+        rng = np.random.default_rng(len(name))
+        u = rng.permutation(np.concatenate([
+            [0.0, path.horizon], times, rng.uniform(0.0, times[0], 5),
+            rng.uniform(0.0, path.horizon, 50)]))
+        # the events alone: none lies before the first, the first included
+        for points in (u, rng.permutation(times)):
+            got = path.evaluate(points, side=side)
+            expected = _padded_evaluate(path, points, side=side)
+            assert got.shape == expected.shape == (points.size, path.d)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestSingleEventPath:
