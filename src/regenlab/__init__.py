@@ -11,7 +11,8 @@ almost-sure deviation rate and the polynomial tail bound empirically.
 __version__ = "0.1.0"
 
 from .rng import RngStream
-from .models import eta_moment, reference_greeks, single_event_path
+from .models import eta_moment, reference_greeks
+from .paths import single_event_path
 from .coupling import (AssembledW, CouplingBundle, GaussianDriver,
                        PhiDecomposition, ScaledPath, UnitGridPath, assemble_W,
                        build_bundle, build_inverse_wiener,

@@ -104,7 +104,7 @@ def _require_region(t: float, x: float, wanted: str, what: str) -> None:
 # -- pair-region calculators ------------------------------------------------
 
 
-def poisson_inverse_tail(t: float, x: float, gamma_param: float) -> BoundResult:
+def poisson_inverse_tail(t: float, x: float, gamma: float) -> BoundResult:
     """Bound P(first-passage level t/gamma is reached only after time 2t/mu).
 
     The wait for level ceil(t/gamma) is a sum of floor(t/gamma)+1 unit
@@ -112,15 +112,15 @@ def poisson_inverse_tail(t: float, x: float, gamma_param: float) -> BoundResult:
     ``exp(-t/gamma) * 2^(floor(t/gamma)+1)`` and the working form
     ``2 * (e/2)^(-x/gamma)``.
     """
-    if gamma_param <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma_param}")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     _require_region(t, x, REGION_PAIR, "the first-passage tail bound")
-    ratio = x / gamma_param
+    ratio = x / gamma
     raw = 2.0 * (math.e / 2.0) ** (-ratio)
     intermediate = math.exp(
-        -t / gamma_param + (math.floor(t / gamma_param) + 1.0) * math.log(2.0))
+        -t / gamma + (math.floor(t / gamma) + 1.0) * math.log(2.0))
     return _capped(raw, REGION_PAIR, {
-        "gamma": gamma_param, "x_over_gamma": ratio,
+        "gamma": gamma, "x_over_gamma": ratio,
         "intermediate_form": intermediate})
 
 

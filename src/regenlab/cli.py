@@ -292,10 +292,6 @@ def _moments(n, p, abs_moment, variance,
                                   variance=variance, laplace_at_1=laplace_at_1)
 
 
-def _bound_poisson_inverse(t, x, gamma):
-    return bounds_mod.poisson_inverse_tail(t, x, gamma)
-
-
 def _bound_renewal_count(t, x, mu, laplace: str):
     return bounds_mod.renewal_count_tail(t, x, mu, _parse_laplace(laplace))
 
@@ -335,7 +331,7 @@ def _bound_exp_to_power(A, B, C, p):
 # name: calculator; its keyword parameters, with their defaults, are the
 # parameters of ``regenlab bounds NAME``
 BOUND_CALCULATORS = {
-    "poisson-inverse-tail": _bound_poisson_inverse,
+    "poisson-inverse-tail": bounds_mod.poisson_inverse_tail,
     "renewal-count-tail": _bound_renewal_count,
     "brownian-grid-increment-tail": bounds_mod.brownian_grid_increment_tail,
     "nagaev-tail": _bound_nagaev,

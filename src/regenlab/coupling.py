@@ -64,10 +64,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .greeks import Greeks
-from .models import (INDEPENDENT, Model, ModeUnsupportedError,
-                     single_event_path)
+from .models import INDEPENDENT, Model, ModeUnsupportedError
 from .paths import (PIECEWISE_CONSTANT, CountingPath, HorizonExceededError,
-                    RegenerativePath, invert_counting)
+                    RegenerativePath, invert_counting, single_event_path)
 from .rng import RngStream, bytes_generator
 
 _MAX_TABLE_RATE = 500.0
@@ -92,13 +91,13 @@ class IdentityViolationError(AssertionError):
 class UnitGridPath:
     """Values on the integer grid 0..K, linearly interpolated in between.
 
-    The values are held one contiguous row per dimension, the layout
-    ``np.interp`` reads without a copy."""
+    ``values`` is (K+1, d); 1-d values are one column.  They are held one
+    contiguous row per dimension, the layout ``np.interp`` reads without a
+    copy."""
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
-        self._flat = values.ndim == 1
-        matrix = values[:, None] if self._flat else values
+        matrix = values[:, None] if values.ndim == 1 else values
         self._columns = np.ascontiguousarray(matrix.T)
         if self._columns.shape[1] < 2:
             raise ValueError("a unit-grid path needs at least two grid values")
@@ -110,7 +109,7 @@ class UnitGridPath:
         matrix = increments[:, None] if increments.ndim == 1 else increments
         columns = np.zeros((matrix.shape[1], matrix.shape[0] + 1))
         np.cumsum(matrix.T, axis=1, out=columns[:, 1:])
-        return cls(columns[0] if increments.ndim == 1 else columns.T)
+        return cls(columns.T)
 
     @property
     def horizon(self) -> int:
@@ -122,13 +121,12 @@ class UnitGridPath:
 
     @property
     def values(self) -> np.ndarray:
-        return self._columns[0] if self._flat else self._columns.T
+        return self._columns.T
 
     def at(self, x) -> np.ndarray:
-        """Interpolated value(s); scalar in -> (d,) out, (m,) in -> (m, d)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        """Interpolated values at the points ``x``, shape (m, d) for m
+        points; a scalar is one point."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size:
             lo, hi = x.min(), x.max()
             if lo < -1e-9 or hi > self.horizon + 1e-9:
@@ -136,14 +134,11 @@ class UnitGridPath:
                     f"path covers [0, {self.horizon}], asked for "
                     f"[{lo:g}, {hi:g}]")
         if self.d == 1:
-            out = np.interp(x, self._grid, self._columns[0])[:, None]
-        else:
-            out = np.empty((x.size, self.d))
-            for j in range(self.d):
-                out[:, j] = np.interp(x, self._grid, self._columns[j])
-        if self._flat:
-            return out[0, 0] if scalar else out[:, 0]
-        return out[0] if scalar else out
+            return np.interp(x, self._grid, self._columns[0])[:, None]
+        out = np.empty((x.size, self.d))
+        for j in range(self.d):
+            out[:, j] = np.interp(x, self._grid, self._columns[j])
+        return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -164,6 +159,7 @@ class ScaledPath:
     time_scale: float
 
     def at(self, t) -> np.ndarray:
+        """Values at the times ``t``, shape (m, d) for m times."""
         values = self.base.at(np.asarray(t, dtype=float) / self.time_scale)
         values *= self.value_scale
         return values
@@ -314,15 +310,18 @@ def build_poisson_from_brownian(btilde: UnitGridPath, greeks: Greeks,
     exactly Poisson marginally and are a deterministic function of the
     driver.  Jump positions inside each interval are uniform draws from a
     generator seeded by hashing the increment values, which keeps the whole
-    construction measurable with respect to the driver path.
+    construction measurable with respect to the driver path, which must be
+    scalar (d = 1).
     """
     n_units = int(horizon)
     if n_units < 1:
         raise ValueError(f"horizon must be at least 1 unit, got {horizon}")
+    if btilde.d != 1:
+        raise GridMismatchError(f"driver has d={btilde.d}, needs a scalar one")
     if n_units > btilde.horizon:
         raise GridMismatchError(
             f"driver covers {btilde.horizon} units, horizon asks {n_units}")
-    increments = np.diff(btilde.values[:n_units + 1])
+    increments = np.diff(btilde.values[:n_units + 1, 0])
     counts = poisson_jump_counts(increments, greeks.lam)
     total = int(counts.sum())
     gen = bytes_generator(increments.tobytes())
@@ -385,22 +384,20 @@ class AssembledW:
     greeks: Greeks
 
     def at(self, t) -> np.ndarray:
-        """W(t) for scalar or array t; rows are time points."""
+        """W at the times ``t``, shape (m, d) for m times."""
         g = self.greeks
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        core = _times(np.atleast_2d(self.wstar.at(t / g.gamma)), g.v)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        core = _times(self.wstar.at(t / g.gamma), g.v)
         core /= math.sqrt(g.lam)
-        tilde = np.outer(np.atleast_1d(self.wtilde.at(t)), g.alpha)
+        tilde = np.outer(self.wtilde.at(t), g.alpha)
         tilde *= g.mu / (g.lam * math.sqrt(g.gamma))
         core -= tilde
         out = _times(core, g.sigma_pinv)
         if self.wcirc is not None and np.any(g.null_projector):
-            out += _times(np.atleast_2d(self.wcirc.at(t)), g.null_projector)
+            out += _times(self.wcirc.at(t), g.null_projector)
         if g.d == 1:
             out += 0.0
-        return out[0] if scalar else out
+        return out
 
 
 def _times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -686,9 +683,9 @@ def phi_decomposition(path: RegenerativePath, bundle: CouplingBundle,
     # the terms read the surrogates, the target reads the assembled W: the
     # identity check compares the two
     phi = _phi_terms(path, bundle, grid, s_u, m_u, levels,
-                     np.atleast_1d(bundle.wtilde.at(right))[point],
-                     np.atleast_2d(bundle.wstar.at(right / g.gamma))[point])
-    w_u = np.atleast_2d(bundle.w.at(right))[point]
+                     bundle.wtilde.at(right)[point],
+                     bundle.wstar.at(right / g.gamma)[point])
+    w_u = bundle.w.at(right)[point]
     target = s_u - np.outer(grid, g.kappa) - w_u @ g.sigma
     total = sum(phi)
     residual = float(np.max(np.abs(total - target)))
@@ -745,9 +742,9 @@ def _phi_terms(path: RegenerativePath, bundle: CouplingBundle,
                wstar_scaled: np.ndarray) -> tuple[np.ndarray, ...]:
     """The eight terms on rows at times ``u``, given each row's path value
     ``s_u``, renewal count ``m_u``, first-passage level (right values or
-    left limits alike) and the surrogates ``Wt(u)`` and ``W*(u/gamma)``;
-    each term has shape (len(u), d).  What depends on the level alone is
-    evaluated once per level.
+    left limits alike) and the surrogates' rows ``Wt(u)`` (len(u), 1) and
+    ``W*(u/gamma)``; each term has shape (len(u), d).  What depends on the
+    level alone is evaluated once per level.
     """
     g = bundle.greeks
     jump_times = bundle.n_path.jump_times
@@ -765,8 +762,8 @@ def _phi_terms(path: RegenerativePath, bundle: CouplingBundle,
     iy = np.floor(passage).astype(np.int64)
     s_at_iy = path.prefix_xi[iy]
     t_iy = path.renewal_times[iy]
-    b_y = np.atleast_2d(bundle.b.at(passage))
-    wstar_level = np.atleast_2d(bundle.wstar.at(np.arange(1.0, top + 1.0)))
+    b_y = bundle.b.at(passage)
+    wstar_level = bundle.wstar.at(np.arange(1.0, top + 1.0))
     level_times = g.gamma * np.arange(1, top + 1)  # phi4/phi8: exact cancel
 
     sqrt_lam = math.sqrt(g.lam)
@@ -780,7 +777,7 @@ def _phi_terms(path: RegenerativePath, bundle: CouplingBundle,
     phi2 = s_at_m - s_at_iy[k]
     phi5 = -g.mu * np.outer(
         passage[k] - u / (g.lam * g.gamma)
-        - wtilde_u / (g.lam * math.sqrt(g.gamma)), g.alpha)
+        - wtilde_u[:, 0] / (g.lam * math.sqrt(g.gamma)), g.alpha)
     phi7 = ((wstar_level[k] - wstar_scaled) @ g.v) / sqrt_lam
     phi8 = np.outer(level_times[k] - u, g.beta)
     return (phi1, phi2, phi3, phi4, phi5, phi6, phi7, phi8)
@@ -842,7 +839,7 @@ def _block_sup(u: np.ndarray, s: Sequence[np.ndarray], w: AssembledW,
     """Max of |s - kappa*u - sigma*W(u)| over one block's points ``u``, for
     each array of ``s``: path values at the leading points of u, which the
     max overwrites."""
-    w_sigma = _times(np.atleast_2d(w.at(u)), greeks.sigma)
+    w_sigma = _times(w.at(u), greeks.sigma)
     ku = np.multiply.outer(u, greeks.kappa)
     top = np.float64(0.0)
     for dev in s:

@@ -40,7 +40,8 @@ from scipy.special import (erfcx, gammainccinv, gammaincinv, gammaln, hyp2f1,
                            log_ndtr, ndtr)
 
 from .greeks import DegenerateTauError, Greeks, matrix_sqrt_psd
-from .paths import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath
+from .paths import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath,
+                    single_event_path)
 from .rng import RngStream
 
 SHARED_INNOVATIONS = "shared-innovations"
@@ -104,20 +105,6 @@ class CycleBatch:
     @property
     def d(self) -> int:
         return self.xi.shape[1]
-
-
-def single_event_path(tau: np.ndarray, xi: np.ndarray,
-                       interpolation: str) -> RegenerativePath:
-    """Path for families whose cycles carry a single event at the endpoint."""
-    xi = xi if xi.ndim == 2 else xi[:, None]
-    n, d = xi.shape
-    renewal = np.concatenate([[0.0], np.cumsum(tau)])
-    prefix = np.zeros((n + 1, d))
-    np.cumsum(xi, axis=0, out=prefix[1:])
-    return RegenerativePath(
-        tau=tau, xi=xi, renewal_times=renewal, event_times=renewal[1:],
-        event_values=prefix[1:], cycle_event_ptr=np.arange(n + 1),
-        interpolation=interpolation, _prefix_xi=prefix)
 
 
 class Model:

@@ -14,14 +14,17 @@ value ``xi``, which makes path evaluation at renewal times reproduce the
 prefix sums of the ``xi`` exactly.
 
 There is no per-cycle object: all events live in one flat (CSR) pair of
-arrays sliced by ``cycle_event_ptr``, and samplers hand their cycle-relative
-events to :meth:`RegenerativePath.from_cycle_events`, which checks the cycle
-invariants for all cycles at once.
+arrays sliced by ``cycle_event_ptr``, held by the frozen record
+:class:`RegenerativePath`.  This module alone lays the arrays out, through
+two constructors: samplers hand their cycle-relative events to
+:meth:`RegenerativePath.from_cycle_events`, which checks the cycle
+invariants for all cycles at once, and families with one event per cycle
+hand their durations and increments to :func:`single_event_path`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +44,17 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RegenerativePath:
     """A finite concatenation of cycles with fast vectorized evaluation.
 
     The event list is stored flattened: ``event_times`` are absolute times,
     ``event_values`` are absolute cumulative values, and
     ``cycle_event_ptr[k]:cycle_event_ptr[k+1]`` slices cycle ``k``'s events.
+    ``prefix_xi`` (n_cycles + 1, d) holds the cumulative increments at the
+    renewal times.  The record is built by its two constructors,
+    :meth:`from_cycle_events` and :func:`single_event_path`, and holds
+    their arrays as they are.
     """
 
     tau: np.ndarray
@@ -56,24 +63,8 @@ class RegenerativePath:
     event_times: np.ndarray
     event_values: np.ndarray
     cycle_event_ptr: np.ndarray
-    interpolation: str = PIECEWISE_CONSTANT
-    _prefix_xi: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        self.tau = np.asarray(self.tau, dtype=float)
-        self.xi = _as_matrix(self.xi)
-        self.renewal_times = np.asarray(self.renewal_times, dtype=float)
-        self.event_times = np.asarray(self.event_times, dtype=float)
-        self.event_values = _as_matrix(self.event_values)
-        self.cycle_event_ptr = np.asarray(self.cycle_event_ptr, dtype=np.int64)
-        if self._prefix_xi is None:
-            prefix = np.zeros((self.n_cycles + 1, self.d))
-            np.cumsum(self.xi, axis=0, out=prefix[1:])
-            self._prefix_xi = prefix
-        if self.interpolation not in _INTERPOLATIONS:
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
-        if self.renewal_times.size != self.n_cycles + 1:
-            raise ValueError("renewal_times must have n_cycles + 1 entries")
+    prefix_xi: np.ndarray
+    interpolation: str
 
     # -- structure ---------------------------------------------------------
 
@@ -88,11 +79,6 @@ class RegenerativePath:
     @property
     def horizon(self) -> float:
         return float(self.renewal_times[-1])
-
-    @property
-    def prefix_xi(self) -> np.ndarray:
-        """Cumulative increments at renewal times, shape (n_cycles + 1, d)."""
-        return self._prefix_xi
 
     @classmethod
     def from_cycle_events(cls, tau: np.ndarray, xi: np.ndarray,
@@ -143,8 +129,8 @@ class RegenerativePath:
         return cls(tau=tau, xi=xi, renewal_times=renewal,
                    event_times=np.repeat(renewal[:-1], counts) + offsets,
                    event_values=np.repeat(prefix[:-1], counts, axis=0) + values,
-                   cycle_event_ptr=ptr, interpolation=interpolation,
-                   _prefix_xi=prefix)
+                   cycle_event_ptr=ptr, prefix_xi=prefix,
+                   interpolation=interpolation)
 
     # -- evaluation --------------------------------------------------------
 
@@ -195,9 +181,26 @@ class RegenerativePath:
     def eta(self) -> np.ndarray:
         """Per-cycle trajectory maxima (max-norm), shape (n_cycles,)."""
         rel = np.abs(self.event_values - np.repeat(
-            self._prefix_xi[:-1], np.diff(self.cycle_event_ptr), axis=0))
+            self.prefix_xi[:-1], np.diff(self.cycle_event_ptr), axis=0))
         per_event = rel.max(axis=1)
         return np.maximum.reduceat(per_event, self.cycle_event_ptr[:-1])
+
+
+def single_event_path(tau: np.ndarray, xi: np.ndarray,
+                      interpolation: str) -> RegenerativePath:
+    """Path for families whose cycles carry a single event at the endpoint:
+    the events are the renewals, with values the prefix sums of ``xi``."""
+    if interpolation not in _INTERPOLATIONS:
+        raise ValueError(f"unknown interpolation {interpolation!r}")
+    tau, xi = np.asarray(tau, dtype=float), _as_matrix(xi)
+    n, d = xi.shape
+    renewal = np.concatenate([[0.0], np.cumsum(tau)])
+    prefix = np.zeros((n + 1, d))
+    np.cumsum(xi, axis=0, out=prefix[1:])
+    return RegenerativePath(
+        tau=tau, xi=xi, renewal_times=renewal, event_times=renewal[1:],
+        event_values=prefix[1:], cycle_event_ptr=np.arange(n + 1),
+        prefix_xi=prefix, interpolation=interpolation)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,62 @@ class TestScaledPath:
         assert scaled.horizon == 8.0
 
 
+def _bundle_w(model) -> AssembledW:
+    g = reference_greeks(model, 3.0)
+    return build_bundle(model, g, 16.0, "shared-innovations", _stream(5))[1].w
+
+
+def _pareto_w() -> AssembledW:
+    w = _bundle_w(ParetoCycleModel(tail_index=3.5))
+    assert w.wcirc is not None and np.any(w.greeks.null_projector)
+    return w
+
+
+def _event_path(interpolation):
+    return single_event_path(np.array([1.0, 1.5, 2.0]),
+                             np.array([0.5, -1.0, 2.0]), interpolation)
+
+
+# name: (evaluator builder, d); every evaluator covers [0, 2]
+SHAPE_EVALUATORS = {
+    "unit-grid-1d": (lambda: UnitGridPath.from_increments(
+        np.array([1.0, -2.0, 0.5])).at, 1),
+    "unit-grid-2d": (lambda: UnitGridPath.from_increments(
+        np.arange(6.0).reshape(3, 2)).at, 2),
+    "scaled": (lambda: ScaledPath(UnitGridPath.from_increments(
+        np.array([1.0, 3.0])), value_scale=-2.0, time_scale=4.0).at, 1),
+    "assembled-gamma-1d": (lambda: _bundle_w(_gamma_gaussian(1)).at, 1),
+    "assembled-gamma-2d": (lambda: _bundle_w(_gamma_gaussian(2)).at, 2),
+    "assembled-pareto": (lambda: _pareto_w().at, 1),
+    "path-constant": (lambda: _event_path(PIECEWISE_CONSTANT).evaluate, 1),
+    "path-linear": (lambda: _event_path(PIECEWISE_LINEAR).evaluate, 1),
+}
+
+SHAPE_TIMES = {"scalar": (0.5, 1), "empty": (np.array([]), 0),
+               "one": (np.array([0.5]), 1),
+               "five": (np.linspace(0.0, 2.0, 5), 5)}
+
+
+class TestShapeContract:
+    """Every evaluator returns (m, d) rows for m times, a scalar being one
+    time and m = 0 included; a unit-grid path's values are (K+1, d)."""
+
+    @pytest.mark.parametrize("times", SHAPE_TIMES)
+    @pytest.mark.parametrize("evaluator", SHAPE_EVALUATORS)
+    def test_rows_per_time(self, evaluator, times):
+        build, d = SHAPE_EVALUATORS[evaluator]
+        u, m = SHAPE_TIMES[times]
+        assert build()(u).shape == (m, d)
+
+    @pytest.mark.parametrize("increments, d",
+                             [(np.array([1.0, -2.0, 0.5]), 1),
+                              (np.arange(6.0).reshape(3, 2), 2)])
+    def test_values_are_rows(self, increments, d):
+        path = UnitGridPath.from_increments(increments)
+        assert path.values.shape == (4, d)
+        assert UnitGridPath(path.values[:, 0]).values.shape == (4, 1)
+
+
 class TestPoissonQuantile:
     def test_matches_scipy_ppf_dual_route(self):
         # the increments whose normal CDF spans [1e-6, 1 - 1e-6]
@@ -115,6 +171,11 @@ class TestPoissonEmbedding:
         a = build_poisson_from_brownian(self._btilde(seed=2), g, horizon=32)
         b = build_poisson_from_brownian(self._btilde(seed=3), g, horizon=32)
         assert not np.array_equal(a.jump_times, b.jump_times)
+
+    def test_rejects_a_vector_driver(self):
+        b = UnitGridPath.from_increments(np.zeros((64, 2)))
+        with pytest.raises(coupling.GridMismatchError, match="d=2"):
+            build_poisson_from_brownian(b, self._greeks(), horizon=32)
 
     def test_jumps_sorted_within_horizon(self):
         g = self._greeks()
