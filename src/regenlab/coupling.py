@@ -41,9 +41,11 @@ nonzero.  Both the sup and the decomposition evaluate at the kinks alone:
 decomposition.  :func:`sup_deviation` walks them unsorted, in blocks of at
 most ``_SUP_BLOCK`` points whose arrays stay below glibc's mmap threshold,
 so that a long horizon reuses heap memory instead of faulting fresh pages
-in every replication, and reads S and its left limits at each block through
-``RegenerativePath.evaluate``, which holds the path's rules for tied
-events, the time before the first event and the left limits.  The
+in every replication.  It reads S and its left limits at the events by
+index (``RegenerativePath.event_rows``) and at the multiples of mu through
+``RegenerativePath.evaluate``; the path holds the rules for tied events,
+the time before the first event and the left limits.  W's unit grids are
+read by cell index (:meth:`UnitGridPath.at`), with ``np.interp``'s bits.  The
 decomposition, whose rows are ordered in time, sorts the kinks
 (:func:`evaluation_grid`) and reads S on them by counting events
 (:func:`_path_on_grid`).
@@ -92,28 +94,45 @@ class UnitGridPath:
     """Values on the integer grid 0..K, linearly interpolated in between.
 
     ``values`` is (K+1, d); 1-d values are one column.  They are held one
-    contiguous row per dimension, the layout ``np.interp`` reads without a
-    copy."""
+    contiguous row per dimension, followed by a copy of the last value, so
+    that every point of [0, K], K included, has a cell with a right end.
+    Both constructors raise ValueError on a value that is not finite."""
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         matrix = values[:, None] if values.ndim == 1 else values
-        self._columns = np.ascontiguousarray(matrix.T)
-        if self._columns.shape[1] < 2:
-            raise ValueError("a unit-grid path needs at least two grid values")
-        self._grid = _unit_grid(self._columns.shape[1])
+        columns = np.empty((matrix.shape[1], matrix.shape[0] + 1))
+        columns[:, :-1] = matrix.T
+        self._hold(columns, np.all(np.isfinite(matrix)),
+                   np.any((matrix == 0.0) & np.signbit(matrix)))
 
     @classmethod
     def from_increments(cls, increments: np.ndarray) -> "UnitGridPath":
         increments = np.asarray(increments, dtype=float)
         matrix = increments[:, None] if increments.ndim == 1 else increments
-        columns = np.zeros((matrix.shape[1], matrix.shape[0] + 1))
-        np.cumsum(matrix.T, axis=1, out=columns[:, 1:])
-        return cls(columns.T)
+        columns = np.zeros((matrix.shape[1], matrix.shape[0] + 2))
+        np.cumsum(matrix.T, axis=1, out=columns[:, 1:-1])
+        path = cls.__new__(cls)
+        # a running sum stays inf or NaN once it is, so the sums are finite
+        # when the last is; sums that start at +0.0 are never -0.0
+        path._hold(columns, np.all(np.isfinite(columns[:, -2])), False)
+        return path
+
+    def _hold(self, columns: np.ndarray, finite: bool,
+              negative_zero: bool) -> None:
+        """Keep ``columns``, the grid values with one spare entry per row,
+        whose spare entries this fills."""
+        if columns.shape[1] < 3:
+            raise ValueError("a unit-grid path needs at least two grid values")
+        if not finite:
+            raise ValueError("unit-grid values must be finite")
+        columns[:, -1] = columns[:, -2]
+        self._columns = columns
+        self._negative_zero = bool(negative_zero)
 
     @property
     def horizon(self) -> int:
-        return self._columns.shape[1] - 1
+        return self._columns.shape[1] - 2
 
     @property
     def d(self) -> int:
@@ -121,33 +140,42 @@ class UnitGridPath:
 
     @property
     def values(self) -> np.ndarray:
-        return self._columns.T
+        return self._columns[:, :-1].T
 
     def at(self, x) -> np.ndarray:
         """Interpolated values at the points ``x``, shape (m, d) for m
-        points; a scalar is one point."""
+        points; a scalar is one point.
+
+        Each value has the bits of ``np.interp`` on the grid, read by cell
+        index instead of a search: in the cell j = floor(x),
+        (v[j+1] - v[j]) * (x - j) + v[j], which is v[j] at a grid point (a
+        -0.0 value is put back where the sum made it +0.0).  Points at most
+        1e-9 outside [0, K] take the end values.  Raises ValueError on a
+        NaN point and HorizonExceededError beyond that overhang.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size:
             lo, hi = x.min(), x.max()
+            if np.isnan(lo):
+                raise ValueError("unit-grid points must not be NaN")
             if lo < -1e-9 or hi > self.horizon + 1e-9:
                 raise HorizonExceededError(
                     f"path covers [0, {self.horizon}], asked for "
                     f"[{lo:g}, {hi:g}]")
-        if self.d == 1:
-            return np.interp(x, self._grid, self._columns[0])[:, None]
-        out = np.empty((x.size, self.d))
-        for j in range(self.d):
-            out[:, j] = np.interp(x, self._grid, self._columns[j])
-        return out
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_grid(size: int) -> np.ndarray:
-    """The read-only grid 0, 1, ..., size - 1, one per length: the unit-grid
-    paths of a horizon share it instead of each building its own."""
-    grid = np.arange(size, dtype=float)
-    grid.flags.writeable = False
-    return grid
+            if lo < 0 or hi > self.horizon:
+                x = np.clip(x, 0.0, self.horizon)
+        whole = np.floor(x)
+        cell = whole.astype(np.intp)
+        frac = x - whole
+        out = np.empty((self.d, x.size))
+        for column, row in zip(self._columns, out):
+            left = column.take(cell)
+            np.subtract(column[1:].take(cell), left, out=row)
+            row *= frac
+            row += left
+            if self._negative_zero:
+                np.copyto(row, left, where=frac == 0.0)
+        return out.T
 
 
 @dataclass(frozen=True)
@@ -249,8 +277,10 @@ def _durations_past(model: Model, g_durs: Sequence[np.ndarray],
     which often suffices, then short blocks sized from what each still
     lacks.  The quantile is elementwise, so each duration has the bits it
     has in its own driver's full K-cycle array.  Each running renewal time
-    continues ``np.cumsum`` from its last value, so it equals, bit for bit,
-    the last renewal time of the path its durations build.
+    continues the sequential sum from its last value (``np.add.accumulate``
+    on a buffer that starts at it), so it equals, bit for bit, the last
+    renewal time of the path its durations build.  A driver quantiled in
+    one block gets that block, uncopied.
     """
     blocks = [[] for _ in g_durs]
     reach = [0.0] * len(g_durs)
@@ -262,16 +292,20 @@ def _durations_past(model: Model, g_durs: Sequence[np.ndarray],
                  for i in short]
         tau = model.tau_from_gaussian(np.concatenate(
             [g_durs[i][done[i]:stop] for i, stop in zip(short, stops)]))
+        running = np.empty(1 + max(stop - done[i]
+                                   for i, stop in zip(short, stops)))
         at = 0
         for i, stop in zip(short, stops):
             block = tau[at:at + stop - done[i]]
             at += block.size
             blocks[i].append(block)
-            reach[i] = float(
-                np.cumsum(np.concatenate(([reach[i]], block)))[-1])
+            sums = running[:block.size + 1]
+            sums[0] = reach[i]
+            sums[1:] = block
+            reach[i] = float(np.add.accumulate(sums, out=sums)[-1])
             done[i] = stop
         short = [i for i in short if reach[i] < t and done[i] < g_durs[i].size]
-    return [np.concatenate(b) for b in blocks]
+    return [b[0] if len(b) == 1 else np.concatenate(b) for b in blocks]
 
 
 # -- Poisson embedding ------------------------------------------------------
@@ -802,8 +836,9 @@ def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
     walked in blocks of at most ``_SUP_BLOCK`` points, the events up to t
     first, then the multiples of mu, 0 included, and t; the multiples are
     made block by block, so no array spans all the kinks.  S and its left
-    limits are read through ``path.evaluate``, whose rules for tied events,
-    the time before the first event and the left limits are the path's, so
+    limits at the events are read by index (``path.event_rows``), at the
+    multiples through ``path.evaluate``; both keep the path's rules for
+    tied events, the time before the first event and the left limits, so
     each point's value has the bits it has on the sorted grid.
     """
     if t > path.horizon:
@@ -819,32 +854,35 @@ def sup_deviation(path: RegenerativePath, w: AssembledW, greeks: Greeks,
     top = np.float64(0.0)
     for lo in range(0, n + count + 1, _SUP_BLOCK):
         hi = min(lo + _SUP_BLOCK, n + count + 1)
-        u = events = times[lo:min(hi, n)]
+        u = times[lo:min(hi, n)]
+        rows = []
+        if u.size:
+            right, left = path.event_rows(lo, lo + u.size)
+            rows = [(0, right), (0, left)] if jumps else [(0, right)]
         if hi > n:      # row n + k: the k-th multiple of mu, t at k = count
             k0, k1 = max(lo, n) - n, hi - n
             multiples = np.arange(k0, k1, dtype=float)
             multiples *= mu
             if k1 > count:
                 multiples[-1] = t
-            u = np.concatenate([events, multiples])
-        s = [path.evaluate(u)]
-        if jumps and events.size:
-            s.append(path.evaluate(events, side="left"))
-        top = np.maximum(top, _block_sup(u, s, w, greeks))
+            rows.append((u.size, path.evaluate(multiples)))
+            u = np.concatenate([u, multiples])
+        top = np.maximum(top, _block_sup(u, rows, w, greeks))
     return float(top)
 
 
-def _block_sup(u: np.ndarray, s: Sequence[np.ndarray], w: AssembledW,
-               greeks: Greeks) -> np.float64:
+def _block_sup(u: np.ndarray, rows: Sequence[tuple[int, np.ndarray]],
+               w: AssembledW, greeks: Greeks) -> np.float64:
     """Max of |s - kappa*u - sigma*W(u)| over one block's points ``u``, for
-    each array of ``s``: path values at the leading points of u, which the
-    max overwrites."""
+    each ``(start, s)`` of ``rows``: path values at the points
+    ``u[start:start + len(s)]``."""
     w_sigma = _times(w.at(u), greeks.sigma)
     ku = np.multiply.outer(u, greeks.kappa)
     top = np.float64(0.0)
-    for dev in s:
-        dev -= ku[:len(dev)]
-        dev -= w_sigma[:len(dev)]
+    for start, s in rows:
+        stop = start + len(s)
+        dev = s - ku[start:stop]
+        dev -= w_sigma[start:stop]
         np.abs(dev, out=dev)
         top = np.maximum(top, dev.max())
     return top

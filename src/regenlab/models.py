@@ -216,6 +216,8 @@ _ERLANG_SHAPES = range(1, 9)   # the shapes tests/erlang_quantiles.txt covers
 _ERLANG_TOLS = (2.0 ** -20, 2.0 ** -34, 2.0 ** -56)   # Halley, Halley, polish
 _SPLIT = 134217729.0   # 2^27 + 1: Dekker's split of a double into halves
 _ERLANG_SLICE = 8192   # drivers per pass of the Erlang quantile
+_SEED_EDGE = 8.5       # the quantile's seed table covers [-8.5, 8.5] ...
+_SEED_STEPS = 64       # ... with a node every 1/64
 
 
 def _horner(coef: tuple[float, ...], x: np.ndarray) -> np.ndarray:
@@ -260,31 +262,42 @@ def _wilson_hilferty(k: int, g: np.ndarray) -> np.ndarray:
     return k * (y * y * y)
 
 
-def _normal_cdf(g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Phi(g) and the pieces of its logarithm, ``(phi, scaled, sq, err)``.
+def _log_normal_pieces(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pieces ``(scaled, sq, err)`` of log Phi(g).
 
     log Phi(g) = log(scaled) - sq/2 - err/2 with scaled = erfcx(-g/sqrt 2)/2
-    and g^2 split exactly into ``sq + err`` (Dekker).  Below -1 Phi(g) is
-    taken from the same pieces, because ``ndtr`` rounds g^2 inside its
-    exponential there and loses up to about 40 ulp at g = -8.5.
+    and g^2 split exactly into ``sq + err`` (Dekker).
     """
     hi = _SPLIT * g
     hi -= hi - g
     lo = g - hi
     sq = g * g
     err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
-    scaled = 0.5 * erfcx(-math.sqrt(0.5) * g)
-    phi = np.where(g < -1.0, scaled * np.exp(-0.5 * sq) * (1.0 - 0.5 * err),
-                   ndtr(g))
-    return phi, scaled, sq, err
+    return 0.5 * erfcx(-math.sqrt(0.5) * g), sq, err
+
+
+def _normal_cdf(g: np.ndarray) -> np.ndarray:
+    """Phi(g), each element by one of two forms, computed on its own
+    elements only: ``ndtr`` from -1 up, and below -1 the pieces of log Phi
+    (:func:`_log_normal_pieces`), scaled * exp(-sq/2) * (1 - err/2),
+    because ``ndtr`` rounds g^2 inside its exponential there and loses up
+    to about 40 ulp at g = -8.5."""
+    flat = g.ravel()
+    phi = np.empty_like(flat)
+    low = np.flatnonzero(flat < -1.0)
+    rest = np.flatnonzero(~(flat < -1.0))
+    phi.put(rest, ndtr(flat.take(rest)))
+    scaled, sq, err = _log_normal_pieces(flat.take(low))
+    phi.put(low, scaled * np.exp(-0.5 * sq) * (1.0 - 0.5 * err))
+    return phi.reshape(g.shape)
 
 
 def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
     """The Gamma(k, 1) quantile at Phi(g) for g <= 0.
 
-    Phi(g) and the pieces of log Phi(g) come from :func:`_normal_cdf`.
-    From the larger of the small-x asymptote x^k/k! = Phi and the
-    Wilson-Hilferty guess, two Halley steps in u = log x solve
+    Phi(g) comes from :func:`_normal_cdf`, the pieces of log Phi(g) from
+    :func:`_log_normal_pieces`.  From the larger of the small-x asymptote
+    x^k/k! = Phi and the Wilson-Hilferty guess, two Halley steps in u = log x solve
     log F = log Phi, on truncated series; log F is concave in u with slope
     1/r.  A last Newton step on F(x) - Phi in linear space, where both keep
     full relative precision, removes the log-space rounding (one ulp of
@@ -292,7 +305,8 @@ def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
     """
     halley1, halley2, full, _ = _erlang_series(k)
     log_fact = math.lgamma(k)   # log (k-1)!
-    phi, scaled, sq, err = _normal_cdf(g)
+    phi = _normal_cdf(g)
+    scaled, sq, err = _log_normal_pieces(g)
     # target = log Phi + log (k-1)!
     target = np.log(scaled) - 0.5 * sq - 0.5 * err + log_fact
     u0 = (target + math.log(k)) / k   # x^k / k! = Phi
@@ -303,13 +317,19 @@ def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
         r = _horner(coef, x)
         h = k * u - x + np.log(r) - target
         u -= 2.0 * h * r / (2.0 + h * (1.0 + r * (x - k)))
-    x = np.exp(u)
-    r = _horner(full, x)
-    ratio = phi * math.factorial(k - 1) / (x ** k * np.exp(-x) * r)
-    x += x * r * (ratio - 1.0)
+    x = _lower_newton(k, np.exp(u), phi)
     # below the normal range Phi has lost bits; there x^k / k! = Phi holds
     # to far below one ulp
     return np.where(phi >= np.finfo(float).tiny, x, np.exp(u0))
+
+
+def _lower_newton(k: int, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """One Newton step on F(x) - Phi in linear space, for x below k:
+    F(x) / f(x) = x r(x), with r on the full series."""
+    r = _horner(_erlang_series(k)[2], x)
+    ratio = phi * math.factorial(k - 1) / (x ** k * np.exp(-x) * r)
+    x += x * r * (ratio - 1.0)
+    return x
 
 
 def _erlang_upper(k: int, g: np.ndarray) -> np.ndarray:
@@ -326,14 +346,69 @@ def _erlang_upper(k: int, g: np.ndarray) -> np.ndarray:
     x = np.log(_horner(poly, -log_q)) - log_q
     x = np.fmax(x, _wilson_hilferty(k, g))
     for _ in range(3):
-        t = _horner(poly, x)
-        x += (np.log(t) - x - log_q) * (math.factorial(k - 1) * t
-                                         / x ** (k - 1))
+        x = _upper_newton(k, x, log_q)
     return x
+
+
+def _upper_newton(k: int, x: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """One Newton step on log Q(x) = log T(x) - x = ``log_q``."""
+    t = _horner(_erlang_series(k)[-1], x)
+    x += (np.log(t) - x - log_q) * (math.factorial(k - 1) * t
+                                     / x ** (k - 1))
+    return x
+
+
+def _erlang_solve(k: int, g: np.ndarray) -> np.ndarray:
+    """The Gamma(k, 1) quantile at Phi(g) from g alone, for a 1-d ``g``:
+    :func:`_erlang_lower` up to 0, :func:`_erlang_upper` above, and the
+    limits 0 and inf at -inf and inf."""
+    out = np.empty_like(g)
+    lower = np.flatnonzero(g <= 0)   # indices: cheaper than a random mask
+    upper = np.flatnonzero(~(g <= 0))
+    with np.errstate(all="ignore"):   # the far tails take their limits
+        out.put(lower, _erlang_lower(k, g.take(lower)))
+        out.put(upper, _erlang_upper(k, g.take(upper)))
+    infinite = np.isinf(g)
+    out[infinite] = np.where(g[infinite] > 0, np.inf, 0.0)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _erlang_seed_table(k: int) -> np.ndarray:
+    """Per cell of the step-1/64 grid of [-8.5, 8.5], the cubic in the
+    cell's fraction s that seeds log x, as a read-only (4, cells) array of
+    coefficients, lowest power first.
+
+    The nodes' log x come from :func:`_erlang_solve` and their slopes from
+    d log x/dg = phi(g) / (x f_k(x)), f_k the Gamma(k, 1) density; each
+    cubic is the Hermite interpolant of both at its two ends, within about
+    1e-10 of log x.  Built once per shape, at its first quantile.
+    """
+    g = np.arange(2 * _SEED_EDGE * _SEED_STEPS + 1) / _SEED_STEPS - _SEED_EDGE
+    x = _erlang_solve(k, g)
+    log_x = np.log(x)
+    # log of phi(g) (k-1)! / (x^k e^-x), over the steps per unit
+    slope = np.exp(x - k * log_x - 0.5 * g * g - 0.5 * math.log(2.0 * math.pi)
+                   + math.lgamma(k) - math.log(_SEED_STEPS))
+    y0, y1, d0, d1 = log_x[:-1], log_x[1:], slope[:-1], slope[1:]
+    table = np.stack([y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1,
+                      2.0 * (y0 - y1) + d0 + d1])
+    table.flags.writeable = False
+    return table
 
 
 def _erlang_quantile(k: int, g: np.ndarray) -> np.ndarray:
     """Gamma(k, 1) quantile at Phi(g) for an integer shape k, in plain numpy.
+
+    Within [-8.5, 8.5] a cubic Hermite seed of log x
+    (:func:`_erlang_seed_table`, nodes every 1/64) starts one last step: at
+    g <= 0 the linear-space Newton step on F(x) - Phi(g), above 0 one
+    Newton step on log Q(x) = log Phi(-g) from ``np.log(ndtr(-g))``.  The
+    seed is within about 1e-10, so that step leaves a quadratic error far
+    below one ulp.  Outside the table, and at -inf, inf and NaN, g takes
+    :func:`_erlang_solve`, whose Halley and Newton steps from the
+    Wilson-Hilferty guess and the tails' asymptotes need no table; it also
+    solves the table's nodes.
 
     Every step is elementwise with a fixed number of terms and iterations,
     so any slice of ``g`` gives the same bits.  A long ``g`` goes through in
@@ -349,15 +424,32 @@ def _erlang_quantile(k: int, g: np.ndarray) -> np.ndarray:
 
 def _erlang_slice(k: int, g: np.ndarray) -> np.ndarray:
     """:func:`_erlang_quantile` on a 1-d ``g``, in one pass."""
-    out = np.empty_like(g)
-    lower = np.flatnonzero(g <= 0)   # indices: cheaper than a random mask
-    upper = np.flatnonzero(~(g <= 0))
-    with np.errstate(all="ignore"):   # the far tails take their limits
-        out.put(lower, _erlang_lower(k, g.take(lower)))
-        out.put(upper, _erlang_upper(k, g.take(upper)))
-    infinite = np.isinf(g)
-    out[infinite] = np.where(g[infinite] > 0, np.inf, 0.0)
-    return out
+    table = _erlang_seed_table(k)
+    cells = table.shape[1]
+    with np.errstate(all="ignore"):   # the elements outside are redone
+        s = g + _SEED_EDGE
+        s *= _SEED_STEPS
+        np.fmax(s, 0.0, out=s)   # NaN to 0 too
+        np.fmin(s, cells, out=s)
+        whole = np.floor(s)
+        np.minimum(whole, cells - 1, out=whole)   # g = 8.5 ends the last cell
+        cell = whole.astype(np.intp)
+        s -= whole
+        x = table[3].take(cell)
+        for row in table[2::-1]:
+            x *= s
+            x += row.take(cell)
+        np.exp(x, out=x)
+        lower = np.flatnonzero(g <= 0)
+        upper = np.flatnonzero(g > 0)
+        x.put(lower, _lower_newton(k, x.take(lower),
+                                   _normal_cdf(g.take(lower))))
+        x.put(upper, _upper_newton(k, x.take(upper),
+                                   np.log(ndtr(-g.take(upper)))))
+    far = np.flatnonzero(~(np.abs(g) <= _SEED_EDGE))
+    if far.size:
+        x.put(far, _erlang_solve(k, g.take(far)))
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,8 +501,18 @@ class GammaGaussianModel(Model):
         return self.tau_shape * self.tau_scale ** 2
 
     def _xi_from(self, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
-        shift = (self.kappa - self.beta) * self.mu
-        return np.outer(tau, self.beta) + shift + g @ self._noise_root
+        """beta tau + shift + g @ root.  At d = 1 the noise is a scalar
+        product plus 0.0, which has the matmul's bits: one rounding, and a
+        zero product summed onto +0.0."""
+        if self.dim == 1 and g.shape[1:] == (1,):
+            noise = g * self._noise_root[0, 0]
+            noise += 0.0
+        else:
+            noise = g @ self._noise_root
+        xi = np.outer(tau, self.beta)
+        xi += (self.kappa - self.beta) * self.mu
+        xi += noise
+        return xi
 
     def tau_from_gaussian(self, g: np.ndarray) -> np.ndarray:
         """Duration as an increasing function of a standard normal variate.
@@ -478,7 +580,7 @@ class ParetoCycleModel(Model):
         """tau = 1 + Phi(-g)^(-1/tail_index), increasing in g; Phi(-g) from
         :func:`_normal_cdf`, where ``ndtr`` would lose up to 22 ulp."""
         g = np.asarray(g, dtype=float)
-        return 1.0 + _normal_cdf(-g)[0] ** (-1.0 / self.tail_index)
+        return 1.0 + _normal_cdf(-g) ** (-1.0 / self.tail_index)
 
     def increments_from(self, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The increment equals the duration; the noise innovation is unused
@@ -668,16 +770,39 @@ class CompoundJumpModel(Model):
         The running sums restart at each cycle and are accumulated one
         position at a time, so each cycle's sums have exactly the bits of its
         own sequential cumsum; xi is a cycle's last running sum, 0 for a cycle
-        without jumps.
+        without jumps.  The passes run on a position-major copy of the
+        jumps of the cycles with two or more: position j holds the j-th jump
+        of each cycle with more than j, cycles with more jumps first, so the
+        cycles that go on at position j lead position j - 1 in the same
+        order, and each pass is one contiguous slice add.
         """
         tau = gen.exponential(1.0 / self.cycle_rate, size=n)
         counts = gen.poisson(self.jump_rate * tau)
+        total = int(counts.sum())
         running = self.jump_mean + gen.standard_normal(
-            (int(counts.sum()), self.dim)) @ self._jump_root
+            (total, self.dim)) @ self._jump_root
         first = np.cumsum(counts) - counts
-        for j in range(1, int(counts.max(initial=0))):
-            at = first[counts > j] + j
-            running[at] += running[at - 1]
+        top = int(counts.max(initial=0))
+        if top > 1:
+            # the cycles with two jumps or more, most first; a 16-bit key
+            # sorts by radix
+            multi = np.flatnonzero(counts > 1)
+            many = counts[multi]
+            key = (top - many).astype(np.uint16 if top < 2 ** 16 else int)
+            by_count = first[multi[np.argsort(key, kind="stable")]]
+            # widths[j] of them have more than j jumps; their position-j rows
+            # start at starts[j] in the position-major copy
+            widths = multi.size - np.cumsum(
+                np.bincount(many, minlength=top + 1)[:top])
+            starts = np.cumsum(widths) - widths
+            rows = by_count[np.arange(starts[-1] + widths[-1])
+                            - np.repeat(starts, widths)]
+            rows += np.repeat(np.arange(top), widths)
+            major = np.take(running, rows, axis=0)
+            for j in range(1, top):
+                lo, width = starts[j], widths[j]
+                major[lo:lo + width] += major[starts[j - 1]:][:width]
+            running[rows] = major
         xi = np.zeros((n, self.dim))
         nonempty = counts > 0
         xi[nonempty] = running[first[nonempty] + counts[nonempty] - 1]

@@ -147,10 +147,13 @@ class RegenerativePath:
         gives the left limits S(u-), which differ from S(u) only at the
         jumps of a piecewise-constant path: at an event time, the value
         before the first event there.  The events are read in place, with
-        no padded copy.  Raises HorizonExceededError past the last renewal.
+        no padded copy.  Raises ValueError on a NaN time and
+        HorizonExceededError past the last renewal.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         low = u.min(initial=np.inf)
+        if np.isnan(low):
+            raise ValueError("evaluation times must not be NaN")
         if low < 0 or u.max(initial=0.0) > self.horizon:
             raise HorizonExceededError(
                 f"evaluation times must lie in [0, {self.horizon}]")
@@ -172,6 +175,35 @@ class RegenerativePath:
                                          (0.0, values[0, j]))
         return out
 
+    def event_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """S and its left limits at the events ``lo .. hi-1``, each of shape
+        (hi - lo, d): what :meth:`evaluate` gives at those event times, with
+        ``side="right"`` and ``side="left"``, bit for bit.
+
+        Without ties, S at event i is its own value, and the left limit is
+        event i-1's value (0 before the first) on a piecewise-constant path
+        and S itself on a continuous piecewise-linear one; both are read by
+        index, S as a read-only view.  When an event of the block shares its
+        time with a neighbour, the rules for tied events are
+        :meth:`evaluate`'s, and the block goes through it.
+        """
+        times = self.event_times
+        near = times[max(lo - 1, 0):hi + 1]
+        if not np.all(near[1:] > near[:-1]):   # a tie
+            at = times[lo:hi]
+            return self.evaluate(at), self.evaluate(at, side="left")
+        right = self.event_values[lo:hi]
+        right.flags.writeable = False
+        if self.interpolation == PIECEWISE_LINEAR:
+            return right, right
+        if lo > 0:
+            left = self.event_values[lo - 1:hi - 1]
+            left.flags.writeable = False
+            return right, left
+        left = np.zeros_like(right)
+        left[1:] = right[:-1]
+        return right, left
+
     def renewal_counts(self, t: np.ndarray, side: str = "right") -> np.ndarray:
         """m(t) = number of completed cycles by each time in ``t``;
         ``side="left"`` gives the left limits m(t-)."""
@@ -189,12 +221,18 @@ class RegenerativePath:
 def single_event_path(tau: np.ndarray, xi: np.ndarray,
                       interpolation: str) -> RegenerativePath:
     """Path for families whose cycles carry a single event at the endpoint:
-    the events are the renewals, with values the prefix sums of ``xi``."""
+    the events are the renewals, with values the prefix sums of ``xi``.
+    Raises ValueError unless there are as many durations as increments."""
     if interpolation not in _INTERPOLATIONS:
         raise ValueError(f"unknown interpolation {interpolation!r}")
     tau, xi = np.asarray(tau, dtype=float), _as_matrix(xi)
     n, d = xi.shape
-    renewal = np.concatenate([[0.0], np.cumsum(tau)])
+    if tau.shape != (n,):
+        raise ValueError(
+            f"{tau.size} durations for {n} increments: need one per cycle")
+    renewal = np.empty(n + 1)
+    renewal[0] = 0.0
+    np.cumsum(tau, out=renewal[1:])
     prefix = np.zeros((n + 1, d))
     np.cumsum(xi, axis=0, out=prefix[1:])
     return RegenerativePath(

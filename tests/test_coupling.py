@@ -62,6 +62,60 @@ class TestUnitGridPath:
         with pytest.raises(HorizonExceededError):
             path.at(np.array([1.1]))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 9, 500])
+    def test_cell_reader_has_the_interp_bits(self, d, k):
+        # read by cell index, every value is np.interp's: at each grid
+        # point, the ends and within the 1e-9 overhang past them included
+        rng = np.random.default_rng(10 * k + d)
+        path = UnitGridPath.from_increments(rng.standard_normal((k, d)))
+        grid = np.arange(k + 1.0)
+        points = {
+            "scalar": 0.5 * k,
+            "empty": np.array([]),
+            "ends": np.array([0.0, -0.0, k, k + 1e-10, k - 1e-10, -1e-10,
+                              1e-10]),
+            "integers": rng.permutation(grid),
+            "interior": rng.uniform(0.0, k, 2000),
+        }
+        for name, x in points.items():
+            x = np.atleast_1d(x)
+            expected = np.empty((x.size, d))
+            for j in range(d):
+                expected[:, j] = np.interp(x, grid, path.values[:, j])
+            got = path.at(x)
+            assert got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_cell_reader_keeps_negative_zeros(self):
+        # a -0.0 grid value is np.interp's answer at its grid point
+        values = np.array([[-0.0, 1.0], [-0.0, -0.0], [0.5, -0.0]])
+        path = UnitGridPath(values)
+        x = np.array([0.0, 1.0, 2.0, 0.5, 1.5, 2.0 + 1e-10, -1e-10])
+        for j in range(2):
+            expected = np.interp(x, [0.0, 1.0, 2.0], values[:, j])
+            assert path.at(x)[:, j].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: UnitGridPath([0.0, np.inf, 1.0]),
+        lambda: UnitGridPath([[0.0, 1.0], [np.nan, 2.0]]),
+        lambda: UnitGridPath.from_increments([1.0, np.inf, -np.inf, 2.0]),
+        lambda: UnitGridPath.from_increments([[1.0, 0.5], [1e308, 1e308],
+                                              [1e308, 0.0]]),
+    ])
+    def test_grid_values_must_be_finite(self, build):
+        # np.interp reads a non-finite grid with special cases the cell
+        # reader does not copy
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize("x", [np.nan, [0.5, np.nan]])
+    def test_nan_points_are_rejected(self, x):
+        path = UnitGridPath.from_increments(np.array([[1.0], [-3.0]]))
+        with pytest.raises(ValueError, match="NaN"):
+            path.at(x)
+
 
 class TestScaledPath:
     def test_value_and_time_scaling(self):
@@ -964,6 +1018,32 @@ class TestSupBreakpoints:
         for block in (1, 2, 7, 8192):
             monkeypatch.setattr(coupling, "_SUP_BLOCK", block)
             for t in (1.0, 1.5, 3.5):
+                assert sup_deviation(path, bundle.w, g, t) \
+                    == _sorted_grid_sup(path, bundle.w, g, t)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("interpolation",
+                             [PIECEWISE_CONSTANT, PIECEWISE_LINEAR])
+    def test_events_read_by_index_or_through_ties(self, monkeypatch,
+                                                  interpolation, d):
+        # ties among the first 60 cycles only: with blocks of 16 events the
+        # first blocks go through evaluate and the later ones are read by
+        # index; both give the dense sorted-kink sup, bit for bit
+        model = GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, dim=d)
+        g = reference_greeks(model, 3.0)
+        _, bundle = build_bundle(model, g, 300.0, "shared-innovations",
+                                 _stream(236))
+        rng = np.random.default_rng(d)
+        tau = rng.gamma(2.0, 1.0, size=200)
+        tau[:60][rng.random(60) < 0.3] = 1e-20
+        path = single_event_path(tau, rng.standard_normal((200, d)),
+                                 interpolation)
+        times = path.event_times
+        tied = np.flatnonzero(times[1:] == times[:-1])
+        assert tied.size and tied.max() < 60
+        for block in (7, 16, 8192):
+            monkeypatch.setattr(coupling, "_SUP_BLOCK", block)
+            for t in (times[40], 150.0, path.horizon):
                 assert sup_deviation(path, bundle.w, g, t) \
                     == _sorted_grid_sup(path, bundle.w, g, t)
 

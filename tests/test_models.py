@@ -13,7 +13,8 @@ from scipy.special import gammainccinv, gammaincinv, ndtr
 from regenlab.greeks import DegenerateTauError
 from regenlab.models import (_ERLANG_SHAPES, _ERLANG_SLICE, MODELS,
                              CompoundJumpModel, GammaGaussianModel,
-                             IidSumModel, _erlang_slice,
+                             IidSumModel, _erlang_quantile,
+                             _erlang_slice, _erlang_solve,
                              InvalidParameterError, MM1BusyCycleModel,
                              ModeUnsupportedError, ParetoCycleModel,
                              eta_moment, reference_greeks)
@@ -111,6 +112,38 @@ class TestGammaGaussian:
         theirs_ulp = np.abs(theirs - ref) / np.spacing(ref)
         assert ours_ulp.max() <= theirs_ulp.max()
         assert np.median(ours_ulp) <= 1.0
+
+    # per shape 1..8: the largest and the mean ulp error the Erlang
+    # quantile may have on erlang_quantiles.txt (the solver alone had 6, 3,
+    # 3, ... and means 1.052, 0.710, 0.577, 0.520, 0.473, 0.427, 0.454,
+    # 0.403; these allow one ulp and 0.02 more)
+    ERLANG_MAX_ULP = (7, 4, 4, 4, 4, 4, 4, 4)
+    ERLANG_MEAN_ULP = (1.072, 0.730, 0.597, 0.540, 0.493, 0.447, 0.474,
+                       0.423)
+
+    @pytest.mark.parametrize("shape", _ERLANG_SHAPES)
+    def test_seeded_erlang_quantile_keeps_its_accuracy(self, shape):
+        g, table = _reference_table("erlang_quantiles.txt")
+        ref = table[:, shape - 1]
+        ours = GammaGaussianModel(tau_shape=shape).tau_from_gaussian(g)
+        ulp = np.abs(ours - ref) / np.spacing(ref)
+        assert ulp.max() <= self.ERLANG_MAX_ULP[shape - 1]
+        assert ulp.mean() <= self.ERLANG_MEAN_ULP[shape - 1]
+
+    def test_erlang_quantile_beyond_the_seed_table_is_the_solver(self):
+        # outside [-8.5, 8.5] the Halley/Newton solver alone runs, with the
+        # bits it had before the seed table (their digest, all 8 shapes)
+        g = np.array([-np.inf, -38.0, -8.6, 8.6, 38.0, np.inf])
+        digest = hashlib.sha256()
+        for shape in _ERLANG_SHAPES:
+            out = _erlang_quantile(shape, g)
+            assert out.tobytes() == _erlang_solve(shape, g).tobytes()
+            digest.update(out.tobytes())
+        assert digest.hexdigest() == ("82cc97a2b7b592b7b45fe4a80e6b8a9d"
+                                      "88544855025ae9eb59e05f5b13eb6145")
+        # NaN stays NaN, next to in-table drivers
+        mixed = _erlang_quantile(2, np.array([np.nan, 0.5, -0.5]))
+        assert np.isnan(mixed[0]) and np.all(np.isfinite(mixed[1:]))
 
     def test_erlang_table_covers_the_fast_path(self):
         _, table = _reference_table("erlang_quantiles.txt")

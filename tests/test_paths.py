@@ -172,6 +172,36 @@ class TestEvaluateReference:
             assert got.tobytes() == expected.tobytes()
 
 
+class TestEventRows:
+    """``event_rows`` reads S and S(e-) at the events by index, with
+    ``evaluate``'s bits, tied events included."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PATHS))
+    def test_equals_evaluate_at_the_events(self, name):
+        path = REFERENCE_PATHS[name]()
+        times = path.event_times
+        n = times.size
+        bounds = [(0, n), (0, 1), (n - 1, n), (1, n - 1), (3, 9), (5, 5)]
+        bounds += [(lo, lo + 4) for lo in range(0, n - 4, 3)]
+        for lo, hi in bounds:
+            right, left = path.event_rows(lo, hi)
+            at = times[lo:hi]
+            assert right.shape == left.shape == (hi - lo, path.d)
+            assert right.tobytes() == path.evaluate(at).tobytes()
+            assert left.tobytes() == path.evaluate(at, side="left").tobytes()
+
+    @pytest.mark.parametrize("interpolation",
+                             [PIECEWISE_CONSTANT, PIECEWISE_LINEAR])
+    def test_tie_free_blocks_are_views(self, interpolation):
+        path = single_event_path(np.array([1.0, 2.0, 0.5, 1.5]),
+                                 np.array([1.0, -3.0, 2.0, 0.25]),
+                                 interpolation)
+        right, left = path.event_rows(1, 4)
+        assert np.shares_memory(right, path.event_values)
+        assert np.shares_memory(left, path.event_values)
+        assert not right.flags.writeable
+
+
 class TestSingleEventPath:
     def test_prefix_sums_at_renewals(self):
         tau = np.array([1.0, 2.0, 0.5])
@@ -180,6 +210,22 @@ class TestSingleEventPath:
         at_renewals = path.evaluate(path.renewal_times)
         np.testing.assert_allclose(at_renewals[:, 0],
                                    [0.0, 1.0, -2.0, -1.75], atol=0)
+
+    @pytest.mark.parametrize("interpolation",
+                             [PIECEWISE_CONSTANT, PIECEWISE_LINEAR])
+    def test_nan_times_are_rejected(self, interpolation):
+        path = single_event_path([1.0, 2.0], [1.0, -3.0], interpolation)
+        for u in ([np.nan, 0.5], np.nan, [0.5, np.nan, 2.0]):
+            with pytest.raises(ValueError, match="NaN"):
+                path.evaluate(u)
+            with pytest.raises(ValueError, match="NaN"):
+                path.evaluate(u, side="left")
+
+    @pytest.mark.parametrize("interpolation",
+                             [PIECEWISE_CONSTANT, PIECEWISE_LINEAR])
+    def test_durations_and_increments_must_pair(self, interpolation):
+        with pytest.raises(ValueError, match="3 durations for 2 increments"):
+            single_event_path([1.0, 2.0, 0.5], [1.0, -3.0], interpolation)
 
     def test_linear_interpolation_midpoint(self):
         tau = np.array([2.0])
