@@ -370,10 +370,12 @@ class MaximaTrend:
 
 
 def _maxima_ratios(model, greeks, cfg, t, streams) -> Iterator[float]:
+    """max eta over n cycles, over n^(1/p); the maxima are read block by
+    block (``Model.eta_blocks``)."""
     n = int(t)
     for rng in streams:
-        yield float(model.sample_cycles(n, rng).eta.max()) \
-            / float(n) ** (1.0 / cfg.p)
+        top = max(float(eta.max()) for eta in model.eta_blocks(n, rng))
+        yield top / float(n) ** (1.0 / cfg.p)
 
 
 def maxima_scaling_experiment(cfg: ExperimentConfig,

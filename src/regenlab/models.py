@@ -29,9 +29,11 @@ reproducible.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -49,7 +51,9 @@ INDEPENDENT = "independent"
 COUPLING_MODES = (SHARED_INNOVATIONS, INDEPENDENT)
 
 _ETA_BLOCK = 4096   # terms per block of the M/M/1 E eta^p series
-_ETA_CYCLES = 200_000   # cycles of the plug-in E eta^p estimate
+_ETA_CYCLES = 200_000   # cycles of the plug-in E eta^p estimate ...
+_ETA_STREAM = RngStream(0, 2 ** 62 + 211)   # ... and its fixed stream
+_CYCLE_BLOCK = 8192   # cycles per block of Model.eta_blocks
 
 
 class InvalidParameterError(ValueError):
@@ -73,6 +77,17 @@ def _vector(name: str, value, dim: int) -> np.ndarray:
         raise InvalidParameterError(
             f"{name} shape {vec.shape} does not match dimension {dim}")
     return np.broadcast_to(vec, (dim,)).copy()
+
+
+def _block_sizes(n: int) -> list[int]:
+    """Sizes of the consecutive blocks of ``_CYCLE_BLOCK`` cycles that cover
+    n cycles, the rest last.  A lone last cycle joins the block before it:
+    numpy multiplies a single row by a matrix through gemv, whose bits can
+    differ from the gemm rows of a longer block."""
+    full, rest = divmod(n, _CYCLE_BLOCK)
+    if rest == 1 and full:
+        full, rest = full - 1, _CYCLE_BLOCK + 1
+    return [_CYCLE_BLOCK] * full + ([rest] if rest else [])
 
 
 def _covariance(name: str, value, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +128,15 @@ class Model:
     Subclasses set ``family``, ``interpolation`` and ``coupling_modes`` and
     implement the sampling and moment methods.  ``sample_cycles`` returns only
     the per-cycle statistics (fast, vectorized); ``sample_path`` materializes
-    the full trajectory for path-level experiments.  Both follow one draw
-    contract: on the same stream they give bit-identical ``tau`` and ``xi``.
+    the full trajectory for path-level experiments; ``eta_blocks`` reads the
+    cycle maxima in bounded memory.  All follow one draw contract: on the
+    same stream the samplers give bit-identical ``tau`` and ``xi``, and
+    ``eta_blocks`` the ``eta`` of ``sample_cycles``.
+
+    A family draws its cycles in ``_cycles(n, gens)``, one generator per
+    draw stream (``_draw_streams`` of them), each stream drawn in full for
+    the n cycles before the next: ``sample_cycles`` passes one generator in
+    every role, ``eta_blocks`` the generators of ``_stream_starts``.
     """
 
     family: ClassVar[str]
@@ -122,13 +144,39 @@ class Model:
     coupling_modes: ClassVar[tuple[str, ...]] = (INDEPENDENT,)
     dim: ClassVar[int] = 1
     p_max: ClassVar[float] = math.inf
+    _draw_streams: ClassVar[int] = 1
 
     @property
     def d(self) -> int:
         return self.dim
 
-    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
+    def _cycles(self, n: int, gens: tuple[np.random.Generator, ...]
+                ) -> CycleBatch:
         raise NotImplementedError
+
+    def _stream_starts(self, n: int, rng: RngStream
+                       ) -> tuple[np.random.Generator, ...]:
+        """One generator per draw stream, each where its stream starts in
+        ``sample_cycles(n, rng)``; a family with one stream needs no replay."""
+        return (rng.generator(),)
+
+    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
+        """n cycles; one generator reads every draw stream in turn."""
+        return self._cycles(n, (rng.generator(),) * self._draw_streams)
+
+    def eta_blocks(self, n: int, rng: RngStream) -> Iterator[np.ndarray]:
+        """The cycle maxima of ``sample_cycles(n, rng)``, bit for bit, in
+        consecutive blocks of at most ``_CYCLE_BLOCK + 1`` cycles
+        (:func:`_block_sizes`); no block holds another's tau, xi or jumps.
+
+        numpy fills an array of draws sequentially, so a block of k draws
+        and then m equals one draw of k + m: each stream's generator, set at
+        the stream's start by ``_stream_starts``, reads its stream block by
+        block.
+        """
+        gens = self._stream_starts(n, rng)
+        for size in _block_sizes(n):
+            yield self._cycles(size, gens).eta
 
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
         """One event per cycle at its end; families with an intra-cycle
@@ -145,9 +193,15 @@ class Model:
 
     def eta_moment(self, p: float) -> float:
         """E eta^p; families without a closed form take the plug-in mean over
-        ``_ETA_CYCLES`` cycles on a fixed stream."""
-        batch = self.sample_cycles(_ETA_CYCLES, RngStream(0, 2 ** 62 + 211))
-        return float(np.mean(batch.eta ** p))
+        ``_ETA_CYCLES`` cycles of ``_ETA_STREAM``.  The blocks of
+        ``eta_blocks`` fill one array of eta^p, so ``np.mean`` sums it in
+        the order it would sum ``sample_cycles``'s."""
+        powers = np.empty(_ETA_CYCLES)
+        lo = 0
+        for eta in self.eta_blocks(_ETA_CYCLES, _ETA_STREAM):
+            powers[lo:lo + eta.size] = eta ** p
+            lo += eta.size
+        return float(np.mean(powers))
 
     def tau_from_gaussian(self, g: np.ndarray) -> np.ndarray:
         """Duration from a standard normal variate via the inverse CDF.
@@ -201,8 +255,8 @@ class IidSumModel(Model):
         object.__setattr__(self, "xi_cov", cov)
         object.__setattr__(self, "_xi_root", root)
 
-    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
-        g = rng.generator().standard_normal((n, self.dim))
+    def _cycles(self, n, gens) -> CycleBatch:
+        g = gens[0].standard_normal((n, self.dim))
         xi = self.xi_mean + g @ self._xi_root
         tau = np.full(n, float(self.tau_const))
         return CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
@@ -471,6 +525,7 @@ class GammaGaussianModel(Model):
     family: ClassVar[str] = "gamma-gaussian"
     interpolation: ClassVar[str] = PIECEWISE_LINEAR
     coupling_modes: ClassVar[tuple[str, ...]] = COUPLING_MODES
+    _draw_streams: ClassVar[int] = 2
 
     tau_shape: float = 2.0
     tau_scale: float = 1.0
@@ -537,11 +592,21 @@ class GammaGaussianModel(Model):
         return self._xi_from(np.asarray(tau, dtype=float),
                              np.asarray(g, dtype=float))
 
-    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
-        gen = rng.generator()
-        tau = gen.gamma(self.tau_shape, self.tau_scale, size=n)
-        xi = self._xi_from(tau, gen.standard_normal((n, self.dim)))
+    def _durations(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return gen.gamma(self.tau_shape, self.tau_scale, size=n)
+
+    def _cycles(self, n, gens) -> CycleBatch:
+        """The durations' stream, then the noise's."""
+        tau = self._durations(gens[0], n)
+        xi = self._xi_from(tau, gens[1].standard_normal((n, self.dim)))
         return CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
+
+    def _stream_starts(self, n, rng):
+        """The noise's generator replays the n durations first."""
+        noise = rng.generator()
+        for size in _block_sizes(n):
+            self._durations(noise, size)
+        return rng.generator(), noise
 
     def true_greeks(self) -> Greeks:
         var_tau = self.var_tau
@@ -588,8 +653,8 @@ class ParetoCycleModel(Model):
         del g
         return np.asarray(tau, dtype=float).copy()
 
-    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
-        tau = 2.0 + rng.generator().pareto(self.tail_index, size=n)
+    def _cycles(self, n, gens) -> CycleBatch:
+        tau = 2.0 + gens[0].pareto(self.tail_index, size=n)
         return CycleBatch(tau=tau, xi=tau, eta=tau)
 
     def true_greeks(self) -> Greeks:
@@ -720,6 +785,11 @@ class MM1BusyCycleModel(Model):
             xi[cycle] = count
         return CycleBatch(tau=tau, xi=xi, eta=xi)
 
+    def eta_blocks(self, n: int, rng: RngStream) -> Iterator[np.ndarray]:
+        """One block, ``sample_cycles`` itself: the walk advances every
+        cycle in lockstep, so no block of cycles has draws of its own."""
+        yield self.sample_cycles(n, rng).eta
+
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
         """The walk's departures, one event each, sorted into cycle order."""
         cycle, clock, count = (np.concatenate(column) for column
@@ -745,6 +815,7 @@ class CompoundJumpModel(Model):
 
     family: ClassVar[str] = "compound-jump"
     interpolation: ClassVar[str] = PIECEWISE_CONSTANT
+    _draw_streams: ClassVar[int] = 3
 
     cycle_rate: float = 1.0
     jump_rate: float = 1.0
@@ -764,8 +835,15 @@ class CompoundJumpModel(Model):
         object.__setattr__(self, "jump_cov", cov)
         object.__setattr__(self, "_jump_root", root)
 
-    def _draw(self, n: int, gen: np.random.Generator):
-        """Durations, jump counts, running jump sums and increments.
+    def _durations(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return gen.exponential(1.0 / self.cycle_rate, size=n)
+
+    def _counts(self, gen: np.random.Generator, tau: np.ndarray) -> np.ndarray:
+        return gen.poisson(self.jump_rate * tau)
+
+    def _draw(self, n: int, gens):
+        """Durations, jump counts, running jump sums and increments, from
+        the three draw streams of ``gens``: durations, counts, jumps.
 
         The running sums restart at each cycle and are accumulated one
         position at a time, so each cycle's sums have exactly the bits of its
@@ -776,10 +854,10 @@ class CompoundJumpModel(Model):
         cycles that go on at position j lead position j - 1 in the same
         order, and each pass is one contiguous slice add.
         """
-        tau = gen.exponential(1.0 / self.cycle_rate, size=n)
-        counts = gen.poisson(self.jump_rate * tau)
+        tau = self._durations(gens[0], n)
+        counts = self._counts(gens[1], tau)
         total = int(counts.sum())
-        running = self.jump_mean + gen.standard_normal(
+        running = self.jump_mean + gens[2].standard_normal(
             (total, self.dim)) @ self._jump_root
         first = np.cumsum(counts) - counts
         top = int(counts.max(initial=0))
@@ -808,8 +886,8 @@ class CompoundJumpModel(Model):
         xi[nonempty] = running[first[nonempty] + counts[nonempty] - 1]
         return tau, counts, running, xi
 
-    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
-        tau, counts, running, xi = self._draw(n, rng.generator())
+    def _cycles(self, n, gens) -> CycleBatch:
+        tau, counts, running, xi = self._draw(n, gens)
         eta = np.zeros(n)
         nonempty = counts > 0
         if np.any(nonempty):
@@ -818,10 +896,23 @@ class CompoundJumpModel(Model):
                 np.max(np.abs(running), axis=1), first[nonempty])
         return CycleBatch(tau=tau, xi=xi, eta=eta)
 
+    def _stream_starts(self, n, rng):
+        """The counts' generator replays the n durations first, the jumps'
+        the n durations and then the n counts, whose rates come from the
+        durations of a third generator."""
+        counts = rng.generator()
+        for size in _block_sizes(n):
+            self._durations(counts, size)
+        jumps = copy.deepcopy(counts)
+        durations = rng.generator()
+        for size in _block_sizes(n):
+            self._counts(jumps, self._durations(durations, size))
+        return rng.generator(), counts, jumps
+
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
         """Jump events plus a flat terminal event closing each cycle."""
         gen = rng.generator()
-        tau, counts, running, xi = self._draw(n, gen)
+        tau, counts, running, xi = self._draw(n, (gen,) * self._draw_streams)
         total = running.shape[0]
         cycle = np.repeat(np.arange(n), counts)
         u = gen.random(total)
