@@ -29,7 +29,6 @@ reproducible.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -81,12 +80,8 @@ def _vector(name: str, value, dim: int) -> np.ndarray:
 
 def _block_sizes(n: int) -> list[int]:
     """Sizes of the consecutive blocks of ``_CYCLE_BLOCK`` cycles that cover
-    n cycles, the rest last.  A lone last cycle joins the block before it:
-    numpy multiplies a single row by a matrix through gemv, whose bits can
-    differ from the gemm rows of a longer block."""
+    n cycles, the rest last."""
     full, rest = divmod(n, _CYCLE_BLOCK)
-    if rest == 1 and full:
-        full, rest = full - 1, _CYCLE_BLOCK + 1
     return [_CYCLE_BLOCK] * full + ([rest] if rest else [])
 
 
@@ -129,14 +124,12 @@ class Model:
     implement the sampling and moment methods.  ``sample_cycles`` returns only
     the per-cycle statistics (fast, vectorized); ``sample_path`` materializes
     the full trajectory for path-level experiments; ``eta_blocks`` reads the
-    cycle maxima in bounded memory.  All follow one draw contract: on the
-    same stream the samplers give bit-identical ``tau`` and ``xi``, and
-    ``eta_blocks`` the ``eta`` of ``sample_cycles``.
+    cycle maxima in bounded memory.  On the same stream the two samplers
+    give bit-identical ``tau`` and ``xi``.
 
-    A family draws its cycles in ``_cycles(n, gens)``, one generator per
-    draw stream (``_draw_streams`` of them), each stream drawn in full for
-    the n cycles before the next: ``sample_cycles`` passes one generator in
-    every role, ``eta_blocks`` the generators of ``_stream_starts``.
+    A family draws its cycles in one core, ``_cycles(n, gen)``, from a
+    single generator: ``sample_cycles`` is one call of it on the stream's
+    generator, ``eta_blocks`` consecutive calls on one generator.
     """
 
     family: ClassVar[str]
@@ -144,39 +137,26 @@ class Model:
     coupling_modes: ClassVar[tuple[str, ...]] = (INDEPENDENT,)
     dim: ClassVar[int] = 1
     p_max: ClassVar[float] = math.inf
-    _draw_streams: ClassVar[int] = 1
 
     @property
     def d(self) -> int:
         return self.dim
 
-    def _cycles(self, n: int, gens: tuple[np.random.Generator, ...]
-                ) -> CycleBatch:
+    def _cycles(self, n: int, gen: np.random.Generator) -> CycleBatch:
         raise NotImplementedError
 
-    def _stream_starts(self, n: int, rng: RngStream
-                       ) -> tuple[np.random.Generator, ...]:
-        """One generator per draw stream, each where its stream starts in
-        ``sample_cycles(n, rng)``; a family with one stream needs no replay."""
-        return (rng.generator(),)
-
     def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
-        """n cycles; one generator reads every draw stream in turn."""
-        return self._cycles(n, (rng.generator(),) * self._draw_streams)
+        """n cycles in one batch."""
+        return self._cycles(n, rng.generator())
 
     def eta_blocks(self, n: int, rng: RngStream) -> Iterator[np.ndarray]:
-        """The cycle maxima of ``sample_cycles(n, rng)``, bit for bit, in
-        consecutive blocks of at most ``_CYCLE_BLOCK + 1`` cycles
-        (:func:`_block_sizes`); no block holds another's tau, xi or jumps.
-
-        numpy fills an array of draws sequentially, so a block of k draws
-        and then m equals one draw of k + m: each stream's generator, set at
-        the stream's start by ``_stream_starts``, reads its stream block by
-        block.
-        """
-        gens = self._stream_starts(n, rng)
+        """The maxima of n i.i.d. cycles, in consecutive blocks of at most
+        ``_CYCLE_BLOCK`` cycles (:func:`_block_sizes`), each block drawn
+        after the one before on one generator; no block holds another's tau,
+        xi or jumps.  The first block is ``sample_cycles(size, rng).eta``."""
+        gen = rng.generator()
         for size in _block_sizes(n):
-            yield self._cycles(size, gens).eta
+            yield self._cycles(size, gen).eta
 
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
         """One event per cycle at its end; families with an intra-cycle
@@ -193,9 +173,8 @@ class Model:
 
     def eta_moment(self, p: float) -> float:
         """E eta^p; families without a closed form take the plug-in mean over
-        ``_ETA_CYCLES`` cycles of ``_ETA_STREAM``.  The blocks of
-        ``eta_blocks`` fill one array of eta^p, so ``np.mean`` sums it in
-        the order it would sum ``sample_cycles``'s."""
+        ``_ETA_CYCLES`` cycles of ``_ETA_STREAM``, whose blocks from
+        ``eta_blocks`` fill one array of eta^p."""
         powers = np.empty(_ETA_CYCLES)
         lo = 0
         for eta in self.eta_blocks(_ETA_CYCLES, _ETA_STREAM):
@@ -255,8 +234,8 @@ class IidSumModel(Model):
         object.__setattr__(self, "xi_cov", cov)
         object.__setattr__(self, "_xi_root", root)
 
-    def _cycles(self, n, gens) -> CycleBatch:
-        g = gens[0].standard_normal((n, self.dim))
+    def _cycles(self, n, gen) -> CycleBatch:
+        g = gen.standard_normal((n, self.dim))
         xi = self.xi_mean + g @ self._xi_root
         tau = np.full(n, float(self.tau_const))
         return CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
@@ -525,7 +504,6 @@ class GammaGaussianModel(Model):
     family: ClassVar[str] = "gamma-gaussian"
     interpolation: ClassVar[str] = PIECEWISE_LINEAR
     coupling_modes: ClassVar[tuple[str, ...]] = COUPLING_MODES
-    _draw_streams: ClassVar[int] = 2
 
     tau_shape: float = 2.0
     tau_scale: float = 1.0
@@ -592,21 +570,11 @@ class GammaGaussianModel(Model):
         return self._xi_from(np.asarray(tau, dtype=float),
                              np.asarray(g, dtype=float))
 
-    def _durations(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return gen.gamma(self.tau_shape, self.tau_scale, size=n)
-
-    def _cycles(self, n, gens) -> CycleBatch:
-        """The durations' stream, then the noise's."""
-        tau = self._durations(gens[0], n)
-        xi = self._xi_from(tau, gens[1].standard_normal((n, self.dim)))
+    def _cycles(self, n, gen) -> CycleBatch:
+        """The n durations, then the noise."""
+        tau = gen.gamma(self.tau_shape, self.tau_scale, size=n)
+        xi = self._xi_from(tau, gen.standard_normal((n, self.dim)))
         return CycleBatch(tau=tau, xi=xi, eta=np.max(np.abs(xi), axis=1))
-
-    def _stream_starts(self, n, rng):
-        """The noise's generator replays the n durations first."""
-        noise = rng.generator()
-        for size in _block_sizes(n):
-            self._durations(noise, size)
-        return rng.generator(), noise
 
     def true_greeks(self) -> Greeks:
         var_tau = self.var_tau
@@ -653,8 +621,8 @@ class ParetoCycleModel(Model):
         del g
         return np.asarray(tau, dtype=float).copy()
 
-    def _cycles(self, n, gens) -> CycleBatch:
-        tau = 2.0 + gens[0].pareto(self.tail_index, size=n)
+    def _cycles(self, n, gen) -> CycleBatch:
+        tau = 2.0 + gen.pareto(self.tail_index, size=n)
         return CycleBatch(tau=tau, xi=tau, eta=tau)
 
     def true_greeks(self) -> Greeks:
@@ -777,18 +745,13 @@ class MM1BusyCycleModel(Model):
             left = 2 * count != events + 1
             busy, clock, count = busy[left], clock[left], count[left]
 
-    def sample_cycles(self, n: int, rng: RngStream) -> CycleBatch:
+    def _cycles(self, n, gen) -> CycleBatch:
         """Each cycle's last departure: tau is its clock, xi = eta = N."""
         tau, xi = np.empty(n), np.empty(n)
-        for cycle, clock, count in self._walk(n, rng.generator()):
+        for cycle, clock, count in self._walk(n, gen):
             tau[cycle] = clock   # a later departure of a cycle overwrites
             xi[cycle] = count
         return CycleBatch(tau=tau, xi=xi, eta=xi)
-
-    def eta_blocks(self, n: int, rng: RngStream) -> Iterator[np.ndarray]:
-        """One block, ``sample_cycles`` itself: the walk advances every
-        cycle in lockstep, so no block of cycles has draws of its own."""
-        yield self.sample_cycles(n, rng).eta
 
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
         """The walk's departures, one event each, sorted into cycle order."""
@@ -815,7 +778,6 @@ class CompoundJumpModel(Model):
 
     family: ClassVar[str] = "compound-jump"
     interpolation: ClassVar[str] = PIECEWISE_CONSTANT
-    _draw_streams: ClassVar[int] = 3
 
     cycle_rate: float = 1.0
     jump_rate: float = 1.0
@@ -835,15 +797,9 @@ class CompoundJumpModel(Model):
         object.__setattr__(self, "jump_cov", cov)
         object.__setattr__(self, "_jump_root", root)
 
-    def _durations(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return gen.exponential(1.0 / self.cycle_rate, size=n)
-
-    def _counts(self, gen: np.random.Generator, tau: np.ndarray) -> np.ndarray:
-        return gen.poisson(self.jump_rate * tau)
-
-    def _draw(self, n: int, gens):
-        """Durations, jump counts, running jump sums and increments, from
-        the three draw streams of ``gens``: durations, counts, jumps.
+    def _draw(self, n: int, gen: np.random.Generator):
+        """Durations, jump counts, running jump sums and increments, drawn
+        in that order.
 
         The running sums restart at each cycle and are accumulated one
         position at a time, so each cycle's sums have exactly the bits of its
@@ -854,10 +810,10 @@ class CompoundJumpModel(Model):
         cycles that go on at position j lead position j - 1 in the same
         order, and each pass is one contiguous slice add.
         """
-        tau = self._durations(gens[0], n)
-        counts = self._counts(gens[1], tau)
+        tau = gen.exponential(1.0 / self.cycle_rate, size=n)
+        counts = gen.poisson(self.jump_rate * tau)
         total = int(counts.sum())
-        running = self.jump_mean + gens[2].standard_normal(
+        running = self.jump_mean + gen.standard_normal(
             (total, self.dim)) @ self._jump_root
         first = np.cumsum(counts) - counts
         top = int(counts.max(initial=0))
@@ -886,8 +842,8 @@ class CompoundJumpModel(Model):
         xi[nonempty] = running[first[nonempty] + counts[nonempty] - 1]
         return tau, counts, running, xi
 
-    def _cycles(self, n, gens) -> CycleBatch:
-        tau, counts, running, xi = self._draw(n, gens)
+    def _cycles(self, n, gen) -> CycleBatch:
+        tau, counts, running, xi = self._draw(n, gen)
         eta = np.zeros(n)
         nonempty = counts > 0
         if np.any(nonempty):
@@ -896,23 +852,10 @@ class CompoundJumpModel(Model):
                 np.max(np.abs(running), axis=1), first[nonempty])
         return CycleBatch(tau=tau, xi=xi, eta=eta)
 
-    def _stream_starts(self, n, rng):
-        """The counts' generator replays the n durations first, the jumps'
-        the n durations and then the n counts, whose rates come from the
-        durations of a third generator."""
-        counts = rng.generator()
-        for size in _block_sizes(n):
-            self._durations(counts, size)
-        jumps = copy.deepcopy(counts)
-        durations = rng.generator()
-        for size in _block_sizes(n):
-            self._counts(jumps, self._durations(durations, size))
-        return rng.generator(), counts, jumps
-
     def sample_path(self, n: int, rng: RngStream) -> RegenerativePath:
         """Jump events plus a flat terminal event closing each cycle."""
         gen = rng.generator()
-        tau, counts, running, xi = self._draw(n, (gen,) * self._draw_streams)
+        tau, counts, running, xi = self._draw(n, gen)
         total = running.shape[0]
         cycle = np.repeat(np.arange(n), counts)
         u = gen.random(total)

@@ -352,8 +352,8 @@ class TestMaximaExperiment:
                 == maxima_scaling_experiment(cfg, workers=2))
 
     def test_compound_jump_ratios_are_pinned(self):
-        # the maxima of 9000 cycles span two reader blocks; the rows are
-        # those of the one-batch maxima over sample_cycles
+        # the maxima of 9000 cycles span two reader blocks, the second
+        # drawn after the first on one generator
         cfg = build_config("maxima", family="compound-jump",
                            model_params={"jump_rate": 2.0, "dim": 2},
                            t_grid=(100.0, 9000.0), replications=50,
@@ -361,7 +361,7 @@ class TestMaximaExperiment:
         rows = maxima_scaling_experiment(cfg, workers=1).rows
         assert [(r.median, r.ci_low, r.ci_high) for r in rows] == [
             (1.3634460465519638, 1.3241294243570598, 1.4884170827286027),
-            (0.5490861212906621, 0.5253623552165809, 0.5603022367576437)]
+            (0.5696921284161599, 0.5298820462487539, 0.5980746574207081)]
 
 
 class TestCertification:

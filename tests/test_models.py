@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import gammainccinv, gammaincinv, ndtr
 
 from regenlab.greeks import DegenerateTauError
@@ -455,11 +455,33 @@ class TestEtaMoment:
         assert np.isfinite(a) and a > 0
 
     def test_single_event_family_matches_increment_moment(self, gg1_model):
-        # the plug-in mean reads _ETA_CYCLES cycles of one fixed stream; a
-        # single-event cycle's maximum is its |increment|
-        batch = gg1_model.sample_cycles(_ETA_CYCLES, _ETA_STREAM)
-        direct = float(np.mean(np.abs(batch.xi[:, 0]) ** 3.0))
+        # the plug-in mean reads _ETA_CYCLES cycles of one fixed stream, block
+        # after block on one generator; a single-event cycle's maximum is its
+        # |increment|
+        gen = _ETA_STREAM.generator()
+        xi = np.concatenate([gg1_model._cycles(size, gen).xi[:, 0]
+                             for size in _block_sizes(_ETA_CYCLES)])
+        direct = float(np.mean(np.abs(xi) ** 3.0))
         assert eta_moment(gg1_model, 3.0) == direct
+
+    def test_plug_in_matches_the_exact_law(self, gg1_model):
+        # at d = 1 eta = |xi| with xi | tau ~ N(0.4 tau - 0.3, 0.9) and
+        # tau ~ Gamma(2, 1); E|xi|^3 by quadrature over tau of the folded
+        # normal's third moment.  The plug-in lies within 4 standard errors.
+        def folded_cube(m):
+            var = 0.9
+            a = m / math.sqrt(var)
+            density = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+            return ((m ** 3 + 3.0 * m * var) * (1.0 - 2.0 * ndtr(-a))
+                    + 2.0 * math.sqrt(var) * density * (m * m + 2.0 * var))
+        exact = integrate.quad(
+            lambda t: t * math.exp(-t) * folded_cube(0.4 * t - 0.3),
+            0.0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        assert exact == pytest.approx(2.953340972559145, rel=1e-12)
+        cubes = np.concatenate(
+            list(gg1_model.eta_blocks(_ETA_CYCLES, _ETA_STREAM))) ** 3.0
+        se = float(np.std(cubes, ddof=1)) / math.sqrt(cubes.size)
+        assert abs(eta_moment(gg1_model, 3.0) - exact) <= 4.0 * se
 
     @pytest.mark.parametrize("model", [
         IidSumModel(), GammaGaussianModel(), CompoundJumpModel(dim=1),
@@ -469,9 +491,9 @@ class TestEtaMoment:
         ids=["iid-sums", "gamma-gaussian", "compound-jump-d1",
              "compound-jump-d2"])
     @pytest.mark.parametrize("p", [2.5, 3.0])
-    def test_plug_in_is_the_mean_over_sample_cycles(self, model, p):
-        # the blocked reader keeps every bit of the one-batch plug-in
-        eta = model.sample_cycles(_ETA_CYCLES, _ETA_STREAM).eta
+    def test_plug_in_is_the_mean_over_the_blocks(self, model, p):
+        # the plug-in keeps every bit of the mean over the reader's blocks
+        eta = np.concatenate(list(model.eta_blocks(_ETA_CYCLES, _ETA_STREAM)))
         assert model.eta_moment(p) == float(np.mean(eta ** p))
 
     @pytest.mark.parametrize("model", [
@@ -497,7 +519,8 @@ def _correlated(dim):
 
 
 # every family, every dimension up to 3 and one beyond: numpy multiplies a
-# single row through gemv, whose bits can differ from gemm's at d >= 4
+# single row through gemv, whose bits can differ from gemm's at d >= 4, so
+# only up to d = 3 is a one-draw family's lone last cycle that of one batch
 READER_CASES = {
     "iid-sums-d1": IidSumModel(),
     "iid-sums-d3": IidSumModel(xi_mean=0.2, xi_cov=_correlated(3), dim=3),
@@ -524,40 +547,59 @@ class TestEtaBlocks:
     def test_cases_cover_every_family(self):
         assert {type(m).family for m in READER_CASES.values()} == set(MODELS)
 
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]), (B - 1, [B - 1]), (B, [B]), (B + 1, [B, 1]),
+        (2 * B + 17, [B, B, 17])])
+    def test_block_sizes(self, n, sizes):
+        assert _block_sizes(n) == sizes
+
     @pytest.mark.parametrize("name", sorted(READER_CASES))
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 17])
-    def test_blocks_are_sample_cycles_eta(self, name, n):
+    def test_first_block_is_sample_cycles(self, name, n):
+        # at n <= B the one block is the whole batch
+        model = READER_CASES[name]
+        stream = RngStream(2024, 23)
+        blocks = list(model.eta_blocks(n, stream))
+        assert [eta.size for eta in blocks] == _block_sizes(n)
+        first = model.sample_cycles(min(n, B), stream).eta
+        assert blocks[0].tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_later_blocks_are_the_next_draws(self, name):
+        # each block goes on drawing from the generator the block before
+        # left, so no two blocks repeat one another's cycles
+        model = READER_CASES[name]
+        stream = RngStream(2024, 23)
+        blocks = list(model.eta_blocks(2 * B + 17, stream))
+        gen = stream.generator()
+        for eta in blocks:
+            assert eta.tobytes() == model._cycles(eta.size, gen).eta.tobytes()
+        assert blocks[1].tobytes() != blocks[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["iid-sums-d1", "iid-sums-d3",
+                                      "pareto-cycle"])
+    @pytest.mark.parametrize("n", [B + 1, 2 * B + 17, 3 * B])
+    def test_one_draw_families_read_the_one_batch(self, name, n):
+        # one draw per cycle, filled sequentially (and at d <= 3 the same
+        # product bits for any block): the blocks are the one batch
         model = READER_CASES[name]
         stream = RngStream(2024, 23)
         blocks = np.concatenate(list(model.eta_blocks(n, stream)))
         assert blocks.tobytes() == model.sample_cycles(n, stream).eta.tobytes()
 
-    @pytest.mark.parametrize("name", sorted(set(READER_CASES)
-                                            - {"mm1-busy-cycle"}))
-    @pytest.mark.parametrize("n", [B + 1, 2 * B + 17])
-    def test_block_batches_are_sample_cycles(self, name, n):
-        # inside the reader each block is a whole batch: tau and xi keep
-        # their bits too, not only the maxima
-        model = READER_CASES[name]
-        stream = RngStream(2024, 23)
-        gens = model._stream_starts(n, stream)
-        blocks = [model._cycles(size, gens) for size in _block_sizes(n)]
-        batch = model.sample_cycles(n, stream)
-        for field in ("tau", "xi", "eta"):
-            joined = np.concatenate([getattr(b, field) for b in blocks])
-            assert joined.tobytes() == getattr(batch, field).tobytes()
-
-    @pytest.mark.parametrize("n, sizes", [
-        (1, [1]), (B, [B]), (B + 1, [B + 1]), (B + 2, [B, 2]),
-        (2 * B + 17, [B, B, 17])])
-    def test_block_sizes(self, n, sizes):
-        # a lone last cycle joins the block before it
-        blocks = CompoundJumpModel().eta_blocks(n, RngStream(1, 2))
-        assert [eta.size for eta in blocks] == sizes
-
-    def test_mm1_reads_one_block(self):
-        blocks = list(MM1BusyCycleModel().eta_blocks(2 * B, RngStream(1, 2)))
-        assert [eta.size for eta in blocks] == [2 * B]
+    def test_mm1_memory_is_bounded(self):
+        # one batch of 65,536 walked cycles peaked at 4.13 MiB
+        model = MM1BusyCycleModel()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in model.eta_blocks(8 * B, RngStream(3, 4)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
 
 @pytest.mark.parametrize("draw", [
@@ -570,8 +612,9 @@ class TestEtaBlocks:
     ids=["exponential", "gamma", "gamma-below-1", "poisson", "pareto",
          "standard-normal"])
 def test_numpy_fills_draws_sequentially(draw):
-    # the replay in eta_blocks rests on this: n draws and then m are one
-    # draw of n + m, and leave the generator in the same state
+    # a one-draw family's blocks equal its one batch because of this: n
+    # draws and then m are one draw of n + m, and leave the generator in
+    # the same state
     lam = np.random.default_rng(5).exponential(6.0, size=1777)   # < 10, >= 10
     stream = RngStream(7, 3)
     one, two = stream.generator(), stream.generator()
