@@ -25,13 +25,14 @@ assumed.
 One core (:func:`_path_and_w`) builds, from a replication's drivers, the
 cycles, checks that they reach t, and builds the surrogates and W without
 ``W_circ``: all that the sup over [0, t] reads.  :func:`sup_inputs` yields
-it, with the cycles cut at the first renewal past t and the surrogates'
-unit grids at floor(t/mu) + 2 units; it takes a list of replication
-streams and quantiles the durations of a group of them in one call
-(``rate``, ``tail`` and the embedding check).  :func:`build_bundle` adds
-what only the eight-term decomposition (``phis``) and ``couple`` read: the
-surrogates over all K units, the Poisson jumps over them, with their level
-checks, and ``W_circ`` assembled into W.
+it with the drivers drawn only as far as the sup reads them: the durations
+block by block until the renewal time passes t, the surrogates' unit grids
+at floor(t/mu) + 2 units; it takes a list of replication streams and
+quantiles the durations of a group of them in one call (``rate``, ``tail``
+and the embedding check).  :func:`build_bundle` draws the drivers for a
+fixed K cycles and adds what only the eight-term decomposition (``phis``)
+and ``couple`` read: the surrogates over all K units, the Poisson jumps
+over them, with their level checks, and ``W_circ`` assembled into W.
 
 ``W_circ`` enters the deviation only as ``sigma @ P0 @ W_circ``, and
 ``sigma @ P0 = 0``, so the integers where it bends are no kinks of the
@@ -73,6 +74,7 @@ from .rng import RngStream, bytes_generator
 
 _MAX_TABLE_RATE = 500.0
 _GROUP_DRIVERS = 32768   # first-block duration drivers quantiled together
+_DRAW_CAP = 100   # duration draws per surrogate unit before a path gives up
 # kinks per sup block: 64 KB a column, below glibc's 128 KB mmap threshold,
 # so a block's arrays come from and go back to the heap, not the OS
 _SUP_BLOCK = 8192
@@ -91,44 +93,35 @@ class IdentityViolationError(AssertionError):
 
 
 class UnitGridPath:
-    """Values on the integer grid 0..K, linearly interpolated in between.
+    """Values on the integer grid 0..K, linearly interpolated in between:
+    the running sums, from 0, of K unit increments (:meth:`from_increments`,
+    the one constructor).
 
-    ``values`` is (K+1, d); 1-d values are one column.  They are held one
-    contiguous row per dimension, followed by a copy of the last value, so
-    that every point of [0, K], K included, has a cell with a right end.
-    Both constructors raise ValueError on a value that is not finite."""
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        matrix = values[:, None] if values.ndim == 1 else values
-        columns = np.empty((matrix.shape[1], matrix.shape[0] + 1))
-        columns[:, :-1] = matrix.T
-        self._hold(columns, np.all(np.isfinite(matrix)),
-                   np.any((matrix == 0.0) & np.signbit(matrix)))
+    The values are held one contiguous row per dimension, followed by a copy
+    of the last value, so that every point of [0, K], K included, has a cell
+    with a right end."""
 
     @classmethod
     def from_increments(cls, increments: np.ndarray) -> "UnitGridPath":
+        """The path of ``increments``, (K, d); 1-d increments are one
+        column.  Raises ValueError on no increment or on a value that is not
+        finite."""
         increments = np.asarray(increments, dtype=float)
         matrix = increments[:, None] if increments.ndim == 1 else increments
-        columns = np.zeros((matrix.shape[1], matrix.shape[0] + 2))
-        np.cumsum(matrix.T, axis=1, out=columns[:, 1:-1])
-        path = cls.__new__(cls)
-        # a running sum stays inf or NaN once it is, so the sums are finite
-        # when the last is; sums that start at +0.0 are never -0.0
-        path._hold(columns, np.all(np.isfinite(columns[:, -2])), False)
-        return path
-
-    def _hold(self, columns: np.ndarray, finite: bool,
-              negative_zero: bool) -> None:
-        """Keep ``columns``, the grid values with one spare entry per row,
-        whose spare entries this fills."""
-        if columns.shape[1] < 3:
+        if matrix.shape[0] < 1:
             raise ValueError("a unit-grid path needs at least two grid values")
-        if not finite:
+        columns = np.zeros((matrix.shape[1], matrix.shape[0] + 2))
+        columns[:, 1:-1] = matrix.T
+        # the sums start at the +0.0 of the origin, so none is -0.0; a
+        # running sum stays inf or NaN once it is, so the sums are finite
+        # when the last is
+        np.cumsum(columns[:, :-1], axis=1, out=columns[:, :-1])
+        if not np.all(np.isfinite(columns[:, -2])):
             raise ValueError("unit-grid values must be finite")
         columns[:, -1] = columns[:, -2]
-        self._columns = columns
-        self._negative_zero = bool(negative_zero)
+        path = cls.__new__(cls)
+        path._columns = columns
+        return path
 
     @property
     def horizon(self) -> int:
@@ -148,10 +141,10 @@ class UnitGridPath:
 
         Each value has the bits of ``np.interp`` on the grid, read by cell
         index instead of a search: in the cell j = floor(x),
-        (v[j+1] - v[j]) * (x - j) + v[j], which is v[j] at a grid point (a
-        -0.0 value is put back where the sum made it +0.0).  Points at most
-        1e-9 outside [0, K] take the end values.  Raises ValueError on a
-        NaN point and HorizonExceededError beyond that overhang.
+        (v[j+1] - v[j]) * (x - j) + v[j], which is v[j] at a grid point.
+        Points at most 1e-9 outside [0, K] take the end values.  Raises
+        ValueError on a NaN point and HorizonExceededError beyond that
+        overhang.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size:
@@ -173,8 +166,6 @@ class UnitGridPath:
             np.subtract(column[1:].take(cell), left, out=row)
             row *= frac
             row += left
-            if self._negative_zero:
-                np.copyto(row, left, where=frac == 0.0)
         return out.T
 
 
@@ -202,58 +193,18 @@ class ScaledPath:
 
 @dataclass(frozen=True)
 class GaussianDriver:
-    """Per-cycle standard normal increments behind the coupled drivers.
+    """Per-cycle standard normal increments behind the coupled drivers of
+    :func:`build_bundle`.
 
     ``unit_increments_b`` has shape (K, d) and drives the increment side;
     ``unit_increments_btilde`` has shape (K,) and drives the duration side.
     Under mode "independent" both are independent of the cycles; the other
-    modes couple them per the contracts in :func:`_cycle_path`.
+    modes couple them per the contracts in :func:`_path_and_w`.
     """
 
     unit_increments_b: np.ndarray
     unit_increments_btilde: np.ndarray
     mode: str
-
-
-def _draw_drivers(model: Model, horizon_cycles: int, mode: str,
-                  rng: RngStream) -> GaussianDriver:
-    """The K-cycle Gaussian drivers.  The stream layout is fixed: child(0)
-    native cycle sampling (:func:`_cycle_path`), child(1) the increment-side
-    driver, child(2) the duration-side driver, child(3) the independent
-    Wiener path ``W_circ`` of :func:`build_bundle`'s W."""
-    if mode not in model.coupling_modes:
-        raise ModeUnsupportedError(
-            f"model {model.family} supports modes {model.coupling_modes}, "
-            f"not {mode!r}")
-    k = int(horizon_cycles)
-    if k < 2:
-        raise ValueError(f"need at least 2 cycles, got {k}")
-    g = rng.child(1).generator().standard_normal((k, model.d))
-    g_dur = rng.child(2).generator().standard_normal(k)
-    return GaussianDriver(g, g_dur, mode)
-
-
-def _cycle_path(model: Model, driver: GaussianDriver, rng: RngStream,
-                tau: np.ndarray | None = None) -> RegenerativePath:
-    """The replication's cycles, by mode.
-
-    * ``shared-innovations`` — the durations are ``tau``, by default the
-      family's quantile of all K duration-driver increments, and the
-      increments are ``increments_from(tau, g)``, ``g`` the matching leading
-      rows of the increment driver.  Exact when the residual is Gaussian
-      (gamma-gaussian: ``g`` is the model's own noise innovation); ``g`` is
-      unused when the residual is degenerate (pareto-cycle, xi = tau).
-    * ``independent`` — null baseline: child(0) samples all K cycles
-      natively, apart from both drivers, and its draw order is the stream
-      contract; no tracking guarantee.
-    """
-    k = driver.unit_increments_btilde.size
-    if driver.mode == INDEPENDENT:
-        return model.sample_path(k, rng.child(0))
-    if tau is None:
-        tau = model.tau_from_gaussian(driver.unit_increments_btilde)
-    xi = model.increments_from(tau, driver.unit_increments_b[:tau.size])
-    return single_event_path(tau, xi, model.interpolation)
 
 
 def _cycles_to_cover(span: float, greeks: Greeks) -> int:
@@ -267,45 +218,56 @@ def _cycles_to_cover(span: float, greeks: Greeks) -> int:
                          + math.sqrt(span * greeks.gamma) / greeks.mu + 1.0))
 
 
-def _durations_past(model: Model, g_durs: Sequence[np.ndarray],
-                    greeks: Greeks, t: float) -> list[np.ndarray]:
-    """Per duration driver, the quantile durations of its leading cycles,
-    block by block until the renewal time reaches t or the driver ends.
+def _durations_past(model: Model, gens: Sequence[np.random.Generator],
+                    greeks: Greeks, t: float
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per duration-driver generator, the driver it drew and the quantile
+    durations of its cycles, drawn block by block until the renewal time
+    reaches t.
 
-    Each round quantiles, in one call, a block of every driver still short
-    of t: first a block sized from mu and gamma (:func:`_cycles_to_cover`),
-    which often suffices, then short blocks sized from what each still
-    lacks.  The quantile is elementwise, so each duration has the bits it
-    has in its own driver's full K-cycle array.  Each running renewal time
-    continues the sequential sum from its last value (``np.add.accumulate``
-    on a buffer that starts at it), so it equals, bit for bit, the last
-    renewal time of the path its durations build.  A driver quantiled in
-    one block gets that block, uncopied.
+    Each round draws a block from every generator still short of t, and
+    quantiles the round's blocks in one call: first a block sized from mu
+    and gamma (:func:`_cycles_to_cover`), which often suffices, then short
+    blocks sized from what each still lacks.  numpy fills a generator's
+    draws sequentially and the quantile is elementwise, so each driver
+    value and each duration has the bits it has in one long draw.  Each
+    running renewal time continues the sequential sum from its last value
+    (``np.add.accumulate`` on a buffer that starts at it), so it equals,
+    bit for bit, the last renewal time of the path its durations build.  A
+    generator stops short of t after ``_DRAW_CAP`` times the floor(t/mu)+2
+    units of the surrogates, so that a broken duration law cannot loop
+    forever: its path then fails the reach check of :func:`_path_and_w`.
     """
-    blocks = [[] for _ in g_durs]
-    reach = [0.0] * len(g_durs)
-    done = [0] * len(g_durs)
-    short = list(range(len(g_durs)))
+    cap = _DRAW_CAP * (math.floor(t / greeks.mu) + 2)
+    drivers = [[] for _ in gens]
+    blocks = [[] for _ in gens]
+    reach = [0.0] * len(gens)
+    done = [0] * len(gens)
+    short = list(range(len(gens)))
     while short:
-        stops = [min(g_durs[i].size,
-                     done[i] + _cycles_to_cover(t - reach[i], greeks))
-                 for i in short]
-        tau = model.tau_from_gaussian(np.concatenate(
-            [g_durs[i][done[i]:stop] for i, stop in zip(short, stops)]))
-        running = np.empty(1 + max(stop - done[i]
-                                   for i, stop in zip(short, stops)))
+        g_durs = [gens[i].standard_normal(
+            min(cap - done[i], _cycles_to_cover(t - reach[i], greeks)))
+            for i in short]
+        tau = model.tau_from_gaussian(np.concatenate(g_durs))
+        running = np.empty(1 + max(g_dur.size for g_dur in g_durs))
         at = 0
-        for i, stop in zip(short, stops):
-            block = tau[at:at + stop - done[i]]
-            at += block.size
+        for i, g_dur in zip(short, g_durs):
+            block = tau[at:at + g_dur.size]
+            at += g_dur.size
+            drivers[i].append(g_dur)
             blocks[i].append(block)
             sums = running[:block.size + 1]
             sums[0] = reach[i]
             sums[1:] = block
             reach[i] = float(np.add.accumulate(sums, out=sums)[-1])
-            done[i] = stop
-        short = [i for i in short if reach[i] < t and done[i] < g_durs[i].size]
-    return [b[0] if len(b) == 1 else np.concatenate(b) for b in blocks]
+            done[i] += block.size
+        short = [i for i in short if reach[i] < t and done[i] < cap]
+    return [(_joined(d), _joined(b)) for d, b in zip(drivers, blocks)]
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The concatenation of ``parts``; one part is returned uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # -- Poisson embedding ------------------------------------------------------
@@ -497,7 +459,9 @@ class CouplingBundle:
 
 
 def horizon_cycles_for(t: float, mu: float) -> int:
-    """Cycle count that covers physical horizon t with a generous margin."""
+    """K, the fixed cycle count of :func:`build_bundle` and of the native
+    sampler of mode ``independent``: it covers physical horizon t with a
+    generous margin."""
     units = t / mu
     return int(math.ceil(1.15 * units + 12.0 * math.sqrt(units + 1.0) + 50.0))
 
@@ -505,15 +469,24 @@ def horizon_cycles_for(t: float, mu: float) -> int:
 def build_bundle(model: Model, greeks: Greeks, t: float, mode: str,
                  rng: RngStream) -> tuple[RegenerativePath, CouplingBundle]:
     """Run the full pipeline for one replication over horizon t: the path
-    and W of :func:`sup_inputs`, but over all K = ``horizon_cycles_for``
-    cycles, plus what only the eight-term decomposition (``phis``) and
-    ``couple`` read: the Poisson jumps over the K units, and ``W_circ``
-    (child(3)) assembled into W.  Raises HorizonExceededError when the
-    cycles do not reach t or the jumps do not pass level t/gamma within the
-    driver grid."""
-    k = _horizon_cycles(greeks, t)
-    driver = _draw_drivers(model, k, mode, rng)
-    path, w = _path_and_w(model, greeks, t, driver, rng, None, k)
+    and W of :func:`sup_inputs`, but over K = ``horizon_cycles_for`` cycles
+    and driver rows, plus what only the eight-term decomposition (``phis``)
+    and ``couple`` read: the Poisson jumps over the K units, and ``W_circ``
+    assembled into W.  Raises HorizonExceededError when the cycles do not
+    reach t or the jumps do not pass level t/gamma within the driver grid.
+
+    The stream layout of a replication is fixed: child(0) samples the cycles
+    natively in mode ``independent``, child(1) draws the increment driver,
+    child(2) the duration driver and child(3) the Wiener path ``W_circ``."""
+    k = _horizon_cycles(model, greeks, t, mode)
+    driver = GaussianDriver(
+        rng.child(1).generator().standard_normal((k, model.d)),
+        rng.child(2).generator().standard_normal(k), mode)
+    tau = (None if mode == INDEPENDENT
+           else model.tau_from_gaussian(driver.unit_increments_btilde))
+    path, w = _path_and_w(model, greeks, t, rng, k, tau,
+                          driver.unit_increments_b,
+                          driver.unit_increments_btilde, k)
     n_path = build_poisson_from_brownian(w.wtilde.base, greeks, horizon=k)
     needed_jumps = int(math.floor(t / greeks.gamma)) + 1
     if n_path.n_jumps < needed_jumps:
@@ -541,62 +514,87 @@ def sup_inputs(model: Model, greeks: Greeks, t: float, mode: str,
     :func:`sup_deviation` reads on [0, t].  One replication is one stream:
     ``sup_inputs(..., [rng])``.
 
-    The stream draws, cycles and surrogates of :func:`build_bundle`, without
-    what no sup reads: no Poisson jump and no ``W_circ`` (child(3) is never
-    drawn).  In ``shared-innovations`` mode the path stops at the first
-    cycle whose renewal time reaches t.  In both modes the surrogates' unit
-    grids hold min(K, floor(t/mu) + 2) units, enough for W on [0, t] with
-    the rounding of ``(u/gamma)/lambda``; the drivers stay K long.  Every
-    value of S and of W's surrogates on [0, t] keeps its bits, so
-    ``sup_deviation`` returns what it returns on the full bundle, up to the
-    rounding of ``sigma @ P0 @ W_circ`` where the null-space projector is
-    nonzero (a rank-deficient sigma; exactly zero at sigma = 0).  A
-    replication fails here only when its cycles or drivers fall short of
-    what the sup reads; a counting process short of level t/gamma fails the
-    full bundle alone.
+    The stream draws, cycles and surrogates of :func:`build_bundle`, drawn
+    only as far as the sup reads them: no Poisson jump, no ``W_circ``
+    (child(3)), and unit grids of floor(t/mu) + 2 units, enough for W on
+    [0, t] with the rounding of ``(u/gamma)/lambda``.  In
+    ``shared-innovations`` mode the duration driver is drawn block by block
+    until the renewal time reaches t (:func:`_durations_past`), then topped
+    up to the units, and the increment driver is drawn for the larger of
+    the cycles and the units.  In ``independent`` mode both drivers are
+    drawn for the units, and child(0) samples K native cycles: each
+    family's draw order is fixed, so sampling past K would not extend a
+    K-cycle draw, and ``runs/rate-independent`` would move.  numpy fills
+    draws sequentially, so every value of S and of W's surrogates on
+    [0, t] keeps its bits: ``sup_deviation`` returns what it returns on the
+    full bundle, up to the rounding of ``sigma @ P0 @ W_circ`` where the
+    null-space projector is nonzero (a rank-deficient sigma; exactly zero
+    at sigma = 0).  A replication fails here only when its cycles fall
+    short of t: independent mode's K cycles, or a duration driver at its
+    cap; a counting process short of level t/gamma fails only the full
+    bundle.
 
     The streams go in groups of about ``_GROUP_DRIVERS`` first-block
-    drivers: a group's drivers are drawn, and its durations quantiled
-    together (:func:`_durations_past`), before its first inputs come out.
+    drivers: a group's durations are drawn and quantiled together
+    (:func:`_durations_past`) before its first inputs come out.
     """
-    k = _horizon_cycles(greeks, t)
-    units = min(k, math.floor(t / greeks.mu) + 2)
+    k = _horizon_cycles(model, greeks, t, mode)
+    units = math.floor(t / greeks.mu) + 2
     size = max(1, _GROUP_DRIVERS // _cycles_to_cover(t, greeks))
     for lo in range(0, len(rngs), size):
         group = rngs[lo:lo + size]
-        drivers = [_draw_drivers(model, k, mode, rng) for rng in group]
-        taus = [None] * len(group)
-        if mode != INDEPENDENT:
-            taus = _durations_past(
-                model, [d.unit_increments_btilde for d in drivers], greeks, t)
-        for rng, driver, tau in zip(group, drivers, taus):
-            yield _path_and_w(model, greeks, t, driver, rng, tau, units)
+        gens = [rng.child(2).generator() for rng in group]
+        if mode == INDEPENDENT:
+            drawn = [(gen.standard_normal(units), None) for gen in gens]
+        else:
+            drawn = _durations_past(model, gens, greeks, t)
+        for rng, gen, (g_dur, tau) in zip(group, gens, drawn):
+            if g_dur.size < units:
+                g_dur = np.concatenate(
+                    [g_dur, gen.standard_normal(units - g_dur.size)])
+            rows = units if tau is None else max(tau.size, units)
+            g = rng.child(1).generator().standard_normal((rows, model.d))
+            yield _path_and_w(model, greeks, t, rng, k, tau, g, g_dur, units)
 
 
-def _horizon_cycles(greeks: Greeks, t: float) -> int:
-    """K = ``horizon_cycles_for(t, mu)``, for a positive horizon t."""
+def _horizon_cycles(model: Model, greeks: Greeks, t: float, mode: str) -> int:
+    """K = ``horizon_cycles_for(t, mu)``, for a positive horizon t and a
+    mode the model supports."""
     if t <= 0:
         raise ValueError(f"horizon must be positive, got {t}")
+    if mode not in model.coupling_modes:
+        raise ModeUnsupportedError(
+            f"model {model.family} supports modes {model.coupling_modes}, "
+            f"not {mode!r}")
     return horizon_cycles_for(t, greeks.mu)
 
 
-def _path_and_w(model: Model, greeks: Greeks, t: float,
-                driver: GaussianDriver, rng: RngStream,
-                tau: np.ndarray | None, units: int
+def _path_and_w(model: Model, greeks: Greeks, t: float, rng: RngStream,
+                k: int, tau: np.ndarray | None, g: np.ndarray,
+                g_dur: np.ndarray, units: int
                 ) -> tuple[RegenerativePath, AssembledW]:
-    """The core both builders share: the cycles (``tau`` the leading
-    durations, when quantiled already), the check that they reach t, the
-    Wiener surrogates and W without ``W_circ``.  The surrogates' unit grids
-    hold the drivers' first ``units`` increments: W covers [0, units * mu]
-    (to rounding)."""
-    path = _cycle_path(model, driver, rng, tau)
+    """The core both builders share: the cycles, the check that they reach
+    t, and W without ``W_circ`` from the surrogates on the first ``units``
+    rows of the drivers ``g`` and ``g_dur`` (W covers [0, units * mu], to
+    rounding).  In ``shared-innovations`` mode the durations are ``tau``,
+    the quantiles of the leading rows of ``g_dur``, and the increments are
+    ``increments_from(tau, g)`` on the matching rows of ``g``: exact when
+    the residual is Gaussian (gamma-gaussian: ``g`` is the model's own noise
+    innovation), ``g`` unused when it is degenerate (pareto-cycle, xi =
+    tau).  In ``independent`` mode (``tau`` None), the null baseline,
+    child(0) samples K cycles natively, apart from both drivers, in the
+    family's fixed draw order; no tracking guarantee.
+    """
+    if tau is None:
+        path = model.sample_path(k, rng.child(0))
+    else:
+        path = single_event_path(tau, model.increments_from(tau, g[:tau.size]),
+                                 model.interpolation)
     if path.horizon < t:
         raise HorizonExceededError(
-            f"{driver.unit_increments_btilde.size} cycles reach only "
-            f"{path.horizon:g} < t={t:g}")
-    b = UnitGridPath.from_increments(driver.unit_increments_b[:units])
-    btilde = UnitGridPath.from_increments(
-        driver.unit_increments_btilde[:units])
+            f"{path.n_cycles} cycles reach only {path.horizon:g} < t={t:g}")
+    b = UnitGridPath.from_increments(g[:units])
+    btilde = UnitGridPath.from_increments(g_dur[:units])
     return path, assemble_W(build_timechange_wiener(b, greeks),
                             build_inverse_wiener(btilde, greeks), None, greeks)
 

@@ -173,14 +173,12 @@ class Model:
 
     def eta_moment(self, p: float) -> float:
         """E eta^p; families without a closed form take the plug-in mean over
-        ``_ETA_CYCLES`` cycles of ``_ETA_STREAM``, whose blocks from
-        ``eta_blocks`` fill one array of eta^p."""
-        powers = np.empty(_ETA_CYCLES)
-        lo = 0
-        for eta in self.eta_blocks(_ETA_CYCLES, _ETA_STREAM):
-            powers[lo:lo + eta.size] = eta ** p
-            lo += eta.size
-        return float(np.mean(powers))
+        ``_ETA_CYCLES`` cycles of ``_ETA_STREAM``: the exactly rounded sum
+        of the per-block sums of eta^p from ``eta_blocks``, so no array
+        outgrows a block."""
+        sums = [float(np.sum(eta ** p))
+                for eta in self.eta_blocks(_ETA_CYCLES, _ETA_STREAM)]
+        return math.fsum(sums) / _ETA_CYCLES
 
     def tau_from_gaussian(self, g: np.ndarray) -> np.ndarray:
         """Duration from a standard normal variate via the inverse CDF.

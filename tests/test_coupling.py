@@ -87,18 +87,26 @@ class TestUnitGridPath:
             assert got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
 
-    def test_cell_reader_keeps_negative_zeros(self):
-        # a -0.0 grid value is np.interp's answer at its grid point
-        values = np.array([[-0.0, 1.0], [-0.0, -0.0], [0.5, -0.0]])
-        path = UnitGridPath(values)
-        x = np.array([0.0, 1.0, 2.0, 0.5, 1.5, 2.0 + 1e-10, -1e-10])
+    def test_running_sums_hold_no_negative_zero(self):
+        # -0.0 increments and sums that cancel give +0.0 grid values, and a
+        # grid point reads np.interp's answer there
+        path = UnitGridPath.from_increments(
+            np.array([[-0.0, 1.0], [-0.0, -1.0], [0.5, -0.0]]))
+        values = path.values
+        assert not np.any(np.signbit(values[values == 0.0]))
+        x = np.array([0.0, 1.0, 2.0, 3.0, 0.5, 1.5, 3.0 + 1e-10, -1e-10])
         for j in range(2):
-            expected = np.interp(x, [0.0, 1.0, 2.0], values[:, j])
+            expected = np.interp(x, [0.0, 1.0, 2.0, 3.0], values[:, j])
             assert path.at(x)[:, j].tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("increments", [[], np.zeros((0, 2))])
+    def test_needs_an_increment(self, increments):
+        with pytest.raises(ValueError, match="at least two grid values"):
+            UnitGridPath.from_increments(increments)
+
     @pytest.mark.parametrize("build", [
-        lambda: UnitGridPath([0.0, np.inf, 1.0]),
-        lambda: UnitGridPath([[0.0, 1.0], [np.nan, 2.0]]),
+        lambda: UnitGridPath.from_increments([0.0, np.inf, 1.0]),
+        lambda: UnitGridPath.from_increments([[0.0, 1.0], [np.nan, 2.0]]),
         lambda: UnitGridPath.from_increments([1.0, np.inf, -np.inf, 2.0]),
         lambda: UnitGridPath.from_increments([[1.0, 0.5], [1e308, 1e308],
                                               [1e308, 0.0]]),
@@ -180,7 +188,9 @@ class TestShapeContract:
     def test_values_are_rows(self, increments, d):
         path = UnitGridPath.from_increments(increments)
         assert path.values.shape == (4, d)
-        assert UnitGridPath(path.values[:, 0]).values.shape == (4, 1)
+        column = np.reshape(increments, (3, d))[:, 0]
+        for one in (column, column[:, None]):
+            assert UnitGridPath.from_increments(one).values.shape == (4, 1)
 
 
 class TestPoissonQuantile:
@@ -262,7 +272,7 @@ class TestConstructiveWieners:
         np.testing.assert_allclose(wstar.at(probe), expected, atol=1e-12)
 
     def test_zero_brownian_gives_zero_wiener(self):
-        btilde = UnitGridPath(np.zeros((9, 1)))
+        btilde = UnitGridPath.from_increments(np.zeros((8, 1)))
         model = GammaGaussianModel(tau_shape=2.0, tau_scale=1.0, dim=1)
         g = reference_greeks(model, 3.0)
         wtilde = build_inverse_wiener(btilde, g)
@@ -297,17 +307,20 @@ class TestAssembledW:
             g = reference_greeks(model, 3.0)
             ws.append(build_bundle(model, g, 32.0, "shared-innovations",
                                    _stream(8))[1].w)
-        # beta < kappa and a -0.0 driver at the origin: the scalar products
-        # give W(0) = -0.0, where the matmuls give +0.0
-        g = reference_greeks(GammaGaussianModel(
-            tau_shape=2.0, tau_scale=1.0, beta=[0.1], kappa=[0.25],
-            noise_cov=[[0.9]], dim=1), 3.0)
-        ws.append(coupling.assemble_W(
-            build_timechange_wiener(UnitGridPath([[-0.0], [-0.0], [0.5]]), g),
-            build_inverse_wiener(UnitGridPath([0.0, 0.0, 0.3]), g), None, g))
+        # pareto-cycle has v = alpha = sigma = 0: where both drivers are
+        # negative, the scalar products give W = -0.0 ahead of the final
+        # + 0.0, where the matmuls give +0.0
+        probe = np.linspace(0.0, 4.0, 17)
+        g = reference_greeks(ParetoCycleModel(tail_index=3.5), 3.0)
+        negative = UnitGridPath.from_increments(-np.ones(8))
+        ws.append(coupling.assemble_W(build_timechange_wiener(negative, g),
+                                      build_inverse_wiener(negative, g),
+                                      None, g))
+        star = ws[-1].wstar.at(probe[1:] / g.gamma) * g.v[0, 0]
+        tilde = ws[-1].wtilde.at(probe[1:]) * g.alpha[0]
+        assert np.all(np.signbit((star - tilde) * g.sigma_pinv[0, 0]))
         for w in ws:
             g = w.greeks
-            probe = np.linspace(0.0, 4.0, 17)
             star = np.atleast_2d(w.wstar.at(probe / g.gamma))
             tilde = np.atleast_1d(w.wtilde.at(probe))
             core = (star @ g.v) / math.sqrt(g.lam) - np.outer(
@@ -722,6 +735,42 @@ class TestSupInputs:
             assert path.renewal_times[-2] < t <= path.horizon
         assert len(calls) > t / 4
 
+    @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
+    def test_drivers_are_drawn_as_far_as_the_sup_reads(self, monkeypatch,
+                                                       mode):
+        # per stream, the increment driver holds max(cycles, units) rows in
+        # shared-innovations mode and the units in independent mode, the
+        # duration driver the cycles or the units: no K-long driver
+        model, t = _gamma_gaussian(2), 1024.0
+        g = reference_greeks(model, 3.0)
+        units = math.floor(t / g.mu) + 2
+        k = horizon_cycles_for(t, g.mu)
+        rows = {}
+        real = RngStream.generator
+
+        class Counted:
+            def __init__(self, stream):
+                self.gen, self.stream = real(stream), stream
+
+            def standard_normal(self, size):
+                out = self.gen.standard_normal(size)
+                rows[self.stream] = rows.get(self.stream, 0) + len(out)
+                return out
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        monkeypatch.setattr(RngStream, "generator", lambda self: Counted(self))
+        streams = [_stream(240 + 4 * rep) for rep in range(4)]
+        inputs = sup_inputs(model, g, t, mode, streams)
+        for rng, (path, w) in zip(streams, inputs):
+            cycles = path.n_cycles if mode == "shared-innovations" else 0
+            assert rows[rng.child(1)] == max(cycles, units)
+            assert rows[rng.child(2)] == max(cycles, units)
+            assert max(cycles, units) < k
+            assert w.wstar.base.horizon == w.wtilde.base.horizon == units
+            assert rng.child(3) not in rows
+
 
 GROUP_CASES = {
     "erlang": GammaGaussianModel(tau_shape=2.0, tau_scale=1.0),
@@ -735,22 +784,25 @@ class TestGroupedDurations:
 
     @pytest.mark.parametrize("case", GROUP_CASES)
     def test_a_chunk_keeps_every_bit(self, case):
+        # grouped == alone == a prefix of one long draw and its quantile
         model, t = GROUP_CASES[case], 1024.0
         g = reference_greeks(model, 3.0)
-        k = horizon_cycles_for(t, g.mu)
-        drivers = [coupling._draw_drivers(
-            model, k, "shared-innovations",
-            replication_stream(3, "tail", 0, 50, rep)).unit_increments_btilde
-            for rep in range(50)]
-        grouped = coupling._durations_past(model, drivers, g, t)
+        streams = [replication_stream(3, "tail", 0, 50, rep).child(2)
+                   for rep in range(50)]
+        grouped = coupling._durations_past(
+            model, [stream.generator() for stream in streams], g, t)
         first = coupling._cycles_to_cover(t, g)
         extended = 0
-        for g_dur, tau in zip(drivers, grouped):
-            (alone,) = coupling._durations_past(model, [g_dur], g, t)
+        for stream, (g_dur, tau) in zip(streams, grouped):
+            ((alone_dur, alone),) = coupling._durations_past(
+                model, [stream.generator()], g, t)
+            assert g_dur.tobytes() == alone_dur.tobytes()
             assert tau.tobytes() == alone.tobytes()
-            whole = model.tau_from_gaussian(g_dur)
+            long = stream.generator().standard_normal(2 * tau.size)
+            assert g_dur.tobytes() == long[:tau.size].tobytes()
+            whole = model.tau_from_gaussian(long)
             assert tau.tobytes() == whole[:tau.size].tobytes()
-            assert tau.sum() >= t or tau.size == k
+            assert np.cumsum(tau)[-1] >= t
             extended += tau.size > first
         assert extended >= 1
 
@@ -761,69 +813,98 @@ class TestSupInputsFailures:
 
     @pytest.mark.parametrize("mode", ["shared-innovations", "independent"])
     def test_too_few_cycles(self, monkeypatch, mode):
+        # K cycles that fall short of t fail the full bundle; the sup path
+        # of shared-innovations has no K and returns the sup a larger K
+        # gives, while independent mode's native K cycles fail it alike
+        model, t = _gamma_gaussian(2), 64.0
+        g = reference_greeks(model, 3.0)
+        path, bundle = build_bundle(model, g, t, mode, _stream(220))
+        larger_k = sup_deviation(path, bundle.w, g, t)
         monkeypatch.setattr(coupling, "horizon_cycles_for",
                             lambda t, mu: 10)
-        model = _gamma_gaussian(2)
-        g = reference_greeks(model, 3.0)
         with pytest.raises(HorizonExceededError) as full:
-            build_bundle(model, g, 64.0, mode, _stream(220))
-        with pytest.raises(HorizonExceededError) as short:
-            _one_sup_inputs(model, g, 64.0, mode, _stream(220))
-        assert str(short.value) == str(full.value)
+            build_bundle(model, g, t, mode, _stream(220))
         assert str(full.value).startswith("10 cycles reach only ")
+        if mode == "shared-innovations":
+            path, w = _one_sup_inputs(model, g, t, mode, _stream(220))
+            assert sup_deviation(path, w, g, t) == larger_k
+            return
+        with pytest.raises(HorizonExceededError) as short:
+            _one_sup_inputs(model, g, t, mode, _stream(220))
+        assert str(short.value) == str(full.value)
+
+    def test_a_broken_duration_law_stops_at_the_cap(self, monkeypatch):
+        # durations that never add up to t: the draws stop at the cap, in a
+        # bounded number of quantile rounds, and the reach check raises
+        model, t = _gamma_gaussian(1), 64.0
+        g = reference_greeks(model, 3.0)
+        sizes = []
+
+        def tiny(self, x):
+            sizes.append(np.size(x))
+            return np.full(np.shape(x), 1e-6)
+
+        monkeypatch.setattr(GammaGaussianModel, "tau_from_gaussian", tiny)
+        cap = coupling._DRAW_CAP * (math.floor(t / g.mu) + 2)
+        with pytest.raises(HorizonExceededError,
+                           match=f"^{cap} cycles reach only "):
+            _one_sup_inputs(model, g, t, "shared-innovations", _stream(230))
+        assert sum(sizes) == cap
+        assert len(sizes) <= cap // (coupling._cycles_to_cover(t, g) - 1)
+
+    @classmethod
+    def _tail_run(cls, tmp_path, mode):
+        """Exit code of the ``_tail_cfg`` run, and its results.csv bytes on
+        success."""
+        cfg = cls._tail_cfg(tmp_path, mode)
+        out = tmp_path / f"out-{mode}"
+        code = main(["tail", "--config", str(cfg), "--out", str(out)])
+        assert out.exists() == (code == 0)
+        return code, code == 0 and (out / "results.csv").read_bytes()
 
     def test_tail_run_exits_3_at_its_stream_address(self, tmp_path,
                                                     monkeypatch, capsys):
+        # independent mode samples K native cycles: ten fall short at rep 0;
+        # a shared-innovations run draws past K and keeps its bytes
+        (tmp_path / "k").mkdir()
+        shared = self._tail_run(tmp_path / "k", "shared-innovations")
         monkeypatch.setattr(coupling, "horizon_cycles_for", lambda t, mu: 10)
-        cfg = tmp_path / "tail.cfg"
-        cfg.write_text("experiment.t_grid = 64.0\n"
-                       "experiment.replications = 50\n"
-                       "coupling.mode = shared-innovations\n"
-                       "rng.root_seed = 5\n")
-        out = tmp_path / "out"
-        assert main(["tail", "--config", str(cfg), "--out", str(out)]) == 3
+        assert self._tail_run(tmp_path, "shared-innovations") == shared
+        assert self._tail_run(tmp_path, "independent") == (3, False)
         err = capsys.readouterr().err
         assert err.startswith(
             "internal error: HorizonExceededError: replication root_seed=5 "
-            "kind=tail t_index=0 rep=0: ")
-        assert not out.exists()
+            "kind=tail t_index=0 rep=0: 10 cycles reach only ")
 
     def test_tail_run_names_a_short_replication_inside_its_group(
             self, tmp_path, monkeypatch, capsys):
-        # replication 7's durations shrink so that its K cycles fall short;
-        # the 50 replications of the chunk form one group
-        short = replication_stream(5, "tail", 0, 50, 7).stream_index
-        real_draw, real_past = coupling._draw_drivers, coupling._durations_past
+        # replication 7's duration driver shifts down, so that its durations
+        # shrink and its draws stop at the cap short of t; the 50
+        # replications of the chunk form one group
+        real_past = coupling._durations_past
         groups = []
 
-        def drawn(model, k, mode, rng):
-            driver = real_draw(model, k, mode, rng)
-            if rng.stream_index != short:
-                return driver
-            return dataclasses.replace(
-                driver,
-                unit_increments_btilde=driver.unit_increments_btilde - 6.0)
+        class Shifted:
+            def __init__(self, gen):
+                self.gen = gen
 
-        def grouped(model, g_durs, greeks, t):
-            groups.append(len(g_durs))
-            return real_past(model, g_durs, greeks, t)
+            def standard_normal(self, size):
+                return self.gen.standard_normal(size) - 6.0
 
-        monkeypatch.setattr(coupling, "_draw_drivers", drawn)
+        def grouped(model, gens, greeks, t):
+            groups.append(len(gens))
+            gens = list(gens)
+            gens[7] = Shifted(gens[7])
+            return real_past(model, gens, greeks, t)
+
         monkeypatch.setattr(coupling, "_durations_past", grouped)
-        cfg = tmp_path / "tail.cfg"
-        cfg.write_text("experiment.t_grid = 64.0\n"
-                       "experiment.replications = 50\n"
-                       "coupling.mode = shared-innovations\n"
-                       "rng.root_seed = 5\n")
-        out = tmp_path / "out"
-        assert main(["tail", "--config", str(cfg), "--out", str(out)]) == 3
+        assert self._tail_run(tmp_path, "shared-innovations") == (3, False)
         err = capsys.readouterr().err
-        k = horizon_cycles_for(64.0, 2.0)
+        cap = coupling._DRAW_CAP * (math.floor(64.0 / 2.0) + 2)
         assert err.startswith(
             "internal error: HorizonExceededError: replication root_seed=5 "
-            f"kind=tail t_index=0 rep=7: {k} cycles reach only ")
+            f"kind=tail t_index=0 rep=7: {cap} cycles reach only ")
         assert groups == [50]
-        assert not out.exists()
 
     @staticmethod
     def _few_jumps(monkeypatch):

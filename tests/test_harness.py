@@ -10,8 +10,7 @@ import pytest
 
 from regenlab import harness
 from regenlab.config import build_config
-from regenlab.coupling import (_draw_drivers, _durations_past, build_bundle,
-                               horizon_cycles_for, sup_deviation)
+from regenlab.coupling import _durations_past, build_bundle, sup_deviation
 from scipy.special import gammainc
 
 from regenlab.harness import (TailEstimate, _map_chunks, _poisson_sf,
@@ -89,13 +88,11 @@ def test_a_tail_chunk_quantiles_its_durations_in_few_calls(monkeypatch):
                        replications=50, root_seed=101)
     model = cfg.build_model()
     greeks = reference_greeks(model, cfg.p)
-    k = horizon_cycles_for(1024.0, greeks.mu)
     expected = 0
     for rep in range(50):
-        stream = replication_stream(101, "tail", 0, 50, rep)
-        driver = _draw_drivers(model, k, cfg.mode, stream)
-        expected += _durations_past(model, [driver.unit_increments_btilde],
-                                    greeks, 1024.0)[0].size
+        gen = replication_stream(101, "tail", 0, 50, rep).child(2).generator()
+        (_, tau), = _durations_past(model, [gen], greeks, 1024.0)
+        expected += tau.size
     sizes = []
     real = GammaGaussianModel.tau_from_gaussian
 

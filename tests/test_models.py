@@ -456,12 +456,13 @@ class TestEtaMoment:
 
     def test_single_event_family_matches_increment_moment(self, gg1_model):
         # the plug-in mean reads _ETA_CYCLES cycles of one fixed stream, block
-        # after block on one generator; a single-event cycle's maximum is its
-        # |increment|
+        # after block on one generator, and adds up the blocks' sums; a
+        # single-event cycle's maximum is its |increment|
         gen = _ETA_STREAM.generator()
-        xi = np.concatenate([gg1_model._cycles(size, gen).xi[:, 0]
-                             for size in _block_sizes(_ETA_CYCLES)])
-        direct = float(np.mean(np.abs(xi) ** 3.0))
+        sums = [float(np.sum(np.abs(gg1_model._cycles(size, gen).xi[:, 0])
+                             ** 3.0))
+                for size in _block_sizes(_ETA_CYCLES)]
+        direct = math.fsum(sums) / _ETA_CYCLES
         assert eta_moment(gg1_model, 3.0) == direct
 
     def test_plug_in_matches_the_exact_law(self, gg1_model):
@@ -492,9 +493,14 @@ class TestEtaMoment:
              "compound-jump-d2"])
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_plug_in_is_the_mean_over_the_blocks(self, model, p):
-        # the plug-in keeps every bit of the mean over the reader's blocks
-        eta = np.concatenate(list(model.eta_blocks(_ETA_CYCLES, _ETA_STREAM)))
-        assert model.eta_moment(p) == float(np.mean(eta ** p))
+        # the plug-in is the exactly rounded sum of the reader's block sums
+        # over the cycle count: the mean over all the blocks' cycles, to
+        # the rounding of one long sum
+        blocks = list(model.eta_blocks(_ETA_CYCLES, _ETA_STREAM))
+        sums = [float(np.sum(eta ** p)) for eta in blocks]
+        assert model.eta_moment(p) == math.fsum(sums) / _ETA_CYCLES
+        mean = float(np.mean(np.concatenate(blocks) ** p))
+        assert model.eta_moment(p) == pytest.approx(mean, rel=1e-14)
 
     @pytest.mark.parametrize("model", [
         CompoundJumpModel(), GammaGaussianModel(), IidSumModel()],
