@@ -32,6 +32,7 @@ is not a usage error), so that a crash never reads as a FAIL verdict.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import inspect
 import math
 import sys
@@ -638,7 +639,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters, and the values its dynamic mmap threshold
+# reaches at most on a 64-bit build
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2 ** 20
+
+
+def _heap_for_temporaries() -> None:
+    """Serve allocations up to 32 MB from the heap, for this process and the
+    pool workers it forks.
+
+    glibc maps an allocation above its mmap threshold, 128 KB at first,
+    afresh and unmaps it when freed, so every replication faults the pages
+    of its larger numpy temporaries in again: a phis run on compound-jump
+    at t = 1024 took 21,000 page faults where it takes 500 with the heap.
+    The threshold grows only when such a block is freed, which an import
+    of scipy used to do by chance.  Here it is fixed at the 32 MB glibc's
+    own adjustment stops at, and the heap top is returned to the system
+    above 64 MB, twice that, as the adjustment would set it.  A libc
+    without ``mallopt`` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _heap_for_temporaries()
     parser = _build_parser()
     args, extra = parser.parse_known_args(argv)
     takes_extra = getattr(args, "takes_extra", False)

@@ -15,7 +15,8 @@ The pipeline builds, from one replication's randomness:
   ``W_circ`` through the null-space projector;
 * the eight-term error decomposition ``phi[1..8]`` whose sum telescopes to
   ``S(u) - kappa*u - sigma*W_u`` exactly — the pipeline's central algebraic
-  identity, verified on every run.
+  identity, which ``phis`` and ``couple`` verify on every bundle they
+  decompose; ``rate`` and ``tail`` read only the sup and do not check it.
 
 The drivers are *surrogates*: explicitly computable stand-ins for couplings
 whose existence classical strong-approximation theory guarantees without an
@@ -64,8 +65,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import normal_cdf
 from .greeks import Greeks
 from .models import INDEPENDENT, Model, ModeUnsupportedError
 from .paths import (PIECEWISE_CONSTANT, CountingPath, HorizonExceededError,
@@ -293,7 +294,7 @@ def _poisson_cdf(rate: float) -> np.ndarray:
 def poisson_jump_counts(increments: np.ndarray, rate: float) -> np.ndarray:
     """Per driver increment g, the Poisson(rate) quantile at Phi(g): exactly
     Poisson for standard normal increments; needs 0 < rate <= 500."""
-    return np.searchsorted(_poisson_cdf(float(rate)), ndtr(increments),
+    return np.searchsorted(_poisson_cdf(float(rate)), normal_cdf(increments),
                            side="left")
 
 

@@ -34,12 +34,13 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import (erfcx, gammainccinv, gammaincinv, gammaln, hyp2f1,
-                           log_ndtr, ndtr)
 
+from ._normal import (log_normal_pieces, log_normal_sf, normal_cdf,
+                      normal_cdf_left)
 from .greeks import DegenerateTauError, Greeks, matrix_sqrt_psd
 from .paths import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, RegenerativePath,
                     single_event_path)
@@ -83,6 +84,11 @@ def _block_sizes(n: int) -> list[int]:
     n cycles, the rest last."""
     full, rest = divmod(n, _CYCLE_BLOCK)
     return [_CYCLE_BLOCK] * full + ([rest] if rest else [])
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """``math.lgamma`` of each element."""
+    return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
 
 
 def _covariance(name: str, value, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +251,6 @@ class IidSumModel(Model):
 
 _ERLANG_SHAPES = range(1, 9)   # the shapes tests/erlang_quantiles.txt covers
 _ERLANG_TOLS = (2.0 ** -20, 2.0 ** -34, 2.0 ** -56)   # Halley, Halley, polish
-_SPLIT = 134217729.0   # 2^27 + 1: Dekker's split of a double into halves
 _ERLANG_SLICE = 8192   # drivers per pass of the Erlang quantile
 _SEED_EDGE = 8.5       # the quantile's seed table covers [-8.5, 8.5] ...
 _SEED_STEPS = 64       # ... with a node every 1/64
@@ -293,42 +298,12 @@ def _wilson_hilferty(k: int, g: np.ndarray) -> np.ndarray:
     return k * (y * y * y)
 
 
-def _log_normal_pieces(g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pieces ``(scaled, sq, err)`` of log Phi(g).
-
-    log Phi(g) = log(scaled) - sq/2 - err/2 with scaled = erfcx(-g/sqrt 2)/2
-    and g^2 split exactly into ``sq + err`` (Dekker).
-    """
-    hi = _SPLIT * g
-    hi -= hi - g
-    lo = g - hi
-    sq = g * g
-    err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
-    return 0.5 * erfcx(-math.sqrt(0.5) * g), sq, err
-
-
-def _normal_cdf(g: np.ndarray) -> np.ndarray:
-    """Phi(g), each element by one of two forms, computed on its own
-    elements only: ``ndtr`` from -1 up, and below -1 the pieces of log Phi
-    (:func:`_log_normal_pieces`), scaled * exp(-sq/2) * (1 - err/2),
-    because ``ndtr`` rounds g^2 inside its exponential there and loses up
-    to about 40 ulp at g = -8.5."""
-    flat = g.ravel()
-    phi = np.empty_like(flat)
-    low = np.flatnonzero(flat < -1.0)
-    rest = np.flatnonzero(~(flat < -1.0))
-    phi.put(rest, ndtr(flat.take(rest)))
-    scaled, sq, err = _log_normal_pieces(flat.take(low))
-    phi.put(low, scaled * np.exp(-0.5 * sq) * (1.0 - 0.5 * err))
-    return phi.reshape(g.shape)
-
-
 def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
     """The Gamma(k, 1) quantile at Phi(g) for g <= 0.
 
-    Phi(g) comes from :func:`_normal_cdf`, the pieces of log Phi(g) from
-    :func:`_log_normal_pieces`.  From the larger of the small-x asymptote
-    x^k/k! = Phi and the Wilson-Hilferty guess, two Halley steps in u = log x solve
+    Phi(g) and the pieces of log Phi(g) come from ``regenlab._normal``.
+    From the larger of the small-x asymptote x^k/k! = Phi and the
+    Wilson-Hilferty guess, two Halley steps in u = log x solve
     log F = log Phi, on truncated series; log F is concave in u with slope
     1/r.  A last Newton step on F(x) - Phi in linear space, where both keep
     full relative precision, removes the log-space rounding (one ulp of
@@ -336,8 +311,8 @@ def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
     """
     halley1, halley2, full, _ = _erlang_series(k)
     log_fact = math.lgamma(k)   # log (k-1)!
-    phi = _normal_cdf(g)
-    scaled, sq, err = _log_normal_pieces(g)
+    phi = normal_cdf(g)
+    scaled, sq, err = log_normal_pieces(g)
     # target = log Phi + log (k-1)!
     target = np.log(scaled) - 0.5 * sq - 0.5 * err + log_fact
     u0 = (target + math.log(k)) / k   # x^k / k! = Phi
@@ -373,7 +348,7 @@ def _erlang_upper(k: int, g: np.ndarray) -> np.ndarray:
     one ulp of log Phi(-g) moves x by about one ulp.
     """
     poly = _erlang_series(k)[-1]
-    log_q = log_ndtr(-g)
+    log_q = log_normal_sf(g)
     x = np.log(_horner(poly, -log_q)) - log_q
     x = np.fmax(x, _wilson_hilferty(k, g))
     for _ in range(3):
@@ -434,9 +409,8 @@ def _erlang_quantile(k: int, g: np.ndarray) -> np.ndarray:
     Within [-8.5, 8.5] a cubic Hermite seed of log x
     (:func:`_erlang_seed_table`, nodes every 1/64) starts one last step: at
     g <= 0 the linear-space Newton step on F(x) - Phi(g), above 0 one
-    Newton step on log Q(x) = log Phi(-g) from ``np.log(ndtr(-g))``.  The
-    seed is within about 1e-10, so that step leaves a quadratic error far
-    below one ulp.  Outside the table, and at -inf, inf and NaN, g takes
+    Newton step on log Q(x) = log Phi(-g).  The seed is within about 1e-10,
+    so that step leaves a quadratic error far below one ulp.  Outside the table, and at -inf, inf and NaN, g takes
     :func:`_erlang_solve`, whose Halley and Newton steps from the
     Wilson-Hilferty guess and the tails' asymptotes need no table; it also
     solves the table's nodes.
@@ -474,9 +448,9 @@ def _erlang_slice(k: int, g: np.ndarray) -> np.ndarray:
         lower = np.flatnonzero(g <= 0)
         upper = np.flatnonzero(g > 0)
         x.put(lower, _lower_newton(k, x.take(lower),
-                                   _normal_cdf(g.take(lower))))
+                                   normal_cdf_left(g.take(lower))))
         x.put(upper, _upper_newton(k, x.take(upper),
-                                   np.log(ndtr(-g.take(upper)))))
+                                   log_normal_sf(g.take(upper))))
     far = np.flatnonzero(~(np.abs(g) <= _SEED_EDGE))
     if far.size:
         x.put(far, _erlang_solve(k, g.take(far)))
@@ -551,11 +525,13 @@ class GammaGaussianModel(Model):
         Inverse-CDF transform tau = F^{-1}(Phi(g)), branch-split so both
         tails keep full relative precision.  Integer shapes in
         ``_ERLANG_SHAPES`` take the plain-numpy Erlang quantile; every other
-        shape takes scipy's ``gammaincinv``/``gammainccinv``.
+        shape takes scipy's ``gammaincinv``/``gammainccinv`` at scipy's
+        ``ndtr``, imported here so that no other run loads scipy.
         """
         g = np.asarray(g, dtype=float)
         if self.tau_shape in _ERLANG_SHAPES:
             return self.tau_scale * _erlang_quantile(int(self.tau_shape), g)
+        from scipy.special import gammainccinv, gammaincinv, ndtr
         out = np.empty_like(g)
         lower = g <= 0
         out[lower] = gammaincinv(self.tau_shape, ndtr(g[lower]))
@@ -608,10 +584,9 @@ class ParetoCycleModel(Model):
         return float(self.tail_index)
 
     def tau_from_gaussian(self, g: np.ndarray) -> np.ndarray:
-        """tau = 1 + Phi(-g)^(-1/tail_index), increasing in g; Phi(-g) from
-        :func:`_normal_cdf`, where ``ndtr`` would lose up to 22 ulp."""
+        """tau = 1 + Phi(-g)^(-1/tail_index), increasing in g."""
         g = np.asarray(g, dtype=float)
-        return 1.0 + _normal_cdf(-g) ** (-1.0 / self.tail_index)
+        return 1.0 + normal_cdf(-g) ** (-1.0 / self.tail_index)
 
     def increments_from(self, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The increment equals the duration; the noise innovation is unused
@@ -637,9 +612,22 @@ class ParetoCycleModel(Model):
             return math.inf
         # E(1+X)^p with X ~ Pareto(th) on [1, inf): s = 1/x turns the
         # integral into th * int_0^1 s^(th-p-1) (1+s)^p ds, Euler's integral
-        # of 2F1(-p, th-p; th-p+1; -1) / (th-p).
-        th = float(self.tail_index)
-        return th / (th - p) * float(hyp2f1(-p, th - p, th - p + 1.0, -1.0))
+        # of 2F1(-p, b; b+1; -1) / b, b = th - p.  Pfaff's transform makes
+        # it 2^p 2F1(-p, 1; b+1; 1/2) = 2^p sum_k t_k, t_0 = 1 and
+        # t_{k+1} = t_k (k - p) / (2 (k + b + 1)).  The terms alternate up
+        # to k = p, where they may cancel, so they are summed as exact
+        # rationals; past p they keep one sign and shrink by about 1/2 each.
+        # The sum stops at the first term below 1e-17 of it past p, or at
+        # the zero term that ends it for an integer p.
+        th, q = Fraction(self.tail_index), Fraction(p)
+        b = th - q
+        term = total = Fraction(1)
+        k = 0
+        while k <= q or abs(term) >= 1e-17 * abs(total):
+            term *= (k - q) / (2 * (k + b + 1))
+            total += term
+            k += 1
+        return float(th / b * total) * 2.0 ** p
 
 
 @dataclass(frozen=True, eq=False)
@@ -702,7 +690,7 @@ class MM1BusyCycleModel(Model):
         total = 0.0
         for start in itertools.count(1, _ETA_BLOCK):
             n = np.arange(start, start + _ETA_BLOCK, dtype=float)
-            log_terms = (gammaln(2.0 * n - 1.0) - gammaln(n) - gammaln(n + 1.0)
+            log_terms = (_lgamma(2.0 * n - 1.0) - _lgamma(n) - _lgamma(n + 1.0)
                          + (n - 1.0) * math.log(rho)
                          + (1.0 - 2.0 * n) * math.log1p(rho) + p * np.log(n))
             block = float(np.sum(np.exp(log_terms)))

@@ -5,9 +5,12 @@ Everything here is deterministic given its inputs (the bootstrap takes an
 explicit generator), so experiment reports stay bit-reproducible.
 
 Every interval is at the fixed 95% level.  The median CI's binomial
-quantile is exact integer arithmetic, and the only scipy function is
-``scipy.special.chdtrc``: importing ``scipy.stats`` costs about half a second,
-which every regenlab process would pay at start-up.
+quantile is exact integer arithmetic, and the Wilson interval's normal
+quantile a constant, so the module imports no scipy: importing
+``scipy.special`` costs about a quarter of a second, which every regenlab
+process would pay at start-up.  The one scipy function is
+``scipy.special.chdtrc``, the chi-square tail of the Poisson
+goodness-of-fit test, imported inside it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import chdtrc
 
 _GOF_MIN_EXPECTED = 5.0
 _WILSON_Z = 1.959963984540054      # ndtri(0.5 + 0.95 / 2), bit for bit
@@ -134,8 +136,11 @@ def poisson_gof_pvalue(counts, rate: float) -> float:
 
     Bins are pooled from both ends until every expected count reaches 5; the
     rate is treated as known (no estimated-parameter correction), so the
-    degrees of freedom are bins - 1.
+    degrees of freedom are bins - 1.  The chi-square tail is scipy's
+    ``chdtrc``, imported here, so that only the embedding check, its one
+    caller, loads scipy for it.
     """
+    from scipy.special import chdtrc
     counts = np.asarray(counts)
     if counts.size < 10:
         raise ValueError("need at least 10 observations")

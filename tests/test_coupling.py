@@ -9,6 +9,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 from regenlab import coupling
+from regenlab._normal import normal_cdf
 from regenlab.cli import main
 from regenlab.config import parse_config
 from regenlab.harness import replication_stream
@@ -909,7 +910,8 @@ class TestSupInputsFailures:
     @staticmethod
     def _few_jumps(monkeypatch):
         # shifted driver increments: a tenth of the jumps the units need
-        monkeypatch.setattr(coupling, "ndtr", lambda x: ndtr(x - 2.5))
+        monkeypatch.setattr(coupling, "normal_cdf",
+                            lambda x: normal_cdf(np.asarray(x) - 2.5))
 
     @staticmethod
     def _tail_cfg(tmp_path, mode):

@@ -456,6 +456,26 @@ class TestExactOracles:
         assert _poisson_sf(count, t) == pytest.approx(
             float(gammainc(count, t)), rel=1e-13)
 
+    @pytest.mark.parametrize("t", [5.0, 20.0, 50.0])
+    def test_renewal_count_oracles_agree(self, t):
+        # the exact-poisson-tail and exact-gamma-cdf rows share no step:
+        # a Poisson sum and a Gauss-Legendre quadrature of the density
+        poisson, gamma = (row.lhs for row in
+                          certify_bound("renewal-count", {"t": t}).rows)
+        assert gamma == pytest.approx(poisson, rel=1e-12)
+
+    @pytest.mark.parametrize("n, t", [(0, 3.0), (1, 3.0), (3, 3.0), (4, 3.0),
+                                      (20, 3.0), (1024, 2048.0)])
+    def test_poisson_tails_sum_to_one_against_scipy(self, n, t):
+        from scipy.special import gammaincc
+        below, above = harness._poisson_tails(n, t)
+        assert below + above == pytest.approx(1.0, abs=1e-15)
+        if n:
+            assert above == pytest.approx(float(gammainc(n, t)), rel=1e-13)
+            assert below == pytest.approx(float(gammaincc(n, t)), rel=1e-13)
+        else:
+            assert (below, above) == (0.0, 1.0)
+
     def test_run_recursion_equals_enumeration(self):
         for n in range(1, 17):
             for x in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 8.0, 16.0):

@@ -134,18 +134,44 @@ class TestGammaGaussian:
 
     def test_erlang_quantile_beyond_the_seed_table_is_the_solver(self):
         # outside [-8.5, 8.5] the Halley/Newton solver alone runs, with the
-        # bits it had before the seed table (their digest, all 8 shapes)
+        # bits it has on the numpy normal law (their digest, all 8 shapes)
         g = np.array([-np.inf, -38.0, -8.6, 8.6, 38.0, np.inf])
         digest = hashlib.sha256()
         for shape in _ERLANG_SHAPES:
             out = _erlang_quantile(shape, g)
             assert out.tobytes() == _erlang_solve(shape, g).tobytes()
             digest.update(out.tobytes())
-        assert digest.hexdigest() == ("82cc97a2b7b592b7b45fe4a80e6b8a9d"
-                                      "88544855025ae9eb59e05f5b13eb6145")
+        assert digest.hexdigest() == ("f206f09914804072293c6b61023f558f"
+                                      "1522abb854b52f9eb856b062a9b64939")
         # NaN stays NaN, next to in-table drivers
         mixed = _erlang_quantile(2, np.array([np.nan, 0.5, -0.5]))
         assert np.isnan(mixed[0]) and np.all(np.isfinite(mixed[1:]))
+
+    @pytest.mark.parametrize("shape", _ERLANG_SHAPES)
+    def test_erlang_solver_values_against_mpmath(self, shape):
+        # the solver's values at g = +-8.6 and +-38: x's relative error is
+        # the gap between the 40-digit log tail at x and log Phi, over the
+        # tail's log slope x f(x) / tail.  Two ulp of x are allowed; at -38,
+        # where Phi(g) ~ 3e-316 is subnormal and x comes from log Phi,
+        # which rounds to about one ulp of |log Phi| ~ 730, that much
+        # relative error too
+        import mpmath as mp
+        mp.mp.dps = 40
+        g = np.array([-38.0, -8.6, 8.6, 38.0])
+        for gi, xi in zip(g, _erlang_quantile(shape, g)):
+            x = mp.mpf(float(xi))
+            if gi < 0:
+                tail = mp.gammainc(shape, 0, x, regularized=True)
+                target = mp.ncdf(float(gi))
+            else:
+                tail = mp.gammainc(shape, x, mp.inf, regularized=True)
+                target = mp.ncdf(-float(gi))
+            density = x ** (shape - 1) * mp.exp(-x) / mp.factorial(shape - 1)
+            rel = float(abs(mp.log(tail / target)) * tail / (x * density))
+            allowed = 2.0 * np.spacing(xi)
+            if gi == -38.0:
+                allowed = max(allowed, 2.0 ** -52 * float(-mp.log(target)) * xi)
+            assert rel * xi <= allowed, gi
 
     def test_erlang_table_covers_the_fast_path(self):
         _, table = _reference_table("erlang_quantiles.txt")
