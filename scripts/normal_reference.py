@@ -1,4 +1,4 @@
-"""Coefficients of regenlab's normal law, and reference tables of erfcx and Phi.
+"""Coefficients of regenlab's normal law, and a reference table of Phi.
 
 ``regenlab._normal`` evaluates the scaled normal tail
 
@@ -11,24 +11,19 @@ polynomial with ``mpmath.chebyfit`` at 40 digits and writes it, each
 coefficient rounded to the nearest double, with the series' coefficients,
 to ``src/regenlab/_normal_cells.py``.
 
-It also writes two tables for the accuracy tests, each value computed at 40
-digits and rounded to the nearest double, one ``float.hex`` pair per line:
-
-* ``tests/erfcx_reference.txt``: x and erfcx(x) for x on a step-1/80 grid of
-  [0, 30], at x = z/sqrt 2 for every cell edge z and the doubles on either
-  side of it, and at large x up to 1e300;
-* ``tests/normal_cdf_reference.txt``: g and Phi(g) for g on a step-1/40 grid
-  of [-40, 8.5], at g = +-z for every cell edge z and the doubles on either
-  side of it.
+It also writes ``tests/normal_cdf_reference.txt`` for the accuracy tests:
+g and Phi(g), one ``float.hex`` pair per line, each value computed at 40
+digits and rounded to the nearest double, for g on a step-1/40 grid of
+[-40, 8.5], at g = +-z for every cell edge z and the doubles on either side
+of it.
 
 Run by hand, from the repository root, when the cells or the grids change:
 
     python scripts/normal_reference.py
 
-Last it prints how far ``erfcx`` and ``normal_cdf`` of the freshly written
-module are from each table, in ulp.  mpmath (1.3.0 was used) is needed here
-only; the library reads the written coefficients and the tests read the
-tables.
+Last it prints how far ``normal_cdf`` of the freshly written module is from
+the table, in ulp.  mpmath (1.3.0 was used) is needed here only; the library
+reads the written coefficients and the tests read the table.
 """
 
 from __future__ import annotations
@@ -46,29 +41,13 @@ TAIL_TERMS = 19       # terms of the series, n = 0..18
 DIGITS = 40
 ROOT = Path(__file__).resolve().parent.parent
 CELLS_OUT = ROOT / "src" / "regenlab" / "_normal_cells.py"
-ERFCX_OUT = ROOT / "tests" / "erfcx_reference.txt"
 PHI_OUT = ROOT / "tests" / "normal_cdf_reference.txt"
 
 
-def _erfcx(x) -> mp.mpf:
-    """erfcx(x) at the working precision; from x = 40 up by its asymptotic
-    series, whose least term there is about e^-1600 (mpmath's erfc cannot
-    take x = 1e300)."""
-    x = mp.mpf(x)
-    if x < 40:
-        return mp.erfc(x) * mp.exp(x * x)
-    v, term, terms = 1 / (2 * x * x), mp.mpf(1), []
-    for n in range(1, 200):
-        terms.append(term)
-        term *= -(2 * n - 1) * v
-        if abs(term) < mp.eps:
-            break
-    return mp.fsum(terms) / (x * mp.sqrt(mp.pi))
-
-
 def _scaled_tail(z) -> mp.mpf:
-    """K(z) = erfcx(z/sqrt 2)/2."""
-    return _erfcx(mp.mpf(z) / mp.sqrt(2)) / 2
+    """K(z) = erfc(z/sqrt 2) exp(z^2/2) / 2 at the working precision."""
+    z = mp.mpf(z)
+    return mp.erfc(z / mp.sqrt(2)) * mp.exp(z * z / 2) / 2
 
 
 def _cells() -> list[list[float]]:
@@ -148,19 +127,8 @@ def main() -> int:
     _write_cells(_cells(), _tail())
 
     edges = np.arange(EDGE * PER_UNIT + 1) / PER_UNIT   # in z
-    large = [40.0, 100.0, 1e3, 1e4, 1e8, 1e20, 1e100, 1e300]
-    xs = np.concatenate([np.linspace(0.0, 30.0, 30 * 80 + 1),
-                         _with_neighbours(edges / np.sqrt(2.0)), large])
-    xs = np.unique(xs[xs >= 0])
     provenance = (f"computed at {DIGITS} digits with mpmath {mp.__version__} "
                   "by scripts/normal_reference.py, then")
-    _table(ERFCX_OUT, [
-        "# erfcx(x) = exp(x^2) erfc(x), one line per x: x, then erfcx(x),"
-        " both as float.hex;",
-        f"# {provenance}",
-        "# rounded to the nearest double",
-    ], xs, _erfcx)
-
     gs = np.concatenate([np.linspace(-40.0, 8.5, 48 * 40 + 21),
                          _with_neighbours(-edges),
                          _with_neighbours(edges[edges <= 8.5]),
@@ -174,16 +142,13 @@ def main() -> int:
     ], gs, lambda g: mp.ncdf(mp.mpf(float(g))))
 
     sys.path.insert(0, str(ROOT / "src"))
-    from regenlab._normal import erfcx, normal_cdf
-    for name, fn, path in (("erfcx", erfcx, ERFCX_OUT),
-                           ("normal_cdf", normal_cdf, PHI_OUT)):
-        rows = [line.split() for line in path.read_text().splitlines()
-                if not line.startswith("#")]
-        x, ref = np.array([[float.fromhex(v) for v in row]
-                           for row in rows]).T
-        ulp = np.abs(fn(x) - ref) / np.spacing(ref)
-        print(f"{name}: at most {ulp.max():g} ulp off {path.name}, "
-              f"mean {ulp.mean():.3f}")
+    from regenlab._normal import normal_cdf
+    rows = [line.split() for line in PHI_OUT.read_text().splitlines()
+            if not line.startswith("#")]
+    g, ref = np.array([[float.fromhex(v) for v in row] for row in rows]).T
+    ulp = np.abs(normal_cdf(g) - ref) / np.spacing(ref)
+    print(f"normal_cdf: at most {ulp.max():g} ulp off {PHI_OUT.name}, "
+          f"mean {ulp.mean():.3f}")
     return 0
 
 

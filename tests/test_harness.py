@@ -371,7 +371,6 @@ class TestCertification:
         assert record.passed
         assert len(record.rows) == 3
         for row in record.rows:
-            assert row.se == 0.0
             assert row.lhs <= row.bound
 
     def test_nagaev_tail_is_the_exact_rational(self):
@@ -430,7 +429,7 @@ class TestGridIncrementOracle:
         assert record.passed and len(record.rows) == 25
         for row in record.rows:
             assert row.label.startswith("exact t=")
-            assert row.se == 0.0 and row.lhs <= row.bound
+            assert row.lhs <= row.bound
 
 
 def _enumerated_run_tail(n: int, x: float) -> float:

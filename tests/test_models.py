@@ -11,12 +11,14 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import gammainccinv, gammaincinv, ndtr
 
+from regenlab._normal import log_normal_sf, normal_cdf
 from regenlab.greeks import DegenerateTauError
 from regenlab.models import (_CYCLE_BLOCK, _ERLANG_SHAPES, _ERLANG_SLICE,
-                             _ETA_CYCLES, _ETA_STREAM, MODELS,
-                             CompoundJumpModel, GammaGaussianModel,
-                             IidSumModel, _block_sizes, _erlang_quantile,
-                             _erlang_slice, _erlang_solve,
+                             _ETA_CYCLES, _ETA_STREAM, _SEED_EDGE,
+                             _SEED_STEPS, MODELS, CompoundJumpModel,
+                             GammaGaussianModel, IidSumModel, _block_sizes,
+                             _erlang_quantile, _erlang_slice, _erlang_solve,
+                             _lower_newton, _upper_newton,
                              InvalidParameterError, MM1BusyCycleModel,
                              ModeUnsupportedError, ParetoCycleModel,
                              eta_moment, reference_greeks)
@@ -133,31 +135,35 @@ class TestGammaGaussian:
         assert ulp.mean() <= self.ERLANG_MEAN_ULP[shape - 1]
 
     def test_erlang_quantile_beyond_the_seed_table_is_the_solver(self):
-        # outside [-8.5, 8.5] the Halley/Newton solver alone runs, with the
-        # bits it has on the numpy normal law (their digest, all 8 shapes)
+        # outside [-8.5, 8.5] the solver's Newton steps alone run, with the
+        # bits they have on the numpy normal law (their digest, all 8 shapes)
         g = np.array([-np.inf, -38.0, -8.6, 8.6, 38.0, np.inf])
         digest = hashlib.sha256()
         for shape in _ERLANG_SHAPES:
             out = _erlang_quantile(shape, g)
             assert out.tobytes() == _erlang_solve(shape, g).tobytes()
             digest.update(out.tobytes())
-        assert digest.hexdigest() == ("f206f09914804072293c6b61023f558f"
-                                      "1522abb854b52f9eb856b062a9b64939")
+        assert digest.hexdigest() == ("ce6d8088306af45e668a20bbf2e91ba1"
+                                      "fdd386d4f90b8d357490162db0c8f841")
         # NaN stays NaN, next to in-table drivers
         mixed = _erlang_quantile(2, np.array([np.nan, 0.5, -0.5]))
         assert np.isnan(mixed[0]) and np.all(np.isfinite(mixed[1:]))
 
+    # the far drivers the solver serves alone; Phi(g) is subnormal at -37.6
+    # and -38
+    FAR = (-38.0, -37.6, -30.0, -20.0, -12.0, -9.0, -8.6,
+           8.6, 9.0, 12.0, 20.0, 30.0, 38.0)
+
     @pytest.mark.parametrize("shape", _ERLANG_SHAPES)
     def test_erlang_solver_values_against_mpmath(self, shape):
-        # the solver's values at g = +-8.6 and +-38: x's relative error is
-        # the gap between the 40-digit log tail at x and log Phi, over the
-        # tail's log slope x f(x) / tail.  Two ulp of x are allowed; at -38,
-        # where Phi(g) ~ 3e-316 is subnormal and x comes from log Phi,
-        # which rounds to about one ulp of |log Phi| ~ 730, that much
-        # relative error too
+        # the solver's values at the far drivers: x's relative error is the
+        # gap between the 40-digit log tail at x and log Phi, over the
+        # tail's log slope x f(x) / tail.  Two ulp of x are allowed; where
+        # Phi(g) is subnormal and x comes from log Phi, which rounds to
+        # about one ulp of |log Phi| ~ 710-730, that much relative error too
         import mpmath as mp
         mp.mp.dps = 40
-        g = np.array([-38.0, -8.6, 8.6, 38.0])
+        g = np.array(self.FAR)
         for gi, xi in zip(g, _erlang_quantile(shape, g)):
             x = mp.mpf(float(xi))
             if gi < 0:
@@ -169,9 +175,36 @@ class TestGammaGaussian:
             density = x ** (shape - 1) * mp.exp(-x) / mp.factorial(shape - 1)
             rel = float(abs(mp.log(tail / target)) * tail / (x * density))
             allowed = 2.0 * np.spacing(xi)
-            if gi == -38.0:
+            if target < np.finfo(float).tiny:
                 allowed = max(allowed, 2.0 ** -52 * float(-mp.log(target)) * xi)
             assert rel * xi <= allowed, gi
+
+    @pytest.mark.parametrize("shape", _ERLANG_SHAPES)
+    def test_erlang_solver_is_a_fixed_point_of_its_newton_steps(self, shape):
+        # the solver stops after a fixed number of steps; one more moves no
+        # seed-table node and no far value by more than 2 ulp.  The
+        # exceptions: where Phi(g) is subnormal the value is the asymptote,
+        # not a Newton root; and above 0 in the table the log-space residual
+        # log T(x) - x - log Phi(-g) rounds to about an ulp of x, while near
+        # the median the slope f/Q of log Q is below 1, so there the
+        # iterates wander within 1.5 ulp of the root (3 ulp apart at k = 8,
+        # g = 1/64)
+        nodes = np.arange(2 * _SEED_EDGE * _SEED_STEPS + 1) / _SEED_STEPS
+        nodes -= _SEED_EDGE
+        g = np.concatenate([nodes, self.FAR])
+        x = _erlang_solve(shape, g)
+        lower = (g <= 0) & (normal_cdf(g) >= np.finfo(float).tiny)
+        upper = g > 0
+        again = np.full_like(x, np.nan)
+        again[lower] = _lower_newton(shape, np.minimum(x[lower], shape),
+                                     normal_cdf(g[lower]))
+        again[upper] = _upper_newton(shape, x[upper].copy(),
+                                     log_normal_sf(g[upper]))
+        ulp = np.abs(again - x) / np.spacing(x)
+        in_table = upper & (g <= _SEED_EDGE)
+        assert ulp[lower].max() <= 2.0
+        assert ulp[upper & ~in_table].max() <= 2.0
+        assert ulp[in_table].max() <= 3.0
 
     def test_erlang_table_covers_the_fast_path(self):
         _, table = _reference_table("erlang_quantiles.txt")
